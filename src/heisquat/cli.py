@@ -89,8 +89,7 @@ def cmd_count(args) -> int:
         return _usage_error("scale must be >= 1")
     d = K.ArithmeticData(order.D_A, len(order.units))
     ref = K.mertens_constant(d)
-    ckpt = _checkpoint_path(
-        args, f"count_{order.name or 'custom'}_{max(grid)}_{args.scale}")
+    ckpt = _checkpoint_path(args, f"count_{C.checkpoint_key(order, args.scale)}")
     table = C.count_table(order, grid, scale=args.scale,
                           reference_constant=ref.value(),
                           reference_symbolic=str(ref),

@@ -9,10 +9,23 @@ affine trace lattice cut to cell3.  Everything is integer arithmetic;
 numpy int64 carries the bulk enumeration (desk-scale coordinates stay far
 below overflow, guarded by _S_LIMIT).
 
+Right multiplication by a unit v of O^x, (a, alpha, c) -> (av, alpha v,
+cv), keeps tr(conj(a) c) = n(alpha), the left ideal Oa + O alpha + Oc and
+n(c), commutes with the left shear action, and fixes the Heisenberg point
+(alpha c^-1, a c^-1).  So it maps the canonical representatives with a
+given c bijectively onto those with cv and keeps each one's dyadic cell:
+the per-c count and 128-cell histogram depend only on the right coset
+c O^x.  Units act freely on c != 0 and keep c in scale * O, so the c list
+is a union of whole cosets of |O^x| members each.  scan_summary (and
+through it psi_count without triples, count_table and equidist_histogram)
+therefore scans the lexicographically least c of each coset and weights
+it by |O^x|.  scan() and psi_count with triples stay full per-c
+enumerations; the tests compare the reduction against them.
+
 brute_force_psi is the independent oracle: it enumerates *all* admissible
 triples in vertex-bound norm boxes, buckets them by canonical orbit key
 and counts distinct keys, asserting that each bucket holds exactly one
-in-domain triple.
+in-domain triple.  It scans every c.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
 from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
-from .orders import Order, OrderElement, enumerate_by_norm
+from .orders import Order, OrderElement, enumerate_by_norm, prime_factors
 
 _S_LIMIT = 10 ** 4
 
@@ -91,20 +104,6 @@ def _rank_full_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
         M[ar[has], piv[has], :] = pivrow[has]
         used[ar[has], piv[has]] = True
     return ok
-
-
-def _small_prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ class _OrderData:
             full = np.ones(undecided.size, bool)
             g_here = g3[undecided]
             for p in sorted({p for g in np.unique(g_here)
-                             for p in _small_prime_factors(int(g)) if D_A % p}):
+                             for p in prime_factors(int(g)) if D_A % p}):
                 sel = np.nonzero(g_here % p == 0)[0]
                 if sel.size:
                     full[sel] &= _rank_full_mod_p(rows[sel], p)
@@ -320,6 +319,30 @@ def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
     return sorted(cs, key=lambda c: (order.norm(c), c))
 
 
+def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
+    """The lexicographically least member of each right coset c O^x in cs.
+
+    cs must be a union of whole cosets, as every c list is: right
+    multiplication by a unit keeps n(c) and keeps c in scale * O.  Units
+    act freely on c != 0, so each coset has exactly |O^x| members.
+    """
+    if not cs:
+        return []
+    C = np.array(cs, np.int64)
+    S = np.array(order.structure, np.int64)
+    rows = np.arange(C.shape[0])
+    least = np.ones(C.shape[0], bool)
+    for u in order.units:
+        image = C @ np.einsum("j,ijk->ik", np.array(u.coords, np.int64), S)
+        differ = image != C
+        first = differ.argmax(axis=1)
+        least &= ~(differ.any(axis=1) & (image[rows, first] < C[rows, first]))
+    reps = [c for c, keep in zip(cs, least) if keep]
+    if len(reps) * len(order.units) != len(cs):
+        raise AssertionError("c list is not a union of whole right unit cosets")
+    return reps
+
+
 def scan(order: Order, s, scale: int = 1) -> Iterable[CRecord]:
     """Stream of per-c canonical-triple records, deterministic order."""
     fd = FundamentalDomain(order)
@@ -332,38 +355,26 @@ def psi_count(order: Order, s, scale: int = 1,
               with_triples: bool = True) -> Tuple[int, List[Triple]]:
     """Orbit count for 0 < n(c) <= s, plus the canonical triples.
 
-    With with_triples=False the second component is an empty list, which
-    avoids materialising millions of objects on large runs.
+    With with_triples=False the second component is an empty list and the
+    count comes from scan_summary, which scans one c per right unit coset;
+    with triples every c is scanned.
     """
+    if not with_triples:
+        return scan_summary(order, [s], scale=scale).counts[Fraction(s)], []
     total = 0
     triples: List[Triple] = []
     for rec in scan(order, s, scale):
         total += rec.count
-        if with_triples:
-            cel = OrderElement(rec.c)
-            for r in range(rec.count):
-                triples.append(Triple(
-                    OrderElement(tuple(int(v) for v in rec.a[r])),
-                    OrderElement(tuple(int(v) for v in rec.alpha[r])), cel))
+        cel = OrderElement(rec.c)
+        for r in range(rec.count):
+            triples.append(Triple(
+                OrderElement(tuple(int(v) for v in rec.a[r])),
+                OrderElement(tuple(int(v) for v in rec.alpha[r])), cel))
     return total, triples
 
 
 # ---------------------------------------------------------------------------
 # summaries: tables, histograms, checkpoints, worker pools
-
-
-def _chunk_summary(args):
-    """Worker: per-c counts and per-nc histogram for a chunk of c values."""
-    spec, s_cap, scale, chunk = args
-    from .orders import order_spec_from_dict
-    order = order_spec_from_dict(spec)
-    od = _OrderData(order, FundamentalDomain(order))
-    out = []
-    for c in chunk:
-        rec = _scan_c(od, tuple(c), scale)
-        hist = np.bincount(rec.bucket, minlength=128).astype(np.int64)
-        out.append((tuple(int(v) for v in c), rec.nc, rec.count, hist.tolist()))
-    return out
 
 
 def order_spec_dict(order: Order) -> dict:
@@ -373,6 +384,85 @@ def order_spec_dict(order: Order) -> dict:
         "name": order.name or "custom",
         "basis": [[[x.numerator, x.denominator] for x in row] for row in order.basis],
     }
+
+
+# Version of the checkpoint record; part of every key.  Version 2 records
+# hold the count and histogram of a whole right coset c O^x.
+_CKPT_VERSION = 2
+
+
+def checkpoint_key(order: Order, scale: int = 1) -> str:
+    """Hash of what determines a checkpoint record: the order's algebra and
+    basis (not its name), the scale and the record version."""
+    import hashlib
+    spec = order_spec_dict(order)
+    del spec["name"]
+    blob = json.dumps({"order": spec, "scale": scale, "version": _CKPT_VERSION},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _scan_chunk(od: _OrderData, key: str, scale: int, chunk) -> List[dict]:
+    """Checkpoint records of the cosets c O^x, c in chunk: the scan of c
+    with its count and histogram weighted by |O^x|."""
+    weight = len(od.order.units)
+    out = []
+    for c in chunk:
+        rec = _scan_c(od, c, scale)
+        hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
+        out.append({"key": key, "c": list(rec.c), "nc": rec.nc,
+                    "count": rec.count * weight, "hist": hist.tolist()})
+    return out
+
+
+def _pool_chunk(args) -> List[dict]:
+    """Worker: _scan_chunk on the order rebuilt from its spec."""
+    spec, key, scale, chunk = args
+    from .orders import order_spec_from_dict
+    order = order_spec_from_dict(spec)
+    return _scan_chunk(_OrderData(order, FundamentalDomain(order)), key, scale, chunk)
+
+
+def _record_batches(order: Order, cs, scale: int, key: str, threads: int):
+    """Checkpoint records of cs, a list per batch: one c per batch in
+    process, or a process pool over threads * 8 interleaved chunks."""
+    if threads > 1 and len(cs) > 8:
+        from concurrent.futures import ProcessPoolExecutor
+        spec = order_spec_dict(order)
+        nch = min(threads * 8, len(cs))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(_pool_chunk,
+                                [(spec, key, scale, cs[i::nch]) for i in range(nch)])
+    else:
+        od = _OrderData(order, FundamentalDomain(order))
+        for c in cs:
+            yield _scan_chunk(od, key, scale, [c])
+
+
+def _load_checkpoint(path: str, key: str, cs) -> Dict[Tuple[int, ...], dict]:
+    """The records of a JSONL checkpoint that carry key and whose c is in cs.
+
+    A torn last line, left by a killed run, is cut off the file so that
+    new records start on a line of their own.
+    """
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    wanted = set(cs)
+    done = {}
+    for line in data[:end].splitlines():
+        try:
+            rec = json.loads(line)
+            c = tuple(rec["c"])
+            if rec["key"] == key and c in wanted:
+                done[c] = rec
+        except (ValueError, KeyError, TypeError):
+            continue
+    return done
 
 
 @dataclass
@@ -387,64 +477,41 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     """Counts at each s in s_grid and 128-cell histograms at hist_levels,
     from a single pass over c with 0 < n(c) <= max(s_grid).
 
-    Results are per-c additive, so the output does not depend on the
-    thread partition; an optional JSONL checkpoint stores one line per c.
+    One c per right unit coset is scanned and weighted by |O^x| (see the
+    module docstring).  Results are per-coset additive, so the output does
+    not depend on the thread partition.  An optional JSONL checkpoint
+    stores one record per coset, keyed by checkpoint_key(order, scale);
+    on resume, records with another key or a c outside the current list
+    are ignored.  progress(done, total) is called after each batch.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
     smax = max(grid + hlev) if (grid or hlev) else Fraction(0)
-    done: Dict[Tuple[int, ...], Tuple[int, int, List[int]]] = {}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                done[tuple(rec["c"])] = (rec["nc"], rec["count"], rec["hist"])
-    cs = [c for c in _c_list(order, smax, scale) if c not in done]
-    results: List[Tuple[Tuple[int, ...], int, int, List[int]]] = []
+    reps = _right_coset_representatives(order, _c_list(order, smax, scale))
+    key = checkpoint_key(order, scale)
+    done = _load_checkpoint(checkpoint_path, key, reps) if checkpoint_path else {}
+    records = list(done.values())
+    todo = [c for c in reps if c not in done]
     ckpt = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
     try:
-        if threads > 1 and len(cs) > 8:
-            from concurrent.futures import ProcessPoolExecutor
-            spec = order_spec_dict(order)
-            nch = min(threads * 8, max(1, len(cs)))
-            chunks = [cs[i::nch] for i in range(nch)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for out in pool.map(_chunk_summary,
-                                    [(spec, str(smax), scale, ch) for ch in chunks]):
-                    results.extend(out)
-                    if ckpt:
-                        for c, nc, cnt, hist in out:
-                            ckpt.write(json.dumps(
-                                {"c": list(c), "nc": nc, "count": cnt, "hist": hist}) + "\n")
-        else:
-            od = _OrderData(order, FundamentalDomain(order))
-            for pos, c in enumerate(cs):
-                rec = _scan_c(od, c, scale)
-                hist = np.bincount(rec.bucket, minlength=128).astype(np.int64)
-                results.append((rec.c, rec.nc, rec.count, hist.tolist()))
-                if ckpt:
-                    ckpt.write(json.dumps({"c": list(rec.c), "nc": rec.nc,
-                                           "count": rec.count,
-                                           "hist": hist.tolist()}) + "\n")
-                if progress and pos % 500 == 0:
-                    progress(pos, len(cs))
+        for batch in _record_batches(order, todo, scale, key, threads):
+            records.extend(batch)
+            if ckpt:
+                ckpt.write("".join(json.dumps(rec) + "\n" for rec in batch))
+            if progress:
+                progress(len(records) - len(done), len(todo))
     finally:
         if ckpt:
             ckpt.close()
-    for c, data in done.items():
-        results.append((c, data[0], data[1], data[2]))
     counts = {g: 0 for g in grid}
     hists = {g: np.zeros(128, np.int64) for g in hlev}
-    for _, nc, cnt, hist in results:
+    for rec in records:
         for g in grid:
-            if nc <= g:
-                counts[g] += cnt
+            if rec["nc"] <= g:
+                counts[g] += rec["count"]
         for g in hlev:
-            if nc <= g:
-                hists[g] += np.array(hist, np.int64)
+            if rec["nc"] <= g:
+                hists[g] += np.array(rec["hist"], np.int64)
     return ScanSummary(counts, hists)
 
 

@@ -4,9 +4,10 @@ Criterion 3 checks the enumeration against kappa = lim Psi(s)/s^5 of the
 count this package defines (N(O)-orbits of primitive admissible triples,
 see heisquat.counting).  kappa is not fitted to Psi: heisquat.orbitlaw
 proves the per-c orbit law by counting in O/p^k O, tests/test_orbitlaw.py
-checks the law against a direct local count and against the scan for
-every c with n(c) <= 16, and constants.mertens_kappa sums it into
-31104/pi^8 for the Hurwitz order.  So the criterion is a consistency
+checks the law against a direct local count, against the scan for
+every c with n(c) <= 16 and for one c per right unit coset up to
+n(c) <= 32, and constants.mertens_kappa sums it into 31104/pi^8 for the
+Hurwitz order.  So the criterion is a consistency
 check of the scan against its proven limit, not a test of the paper's
 closed form: 54/pi^8 of constants.mertens_constant is exactly kappa/576
 (tests/test_constants.py), so it cannot be the limit of this count, and

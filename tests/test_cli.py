@@ -80,6 +80,25 @@ def test_count_checkpoint_resume(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_checkpoint_not_shared_by_orders_with_one_name(tmp_path):
+    # the d3 order under the name of a Hurwitz spec run before it in the
+    # same cache directory must not resume from the Hurwitz records
+    from heisquat.counting import order_spec_dict
+    from heisquat.orders import builtin_order
+    cache = tmp_path / "cache"
+    rows = {}
+    for builtin in ("hurwitz", "d3"):
+        spec = dict(order_spec_dict(builtin_order(builtin)), name="hurwitz_lookalike")
+        path = tmp_path / f"{builtin}.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / f"{builtin}_out.json"
+        assert main(["count", "--order", str(path), "--s-grid", "1,2,3",
+                     "--cache", str(cache), "--out", str(out)]) == 0
+        rows[builtin] = [r["count"] for r in json.loads(out.read_text())["rows"]]
+    assert rows == {"hurwitz": [24, 96, 2592], "d3": [12, 264, 360]}
+    assert len(list(cache.glob("*.jsonl"))) == 2
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HEIS_MERTENS_CACHE", str(cache))

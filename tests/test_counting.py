@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heisquat.counting import (CountTable, brute_force_psi, count_table,
-                               equidist_histogram, fit_and_compare,
-                               histogram_report, psi_count, scan, scan_summary)
+from heisquat.counting import (CountTable, _c_list, _right_coset_representatives,
+                               brute_force_psi, count_table, equidist_histogram,
+                               fit_and_compare, histogram_report, psi_count, scan,
+                               scan_summary)
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
                                  is_primitive)
@@ -107,6 +109,97 @@ def test_scan_summary_checkpoint_resume(hur, tmp_path):
     ck.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
     b = scan_summary(hur, [3], checkpoint_path=str(ck))
     assert a.counts == b.counts
+
+
+@pytest.mark.parametrize("name, scale, grid", [
+    ("hurwitz", 1, (4, 8, 12)), ("d3", 1, (4, 8, 12)), ("hurwitz", 2, (8, 16))])
+def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
+    order = builtin_order(name)
+    units = len(order.units)
+    cs = _c_list(order, max(grid), scale)
+    reps = _right_coset_representatives(order, cs)
+    rep_of = {}
+    for r in reps:
+        coset = {order.mul(r, u) for u in order.units}
+        assert len(coset) == units and min(coset) == r
+        for c in coset:
+            assert c not in rep_of
+            rep_of[c] = r
+    assert set(rep_of) == set(cs) and len(reps) * units == len(cs)
+
+    # the full per-c scan: every c matches its representative, and the sums
+    # match the reduced summary
+    per_c = {}
+    counts = {Fraction(g): 0 for g in grid}
+    hists = {Fraction(g): np.zeros(128, np.int64) for g in grid}
+    for rec in scan(order, max(grid), scale):
+        hist = np.bincount(rec.bucket, minlength=128)
+        per_c[rec.c] = (rec.count, hist)
+        for g in grid:
+            if rec.nc <= g:
+                counts[g] += rec.count
+                hists[g] += hist
+    for c, r in rep_of.items():
+        assert per_c[c][0] == per_c[r][0] and (per_c[c][1] == per_c[r][1]).all(), c
+    reduced = scan_summary(order, grid, hist_levels=grid, scale=scale)
+    assert reduced.counts == counts
+    for g in counts:
+        assert (reduced.hists[g] == hists[g]).all(), g
+
+
+def test_checkpoint_in_the_per_c_format_does_not_overcount(hur, tmp_path):
+    # one line per c without a key, as written before records were keyed
+    ck = tmp_path / "old.jsonl"
+    with open(ck, "w", encoding="utf-8") as fh:
+        for rec in scan(hur, 3):
+            hist = np.bincount(rec.bucket, minlength=128).tolist()
+            fh.write(json.dumps({"c": list(rec.c), "nc": rec.nc,
+                                 "count": rec.count, "hist": hist}) + "\n")
+    got = scan_summary(hur, [1, 2, 3], checkpoint_path=str(ck))
+    assert got.counts == {1: 24, 2: 96, 3: 2592}
+
+
+def test_checkpoint_of_another_scale_is_ignored(hur, tmp_path):
+    # both runs scan the least c of the coset 2 O^x (n = 4), so only the
+    # key tells their records apart
+    ck = str(tmp_path / "chk.jsonl")
+    plain = scan_summary(hur, [4], hist_levels=[4], checkpoint_path=ck)
+    scaled = scan_summary(hur, [4], hist_levels=[4], scale=2, checkpoint_path=ck)
+    fresh = scan_summary(hur, [4], hist_levels=[4], scale=2)
+    assert scaled.counts == fresh.counts == {4: 24 * 4}
+    assert (scaled.hists[Fraction(4)] == fresh.hists[Fraction(4)]).all()
+    again = scan_summary(hur, [4], hist_levels=[4], checkpoint_path=ck)
+    assert again.counts == plain.counts
+    assert (again.hists[Fraction(4)] == plain.hists[Fraction(4)]).all()
+
+
+def test_checkpoint_records_outside_the_scanned_cs_are_ignored(hur, tmp_path):
+    # a keyed record for another member of a scanned coset would count that
+    # coset twice
+    ck = tmp_path / "chk.jsonl"
+    fresh = scan_summary(hur, [3], checkpoint_path=str(ck))
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    unit = next(u.coords for u in hur.units if u.coords != hur.one_coords)
+    with open(ck, "a", encoding="utf-8") as fh:
+        for rec in records:
+            other = dict(rec, c=list(hur.mul(tuple(rec["c"]), unit)))
+            fh.write(json.dumps(other) + "\n")
+    assert scan_summary(hur, [3], checkpoint_path=str(ck)).counts == fresh.counts
+
+
+def test_checkpoint_resume_after_a_torn_line(hur, tmp_path):
+    ck = tmp_path / "chk.jsonl"
+    full = scan_summary(hur, [2, 4], checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    # a killed run: some whole records, then half of the next one
+    ck.write_text("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
+    assert scan_summary(hur, [2, 4], checkpoint_path=str(ck)).counts == full.counts
+    resumed = ck.read_text()
+    assert resumed.endswith("\n")
+    records = [json.loads(line) for line in resumed.splitlines()]
+    assert sorted(tuple(r["c"]) for r in records) \
+        == sorted(tuple(r["c"]) for r in map(json.loads, lines))
+    assert scan_summary(hur, [2, 4], checkpoint_path=str(ck)).counts == full.counts
 
 
 def test_scale_parameter(hur):
