@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -329,11 +328,10 @@ def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
     if not cs:
         return []
     C = np.array(cs, np.int64)
-    S = np.array(order.structure, np.int64)
     rows = np.arange(C.shape[0])
     least = np.ones(C.shape[0], bool)
     for u in order.units:
-        image = C @ np.einsum("j,ijk->ik", np.array(u.coords, np.int64), S)
+        image = C @ np.array(order.right_mul_matrix(u), np.int64)
         differ = image != C
         first = differ.argmax(axis=1)
         least &= ~(differ.any(axis=1) & (image[rows, first] < C[rows, first]))
@@ -439,19 +437,25 @@ def _record_batches(order: Order, cs, scale: int, key: str, threads: int):
             yield _scan_chunk(od, key, scale, [c])
 
 
-def _load_checkpoint(path: str, key: str, cs) -> Dict[Tuple[int, ...], dict]:
-    """The records of a JSONL checkpoint that carry key and whose c is in cs.
+def _load_checkpoint(fh, key: str, cs) -> Dict[Tuple[int, ...], dict]:
+    """The records that carry key and whose c is in cs, from a JSONL
+    checkpoint open in "a+b" mode.
 
     A torn last line, left by a killed run, is cut off the file so that
-    new records start on a line of their own.
+    new records start on a line of their own.  The file is read under the
+    lock that every append takes, so a record another run is still
+    writing is never taken for a torn one.
     """
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb+") as fh:
+    import fcntl
+    fcntl.flock(fh, fcntl.LOCK_EX)
+    try:
+        fh.seek(0)
         data = fh.read()
         end = data.rfind(b"\n") + 1
         if end < len(data):
             fh.truncate(end)
+    finally:
+        fcntl.flock(fh, fcntl.LOCK_UN)
     wanted = set(cs)
     done = {}
     for line in data[:end].splitlines():
@@ -463,6 +467,20 @@ def _load_checkpoint(path: str, key: str, cs) -> Dict[Tuple[int, ...], dict]:
         except (ValueError, KeyError, TypeError):
             continue
     return done
+
+
+def _append_checkpoint(fh, records: List[dict]) -> None:
+    """Append records to a checkpoint open in "a+b" mode, one line each,
+    under an exclusive lock, so that runs sharing the file do not
+    interleave or cut each other's lines."""
+    import fcntl
+    data = "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+    fcntl.flock(fh, fcntl.LOCK_EX)
+    try:
+        fh.write(data)
+        fh.flush()
+    finally:
+        fcntl.flock(fh, fcntl.LOCK_UN)
 
 
 @dataclass
@@ -482,22 +500,25 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     not depend on the thread partition.  An optional JSONL checkpoint
     stores one record per coset, keyed by checkpoint_key(order, scale);
     on resume, records with another key or a c outside the current list
-    are ignored.  progress(done, total) is called after each batch.
+    are ignored.  Runs that share a checkpoint take turns reading and
+    appending it, so neither loses the other's records; a coset both runs
+    scan is stored twice and counted once.  progress(done, total) is
+    called after each batch.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
     smax = max(grid + hlev) if (grid or hlev) else Fraction(0)
     reps = _right_coset_representatives(order, _c_list(order, smax, scale))
     key = checkpoint_key(order, scale)
-    done = _load_checkpoint(checkpoint_path, key, reps) if checkpoint_path else {}
-    records = list(done.values())
-    todo = [c for c in reps if c not in done]
-    ckpt = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
+        done = _load_checkpoint(ckpt, key, reps) if ckpt else {}
+        records = list(done.values())
+        todo = [c for c in reps if c not in done]
         for batch in _record_batches(order, todo, scale, key, threads):
             records.extend(batch)
             if ckpt:
-                ckpt.write("".join(json.dumps(rec) + "\n" for rec in batch))
+                _append_checkpoint(ckpt, batch)
             if progress:
                 progress(len(records) - len(done), len(todo))
     finally:

@@ -43,14 +43,16 @@ def test_count_flag_conflicts():
     assert proc.returncode == 2
 
 
-def test_count_byte_identical_and_thread_independent(tmp_path):
+def test_count_byte_identical_and_thread_independent(tmp_path, pool_runs):
+    # s = 8 gives 26 coset representatives, enough for the pool
     outs = []
     for idx, threads in enumerate(("1", "2", "1")):
         out = tmp_path / f"c{idx}.json"
-        rc = main(["count", "--order", "hurwitz", "--s-grid", "1,2,3",
+        rc = main(["count", "--order", "hurwitz", "--s-grid", "1,2,3,8",
                    "--threads", threads, "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
+    assert pool_runs == [2]
     assert outs[0] == outs[1] == outs[2]
 
 

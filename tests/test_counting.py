@@ -93,11 +93,14 @@ def test_scan_partition_invariance(hur):
     assert half1 + half2 == total
 
 
-def test_scan_summary_threads_match(hur):
-    a = scan_summary(hur, [2, 4], hist_levels=[4], threads=1)
-    b = scan_summary(hur, [2, 4], hist_levels=[4], threads=2)
+def test_scan_summary_threads_match(hur, pool_runs):
+    # 26 coset representatives up to s = 8: enough for the pool
+    a = scan_summary(hur, [4, 8], hist_levels=[8], threads=1)
+    assert pool_runs == []
+    b = scan_summary(hur, [4, 8], hist_levels=[8], threads=2)
+    assert pool_runs == [2]
     assert a.counts == b.counts
-    assert (a.hists[Fraction(4)] == b.hists[Fraction(4)]).all()
+    assert (a.hists[Fraction(8)] == b.hists[Fraction(8)]).all()
 
 
 def test_scan_summary_checkpoint_resume(hur, tmp_path):
@@ -145,6 +148,29 @@ def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
     assert reduced.counts == counts
     for g in counts:
         assert (reduced.hists[g] == hists[g]).all(), g
+
+
+@pytest.mark.parametrize("name, grid", [("hurwitz", (4, 8)), ("d3", (4, 8, 12))])
+def test_pool_checkpoint_and_resume_match_serial(name, grid, tmp_path, pool_runs):
+    # the pool weights and records each coset as the serial path does, and
+    # a pooled resume after a killed pooled run gives the same summary
+    order = builtin_order(name)
+    ck = tmp_path / "chk.jsonl"
+    serial = scan_summary(order, grid, hist_levels=grid)
+    pooled = scan_summary(order, grid, hist_levels=grid, threads=2,
+                          checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    reps = _right_coset_representatives(order, _c_list(order, max(grid)))
+    assert sorted(tuple(json.loads(line)["c"]) for line in lines) == sorted(reps)
+    ck.write_text("\n".join(lines[:10]) + "\n" + lines[10][:20])
+    resumed = scan_summary(order, grid, hist_levels=grid, threads=2,
+                           checkpoint_path=str(ck))
+    assert pool_runs == [2, 2]
+    for got in (pooled, resumed):
+        assert got.counts == serial.counts
+        for g in serial.hists:
+            assert (got.hists[g] == serial.hists[g]).all(), g
+    assert len(ck.read_text().splitlines()) == len(reps)
 
 
 def test_checkpoint_in_the_per_c_format_does_not_overcount(hur, tmp_path):
@@ -200,6 +226,38 @@ def test_checkpoint_resume_after_a_torn_line(hur, tmp_path):
     assert sorted(tuple(r["c"]) for r in records) \
         == sorted(tuple(r["c"]) for r in map(json.loads, lines))
     assert scan_summary(hur, [2, 4], checkpoint_path=str(ck)).counts == full.counts
+
+
+def test_checkpoint_shared_with_a_run_still_writing(hur, tmp_path):
+    # a resume that starts while another run is appending a record waits
+    # for it, rather than cutting the half-written line off as torn
+    import fcntl
+    import threading
+    import time
+    ck = tmp_path / "chk.jsonl"
+    full = scan_summary(hur, [2, 4], checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines[:-1]) + "\n")
+    last = (lines[-1] + "\n").encode("utf-8")
+    result = {}
+
+    def resume():
+        result["counts"] = scan_summary(hur, [2, 4], checkpoint_path=str(ck)).counts
+
+    with open(ck, "ab") as writer:
+        fcntl.flock(writer, fcntl.LOCK_EX)
+        writer.write(last[: len(last) // 2])
+        writer.flush()
+        other = threading.Thread(target=resume)
+        other.start()
+        time.sleep(0.5)
+        writer.write(last[len(last) // 2:])
+        writer.flush()
+        fcntl.flock(writer, fcntl.LOCK_UN)
+    other.join()
+    assert result["counts"] == full.counts
+    assert sorted(tuple(json.loads(line)["c"]) for line in ck.read_text().splitlines()) \
+        == sorted(tuple(json.loads(line)["c"]) for line in lines)
 
 
 def test_scale_parameter(hur):
