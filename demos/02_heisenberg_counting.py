@@ -8,16 +8,18 @@ oracle, and fits the growth exponent (the count grows like s^5).
 import math
 
 from heisquat.constants import ArithmeticData, mertens_constant, mertens_kappa
-from heisquat.counting import brute_force_psi, count_table, psi_count
+from heisquat.counting import brute_force_counts, count_table, psi_count
 from heisquat.orders import builtin_order
 
 hur = builtin_order("hurwitz")
 
-# Small values, cross-checked against the independent oracle.
-for s in (1, 2, 3, 4, 5):
+# Small values, cross-checked against the independent oracle (one pass
+# over every c with n(c) <= 5 gives all five oracle counts).
+levels = (1, 2, 3, 4, 5)
+oracle = brute_force_counts(hur, levels)
+for s in levels:
     psi = psi_count(hur, s, with_triples=False)[0]
-    oracle = brute_force_psi(hur, s)
-    print(f"Psi({s}) = {psi:6d}   oracle {oracle:6d}   match={psi == oracle}")
+    print(f"Psi({s}) = {psi:6d}   oracle {oracle[s]:6d}   match={psi == oracle[s]}")
 
 # One of the 24 orbits at s = 1, as an explicit canonical triple.
 count, triples = psi_count(hur, 1)

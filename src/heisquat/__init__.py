@@ -12,8 +12,8 @@ from .heisenberg import (HeisPoint, Triple, heis_mul, heis_inv, cygan_dist,
                          cygan_dist4, in_lattice, shear, heis_point_of_triple,
                          FundamentalDomain, canonicalize, in_fundamental_domain,
                          haar_mass_check)
-from .counting import (psi_count, brute_force_psi, CountTable, fit_and_compare,
-                       equidist_histogram, EquidistReport)
+from .counting import (psi_count, brute_force_psi, brute_force_counts, CountTable,
+                       fit_and_compare, equidist_histogram, EquidistReport)
 from . import hyperbolic, constants, orbitlaw
 
 __version__ = "0.1.0"

@@ -45,11 +45,22 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _parse_grid(text: str):
+def _parse_s(text: str) -> Fraction:
+    """A rational s with 0 < s <= the supported limit, else exit 2."""
     try:
-        return [Fraction(part) for part in text.split(",") if part.strip()]
+        s = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(_usage_error(f"bad s grid '{text}'"))
+        raise SystemExit(_usage_error(f"bad s value '{text}'"))
+    if not 0 < s <= C._S_LIMIT:
+        raise SystemExit(_usage_error(f"s = {text} is outside (0, {C._S_LIMIT}]"))
+    return s
+
+
+def _parse_grid(text: str):
+    grid = [_parse_s(part) for part in text.split(",") if part.strip()]
+    if not grid:
+        raise SystemExit(_usage_error(f"empty s grid '{text}'"))
+    return grid
 
 
 def _emit(payload: dict, out: str, fmt: str, csv_rows=None):
@@ -80,7 +91,7 @@ def cmd_count(args) -> int:
     if args.s_grid:
         grid = _parse_grid(args.s_grid)
     elif args.s_max is not None:
-        grid = [Fraction(args.s_max)]
+        grid = [_parse_s(args.s_max)]
     else:
         return _usage_error("count needs --s-grid or --s-max")
     if sorted(grid) != grid:
@@ -105,7 +116,10 @@ def cmd_count(args) -> int:
 
 def cmd_equidist(args) -> int:
     order = _load_order(args.order)
-    rep = C.equidist_histogram(order, Fraction(args.s), threads=args.threads)
+    s = _parse_s(args.s)
+    if s < 1:  # n(c) >= 1 for every c != 0, so there is no sample
+        return _usage_error("equidist needs s >= 1")
+    rep = C.equidist_histogram(order, s, threads=args.threads)
     payload = rep.to_json_dict()
     csv_rows = [("cell", "observed", "expected")]
     for idx, (o, e) in enumerate(zip(rep.observed, rep.expected)):
@@ -134,15 +148,18 @@ def cmd_geom_selftest(args) -> int:
 
 def cmd_oracle(args) -> int:
     order = _load_order(args.order)
-    smax = int(args.s)
+    smax = _parse_s(args.s)
+    if smax.denominator != 1:
+        return _usage_error(f"oracle needs an integer s, not {args.s}")
+    levels = range(1, int(smax) + 1)
+    psi = C.scan_summary(order, levels).counts
+    oracle = C.brute_force_counts(order, levels)
     rows = []
     ok = True
-    for s in range(1, smax + 1):
-        psi, _ = C.psi_count(order, s, with_triples=False)
-        oracle = C.brute_force_psi(order, s)
-        rows.append({"s": s, "psi": psi, "oracle": oracle,
-                     "match": psi == oracle})
-        ok &= psi == oracle
+    for s in levels:
+        rows.append({"s": s, "psi": psi[s], "oracle": oracle[s],
+                     "match": psi[s] == oracle[s]})
+        ok &= psi[s] == oracle[s]
     _emit({"order": order.name, "rows": rows, "all_match": ok}, args.out, "json")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -197,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        return _usage_error("threads must be >= 1")
     return args.func(args)
 
 

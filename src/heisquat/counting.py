@@ -22,10 +22,11 @@ therefore scans the lexicographically least c of each coset and weights
 it by |O^x|.  scan() and psi_count with triples stay full per-c
 enumerations; the tests compare the reduction against them.
 
-brute_force_psi is the independent oracle: it enumerates *all* admissible
-triples in vertex-bound norm boxes, buckets them by canonical orbit key
-and counts distinct keys, asserting that each bucket holds exactly one
-in-domain triple.  It scans every c.
+brute_force_counts (and brute_force_psi, its one-level form) is the
+oracle: it enumerates *all* admissible triples in a padded window of
+cells, buckets them by canonical orbit key and counts distinct keys,
+asserting that each bucket holds exactly one in-domain triple.  It scans
+every c, in one pass for a whole grid of s.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ class _OrderData:
         return np.einsum("j,ijk->ik", c, self.S)
 
     def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.einsum("ri,rj,ijk->rk", X, Y, self.S)
+        """Row-wise products: coords(X[r] Y[r])."""
+        return (X[:, :, None] * Y[:, None, :]).reshape(-1, 16) @ self.S.reshape(16, 4)
 
     def primitive_mask(self, A: np.ndarray, AL: np.ndarray, c, NA, NAL, nc) -> np.ndarray:
         """Exact primitivity of the triples (A[r], AL[r], c), vectorised.
@@ -553,89 +555,112 @@ def _pack_keys(AL: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.stack([k1, k2], axis=1)
 
 
-def brute_force_psi(order: Order, s, window: int = 1, window_v: int = 0,
-                    verify_sample: int = 64) -> int:
-    """Oracle count via redundant box enumeration and canonical-key dedup.
+def _group_keys(keys: np.ndarray, indom: np.ndarray):
+    """Bucket the rows of an (N, 2) int64 key array by equal key.
 
-    For every c the oracle enumerates all admissible triples whose alpha
-    cell coordinates land in the enlarged box [-window, 1+window)^4 (the
-    canonical cell padded on every side) and whose vertical coordinates
-    land in [-window_v, 1+window_v)^3; the alpha translates already sweep
-    the vertical floors through the whole lattice during canonicalisation.
-    Each triple is canonicalised to its orbit key; distinct keys with a
-    primitive representative are counted, and every bucket is asserted to
-    hold exactly one in-domain triple.  A deterministic sample of the
-    enumerated triples is re-verified against the exact trace predicate.
+    Returns (first, hits): for each distinct key (in ascending order) the
+    index of its first row, and how many of its rows have indom set.
     """
-    s = Fraction(s)
-    if s <= 0:
+    if keys.shape[0] == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    perm = np.lexsort((keys[:, 1], keys[:, 0]))
+    sk = keys[perm]
+    new = np.ones(sk.shape[0], bool)
+    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return perm[starts], np.add.reduceat(indom[perm].astype(np.int64), starts)
+
+
+def _brute_force_c(od: _OrderData, c) -> int:
+    """Oracle orbit count of one c; see brute_force_counts."""
+    order = od.order
+    ctx = _CContext(od, c)
+    hR = np.array(order.mul(order.trace_one.coords, ctx.c), np.int64)
+    B3R = np.array([order.mul(tuple(r), ctx.c) for r in od.im.tolist()], np.int64)
+    # alpha window: cell coordinates in [-1, 2)
+    zero = np.zeros((1, 4), np.int64)
+    _, _, V4 = _box_points(ctx.H4, 2 * ctx.D, zero, lo_bound=-ctx.D)
+    prod = V4 @ ctx.R
+    ALPH = prod // ctx.D
+    if (ALPH * ctx.D != prod).any():
+        raise AssertionError("oracle alpha window not integral")
+    NAL = od.norms_np(ALPH)
+    ok = np.nonzero(NAL % ctx.g == 0)[0]
+    if ok.size == 0:
         return 0
-    fd = FundamentalDomain(order)
-    od = _OrderData(order, fd)
-    total = 0
-    rng_state = 12345
-    for c in _c_list(order, s):
-        ctx = _CContext(od, c)
-        hR = np.array(od.order.mul(od.order.trace_one.coords, ctx.c), np.int64)
-        B3R = np.array([od.order.mul(tuple(r), ctx.c) for r in od.im.tolist()],
-                       np.int64)
-        # alpha window: cell coordinates in [-window, 1+window)
-        zero = np.zeros((1, 4), np.int64)
-        _, _, V4 = _box_points(ctx.H4, (1 + window) * ctx.D, zero,
-                               lo_bound=-window * ctx.D)
-        prod = V4 @ ctx.R
-        ALPH = prod // ctx.D
-        if (ALPH * ctx.D != prod).any():
-            raise AssertionError("oracle alpha window not integral")
-        NAL = od.norms_np(ALPH)
-        ok = np.nonzero(NAL % ctx.g == 0)[0]
-        if ok.size == 0:
-            continue
-        ALPH, NAL = ALPH[ok], NAL[ok]
-        q = NAL // ctx.g
-        offs = q[:, None] * ctx.w0vec[None, :]
-        local, T, W3 = _box_points(ctx.T3, (1 + window_v) * ctx.Pden, offs,
-                                   lo_bound=-window_v * ctx.Pden)
-        A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
-        AL = ALPH[local]
-        NALr = NAL[local]
-        if A.shape[0] == 0:
-            continue
+    ALPH, NAL = ALPH[ok], NAL[ok]
+    q = NAL // ctx.g
+    offs = q[:, None] * ctx.w0vec[None, :]
+    # vertical window: cell coordinates in [0, 1)
+    local, T, _ = _box_points(ctx.T3, ctx.Pden, offs)
+    A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
+    AL = ALPH[local]
+    if A.shape[0] == 0:
+        return 0
 
-        # spot re-verification of the defining predicates on a sample
-        step = max(1, A.shape[0] // verify_sample)
-        for r in range((rng_state + ctx.nc) % step, A.shape[0], step):
-            ac = tuple(int(v) for v in A[r])
-            alc = tuple(int(v) for v in AL[r])
-            if order.trace(order.mul(order.conj(ac), ctx.c)) != order.norm(alc):
-                raise AssertionError("oracle emitted an inadmissible triple")
+    # spot re-verification of the defining predicates on about 64 rows
+    step = max(1, A.shape[0] // 64)
+    for r in range((12345 + ctx.nc) % step, A.shape[0], step):
+        ac = tuple(int(v) for v in A[r])
+        alc = tuple(int(v) for v in AL[r])
+        if order.trace(order.mul(order.conj(ac), ctx.c)) != order.norm(alc):
+            raise AssertionError("oracle emitted an inadmissible triple")
 
-        # canonicalise: horizontal translation first, then vertical
-        V4a = AL @ ctx.adjR
-        FL4 = V4a // ctx.D
-        WT = -FL4
-        AL_can = AL + WT @ ctx.R
-        CW = od.conj_np(WT)
-        NW = od.norms_np(WT)
-        A1 = A + od.mul_rows(CW, AL) + NW[:, None] * hR[None, :]
-        V3 = A1 @ ctx.Pnum
-        FL3 = V3 // ctx.Pden
-        A_can = A1 - FL3 @ B3R
-        indom = (FL4 == 0).all(axis=1) & (FL3 == 0).all(axis=1)
+    # canonicalise: horizontal translation first, then vertical
+    V4a = AL @ ctx.adjR
+    FL4 = V4a // ctx.D
+    WT = -FL4
+    AL_can = AL + WT @ ctx.R
+    CW = od.conj_np(WT)
+    NW = od.norms_np(WT)
+    A1 = A + od.mul_rows(CW, AL) + NW[:, None] * hR[None, :]
+    V3 = A1 @ ctx.Pnum
+    FL3 = V3 // ctx.Pden
+    A_can = A1 - FL3 @ B3R
+    indom = (FL4 == 0).all(axis=1) & (FL3 == 0).all(axis=1)
 
-        keys = _pack_keys(AL_can, A_can)
-        uniq, first, inv = np.unique(keys, axis=0, return_index=True,
-                                     return_inverse=True)
-        hits = np.bincount(inv.reshape(-1), weights=indom.astype(np.float64),
-                           minlength=uniq.shape[0])
-        if not (hits == 1).all():
-            raise AssertionError("oracle bucket without a unique in-domain triple")
-        # primitivity is orbit-invariant: test only the canonical reps
-        Arep, ALrep = A_can[first], AL_can[first]
-        pmask = od.primitive_mask(Arep, ALrep, ctx.c, od.norms_np(Arep),
-                                  od.norms_np(ALrep), ctx.nc)
-        total += int(pmask.sum())
-    return total
+    first, hits = _group_keys(_pack_keys(AL_can, A_can), indom)
+    if not (hits == 1).all():
+        raise AssertionError("oracle bucket without a unique in-domain triple")
+    # primitivity is orbit-invariant: test only the canonical reps
+    Arep, ALrep = A_can[first], AL_can[first]
+    pmask = od.primitive_mask(Arep, ALrep, ctx.c, od.norms_np(Arep),
+                              od.norms_np(ALrep), ctx.nc)
+    return int(pmask.sum())
+
+
+def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
+    """Oracle orbit counts at each s in s_grid, from one pass over every c
+    with 0 < n(c) <= max(s_grid); no unit-coset reduction.
+
+    For each c the oracle enumerates the admissible triples whose alpha
+    cell coordinates lie in the padded window [-1, 2)^4 (the canonical
+    cell and one cell on every side) and whose vertical cell coordinates
+    lie in [0, 1)^3; the alpha translates sweep the vertical floors through
+    the whole lattice during canonicalisation.  Each triple is moved to
+    its canonical orbit representative, the triples are bucketed by that
+    representative, every bucket is asserted to hold exactly one in-domain
+    triple, and the buckets with a primitive representative are counted.
+    About 64 enumerated triples per c are re-verified against the exact
+    trace predicate.  The window and canonicalisation are independent of
+    the transversal scan, but the per-c lattice data (_CContext) and the
+    box enumeration (_box_points) are shared with it.
+    """
+    grid = sorted(Fraction(x) for x in s_grid)
+    counts = {g: 0 for g in grid}
+    od = _OrderData(order, FundamentalDomain(order))
+    for c in _c_list(order, max(grid, default=0)):
+        found = _brute_force_c(od, c)
+        nc = order.norm(c)
+        for g in grid:
+            if nc <= g:
+                counts[g] += found
+    return counts
+
+
+def brute_force_psi(order: Order, s) -> int:
+    """Oracle count of Psi(s); see brute_force_counts."""
+    return brute_force_counts(order, [s])[Fraction(s)]
 
 
 # ---------------------------------------------------------------------------

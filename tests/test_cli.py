@@ -1,8 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from heisquat.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 RUN = [sys.executable, "-m", "heisquat.cli"]
 
@@ -149,6 +154,36 @@ def test_oracle(tmp_path):
     data = json.loads(out.read_text())
     assert data["all_match"] is True
     assert data["rows"][0]["psi"] == 24
+
+
+def test_oracle_s5_matches_the_benchmark_reference(capsys):
+    assert main(["oracle", "--order", "hurwitz", "--s", "5"]) == 0
+    expected = (REFERENCE / "oracle_hurwitz.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "2.5"],
+    ["oracle", "--s", "0"],
+    ["oracle", "--s", "-1"],
+    ["equidist", "--s", "abc"],
+    ["equidist", "--s", "0"],
+    ["equidist", "--s", "1/2"],
+    ["count", "--s-grid", "1", "--threads", "0"],
+    ["count", "--s-grid", "0,2"],
+    ["count", "--s-grid", ","],
+    ["count", "--s-max", "abc"],
+    ["count", "--s-max", "20000"],
+])
+def test_bad_input_exits_2(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_order_spec_via_file(tmp_path):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heisquat.counting import (CountTable, _c_list, _right_coset_representatives,
+from heisquat import counting
+from heisquat.counting import (CountTable, _c_list, _group_keys,
+                               _right_coset_representatives, brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
                                scan_summary)
@@ -48,6 +50,38 @@ def test_oracle_equality_d3():
     d3 = builtin_order("d3")
     for s in (1, 2, 3):
         assert psi_count(d3, s, with_triples=False)[0] == brute_force_psi(d3, s)
+
+
+@pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4]), ("d3", [1, 2, 3])])
+def test_brute_force_counts_equal_scan_summary(name, grid):
+    order = builtin_order(name)
+    counts = brute_force_counts(order, grid)
+    assert counts == scan_summary(order, grid).counts
+    assert brute_force_counts(order, [Fraction(1, 2), 0]) == {0: 0, Fraction(1, 2): 0}
+
+
+def test_group_keys_buckets_by_both_columns():
+    keys = np.array([[3, 1], [1, 2], [3, 1], [1, 1], [1, 2], [3, 0]], np.int64)
+    indom = np.array([False, True, True, True, False, False])
+    first, hits = _group_keys(keys, indom)
+    # buckets in key order: (1, 1), (1, 2), (3, 0), (3, 1)
+    assert first.tolist() == [3, 1, 5, 0]
+    assert hits.tolist() == [1, 1, 0, 1]
+    first, hits = _group_keys(keys[:0], indom[:0])
+    assert first.size == hits.size == 0
+
+
+@pytest.mark.parametrize("bad_keys", [
+    # one bucket per row: the rows outside the domain have no in-domain triple
+    lambda keys: np.stack([keys[:, 0], np.arange(keys.shape[0])], axis=1),
+    # one bucket for all rows: it holds every in-domain triple
+    lambda keys: np.zeros_like(keys),
+], ids=["zero_in_domain", "several_in_domain"])
+def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, bad_keys):
+    pack = counting._pack_keys
+    monkeypatch.setattr(counting, "_pack_keys", lambda AL, A: bad_keys(pack(AL, A)))
+    with pytest.raises(AssertionError, match="unique in-domain"):
+        brute_force_psi(hur, 3)
 
 
 def test_emitted_triples_satisfy_predicates(hur, fd):
