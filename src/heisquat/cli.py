@@ -174,11 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", default="hurwitz",
                            help="builtin name (hurwitz, d3) or order-spec JSON path")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
+
+    def scan_options(p):
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("count", help="counting run over an s grid")
     common(p)
+    scan_options(p)
     p.add_argument("--s-grid", help="comma separated ascending s values")
     p.add_argument("--s-max", help="single s value")
     p.add_argument("--scale", type=int, default=1,
@@ -188,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equidist", help="128-cell equidistribution histogram")
     common(p)
+    scan_options(p)
     p.add_argument("--s", required=True)
     p.set_defaults(func=cmd_equidist)
 
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         return _usage_error("threads must be >= 1")
     return args.func(args)
 

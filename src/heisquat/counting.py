@@ -32,7 +32,6 @@ every c, in one pass for a whole grid of s.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -41,7 +40,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
-from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
+from .lattices import (adjugate, clear_denominators, det_int, hnf, kernel_basis, mat_mul,
+                       solve_integer)
 from .orders import Order, OrderElement, enumerate_by_norm, prime_factors
 
 _S_LIMIT = 10 ** 4
@@ -122,28 +122,14 @@ class _OrderData:
         self.h = np.array(order.trace_one.coords, np.int64)
         self.im = np.array(order.im_basis, np.int64)
         # basis matrix as integers: E = Enum / Eden (rows in 1,i,j,k coords)
-        eden = 1
-        for row in order.basis:
-            for x in row:
-                eden = eden * x.denominator // math.gcd(eden, x.denominator)
-        self.Eden = eden
-        self.Enum = np.array([[int(x * eden) for x in row] for row in order.basis],
-                             np.int64)
+        Enum, self.Eden = clear_denominators(order.basis)
+        self.Enum = np.array(Enum, np.int64)
         # inverse of the (i,j,k)-coordinate matrix of the 2*Im(O) cell basis
         rows = [[2 * Fraction(q.coeffs[pos]) for pos in (1, 2, 3)]
                 for q in fd.im_quats]
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
         from .lattices import mat_frac_inverse
-        inv = mat_frac_inverse([[x for x in r] for r in rows])
-        iden = 1
-        for r in inv:
-            for x in r:
-                iden = iden * x.denominator // math.gcd(iden, x.denominator)
-        self.ImInvNum = np.array([[int(x * iden) for x in r] for r in inv], np.int64)
-        self.ImInvDen = iden
+        ImInvNum, self.ImInvDen = clear_denominators(mat_frac_inverse(rows))
+        self.ImInvNum = np.array(ImInvNum, np.int64)
 
     def conj_np(self, X: np.ndarray) -> np.ndarray:
         return (X @ self.tvec)[:, None] * self.one[None, :] - X
@@ -716,11 +702,15 @@ def count_table(order: Order, s_grid: Sequence, scale: int = 1,
                         for g, cnt in table.rows]
     fit_rows = [(g, c) for g, c in table.rows if c > 0]
     if len(fit_rows) >= 2:
-        xs = np.log([float(g) for g, _ in fit_rows])
-        ys = np.log([float(c) for _, c in fit_rows])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        table.slope, table.intercept = float(slope), float(intercept)
+        table.slope, table.intercept = _loglog_fit(fit_rows)
     return table
+
+
+def _loglog_fit(rows) -> Tuple[float, float]:
+    """Least-squares (slope, intercept) of log count against log s."""
+    slope, intercept = np.polyfit(np.log([float(s) for s, _ in rows]),
+                                  np.log([float(c) for _, c in rows]), 1)
+    return float(slope), float(intercept)
 
 
 def fit_and_compare(table: CountTable, reference_constant: float) -> dict:
@@ -728,11 +718,9 @@ def fit_and_compare(table: CountTable, reference_constant: float) -> dict:
     rows = [(float(s), c) for s, c in table.rows if c > 0]
     if len(rows) < 4 or rows[-1][0] < 4 * rows[0][0]:
         raise ValueError("need >= 4 rows spanning at least a factor 4 in s")
-    xs = np.log([s for s, _ in rows])
-    ys = np.log([c for _, c in rows])
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = _loglog_fit(rows)
     ratios = [c / (reference_constant * s ** 5) for s, c in rows]
-    return {"slope": float(slope), "intercept": float(intercept), "ratios": ratios}
+    return {"slope": slope, "intercept": intercept, "ratios": ratios}
 
 
 @dataclass

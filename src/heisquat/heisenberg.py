@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .lattices import mat_frac_inverse
 from .orders import Order, OrderElement
-from .quaternion import Quaternion
+from .quaternion import Quaternion, vec_add, vec_dot_conj, vec_neg, vec_norm
 
 
 class HeisError(ValueError):
@@ -47,10 +47,6 @@ def heis_inv(p: HeisPoint) -> HeisPoint:
     return HeisPoint(p.w0.conj(), -p.w)
 
 
-def heis_identity(alg) -> HeisPoint:
-    return HeisPoint(alg.quat(0, 0, 0, 0), alg.quat(0, 0, 0, 0))
-
-
 # ---------------------------------------------------------------------------
 # Cygan distance
 
@@ -58,13 +54,13 @@ def heis_identity(alg) -> HeisPoint:
 def _cygan4_zut(z, u, t, zp, up, tp) -> Fraction:
     """Fourth power of the Cygan distance in (zeta, u, t) coordinates.
 
-    The quaternion inside the outer norm has real part n(zeta - zeta') +
-    |t - t'| and imaginary part u - u' + 2 Im(conj(zeta) zeta'); this is
+    zeta and zeta' are tuples of quaternions (one entry in Heis_7).  The
+    quaternion inside the outer norm has real part n(zeta - zeta') +
+    |t - t'| and imaginary part u - u' + 2 Im(conj(zeta) . zeta'); this is
     the left-invariant version (the group-difference gauge).
     """
-    dz = z - zp
-    re = dz.norm() + abs(t - tp)
-    im = u - up + 2 * (z.conj() * zp).imag()
+    re = vec_norm(vec_add(z, vec_neg(zp))) + abs(t - tp)
+    im = u - up + 2 * vec_dot_conj(z, zp).imag()
     return re * re + im.norm()
 
 
@@ -76,7 +72,7 @@ def cygan_dist4(p, q):
     """
     z, u, t = _as_zut(p)
     zp, up, tp = _as_zut(q)
-    return _cygan4_zut(z, u, t, zp, up, tp)
+    return _cygan4_zut((z,), u, t, (zp,), up, tp)
 
 
 def cygan_dist(p, q) -> float:

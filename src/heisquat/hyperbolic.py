@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .heisenberg import cygan_dist4
-from .quaternion import (HAMILTON, Quaternion, vec_add, vec_dot_conj, vec_neg,
-                         vec_norm, vec_scale_right)
+from .heisenberg import _cygan4_zut
+from .quaternion import HAMILTON, Quaternion, vec_dot_conj, vec_norm, vec_scale_right
 
 DEFAULT_TOL = 1e-9
 
@@ -144,13 +143,7 @@ def busemann(xi, x, y) -> float:
 
 
 def _cygan4(p: HoroPoint, q: HoroPoint) -> float:
-    if len(p.zeta) != 1 or len(q.zeta) != 1:
-        # generic n: inline the same formula on vectors
-        dz = vec_add(p.zeta, vec_neg(q.zeta))
-        re = vec_norm(dz) + abs(p.t - q.t)
-        im = p.u - q.u + 2 * vec_dot_conj(p.zeta, q.zeta).imag()
-        return re * re + im.norm()
-    return float(cygan_dist4((p.zeta[0], p.u, p.t), (q.zeta[0], q.u, q.t)))
+    return float(_cygan4_zut(p.zeta, p.u, p.t, q.zeta, q.u, q.t))
 
 
 def cygan(p, q) -> float:

@@ -11,10 +11,73 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 Row = Tuple[int, ...]
+
+
+def _eliminate(aug: List[List[int]], n: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """Gcd row reduction of the first n columns of aug, in place.
+
+    Returns (pivots, rest): one row per pivot, pivot columns strictly
+    increasing and each pivot positive, and the remaining rows, which
+    vanish on the first n columns.  Columns past n are carried along, so
+    for [mat | I] they record the row operations (Cohen, GTM 138, 2.4).
+    """
+    pivots: List[List[int]] = []
+    work = aug
+    col = 0
+    while col < n and work:
+        live = [r for r in work if r[col] != 0]
+        if not live:
+            col += 1
+            continue
+        while True:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            if len(live) == 1:
+                break
+            p = pivot[col]
+            for r in live[1:]:
+                q = r[col] // p
+                for t in range(len(r)):
+                    r[t] -= q * pivot[t]
+            live = [r for r in live if r[col] != 0]
+        if pivot[col] < 0:
+            for t in range(len(pivot)):
+                pivot[t] = -pivot[t]
+        pivots.append(pivot)
+        work = [r for r in work if r is not pivot]
+        col += 1
+    return pivots, work
+
+
+def _augment(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """[mat | I_m] as integer rows, and the column count n of mat."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    return [[int(mat[r][c]) for c in range(n)] + [1 if t == r else 0 for t in range(m)]
+            for r in range(m)], n
+
+
+def _reduce(rows: Sequence[Sequence[int]], v: Sequence[int], n: int) -> List[int]:
+    """v reduced by echelon rows: each pivot entry of v taken mod its pivot.
+
+    Pivots are sought in the first n columns; later columns are carried
+    along.  Pivot columns strictly increase, so a later row never changes
+    an entry already reduced, and v is in the span of rows (on the first
+    n columns) iff those columns of the result are zero.
+    """
+    v = list(map(int, v))
+    for row in rows:
+        c = next((t for t in range(n) if row[t] != 0), None)
+        if c is None:
+            continue
+        q = v[c] // row[c]
+        for t in range(len(v)):
+            v[t] -= q * row[t]
+    return v
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -30,31 +93,7 @@ def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     for r in work:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    out: List[List[int]] = []
-    col = 0
-    while col < ncols and work:
-        # eliminate column `col` down to a single pivot row via gcd steps
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            if len(live) == 1:
-                break
-            p = pivot[col]
-            for r in live[1:]:
-                q = r[col] // p
-                for t in range(ncols):
-                    r[t] -= q * pivot[t]
-            live = [r for r in live if r[col] != 0]
-        if pivot[col] < 0:
-            for t in range(ncols):
-                pivot[t] = -pivot[t]
-        out.append(pivot)
-        work = [r for r in work if r is not pivot and any(r)]
-        col += 1
+    out, _ = _eliminate(work, ncols)
     # reduce entries above each pivot into [0, pivot); left-to-right so a
     # reduction never reintroduces an unreduced entry in an earlier column
     for idx in range(1, len(out)):
@@ -71,51 +110,15 @@ def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
 
 def hnf_in_span(hrows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     """Membership of integer vector v in the row span of an HNF basis."""
-    v = list(map(int, v))
-    n = len(v)
-    for row in hrows:
-        c = next((t for t in range(n) if row[t] != 0), None)
-        if c is None:
-            continue
-        if v[c] % row[c] != 0:
-            return False
-        q = v[c] // row[c]
-        for t in range(n):
-            v[t] -= q * row[t]
-    return not any(v)
+    return not any(_reduce(hrows, v, len(v)))
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis (HNF) of {x in Z^m : x . mat = 0} for an integer m x n matrix."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    # row reduce [mat | I_m]; rows whose mat-part vanishes give the kernel
-    aug = [[int(mat[r][c]) for c in range(n)] + [1 if t == r else 0 for t in range(m)]
-           for r in range(m)]
-    col = 0
-    rank_rows: List[List[int]] = []
-    work = aug
-    while col < n and work:
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            if len(live) == 1:
-                break
-            p = pivot[col]
-            for r in live[1:]:
-                q = r[col] // p
-                for t in range(n + m):
-                    r[t] -= q * pivot[t]
-            live = [r for r in live if r[col] != 0]
-        rank_rows.append(pivot)
-        work = [r for r in work if r is not pivot]
-        col += 1
-    kernel = [r[n:] for r in work if not any(r[:n])]
-    return hnf(kernel)
+    aug, n = _augment(mat)
+    # the rows of [mat | I] left after the pivots have a zero mat-part
+    _, rest = _eliminate(aug, n)
+    return hnf([r[n:] for r in rest])
 
 
 def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]):
@@ -123,58 +126,19 @@ def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]):
 
     mat is m x n; the solution space is a coset of the kernel lattice.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [[int(mat[r][c]) for c in range(n)] + [1 if t == r else 0 for t in range(m)]
-           for r in range(m)]
-    h = _hnf_tracked(aug, n)
-    v = list(map(int, target))
-    x = [0] * m
-    for row in h:
-        c = next((t for t in range(n) if row[t] != 0), None)
-        if c is None:
-            continue
-        if v[c] % row[c] != 0:
-            return None
-        q = v[c] // row[c]
-        for t in range(n):
-            v[t] -= q * row[t]
-        for t in range(m):
-            x[t] += q * row[n + t]
-    if any(v):
-        return None
-    return x
+    aug, n = _augment(mat)
+    pivots, _ = _eliminate(aug, n)
+    # reducing (target | 0) leaves (0 | -x) exactly when x . mat = target
+    k = len(target)
+    rest = _reduce(pivots, list(target) + [0] * len(aug), n)
+    return None if any(rest[:k]) else [-y for y in rest[k:]]
 
 
-def _hnf_tracked(aug: List[List[int]], n: int) -> List[List[int]]:
-    """HNF of the first n columns, carrying the remaining columns along."""
-    total = len(aug[0]) if aug else 0
-    out: List[List[int]] = []
-    work = [r for r in aug]
-    col = 0
-    while col < n and work:
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            if len(live) == 1:
-                break
-            p = pivot[col]
-            for r in live[1:]:
-                q = r[col] // p
-                for t in range(total):
-                    r[t] -= q * pivot[t]
-            live = [r for r in live if r[col] != 0]
-        if pivot[col] < 0:
-            for t in range(total):
-                pivot[t] = -pivot[t]
-        out.append(pivot)
-        work = [r for r in work if r is not pivot]
-        col += 1
-    return out
+def clear_denominators(rows) -> Tuple[List[List[int]], int]:
+    """(den * rows as integer rows, den) for the least common denominator den."""
+    fr = [[Fraction(x) for x in r] for r in rows]
+    den = lcm(*(x.denominator for r in fr for x in r))
+    return [[int(x * den) for x in r] for r in fr], den
 
 
 def det_int(mat: Sequence[Sequence[int]]) -> int:
@@ -237,11 +201,6 @@ def mat_mul(A, B):
             for r in range(rows)]
 
 
-def vec_mat(v, B):
-    cols = len(B[0])
-    return [sum(v[t] * B[t][c] for t in range(len(v))) for c in range(cols)]
-
-
 @dataclass(frozen=True)
 class IntLattice:
     """Full or partial rank sublattice of Z^n, stored by its canonical HNF rows."""
@@ -290,13 +249,7 @@ class RatLattice:
 
     @classmethod
     def from_frac_rows(cls, rows) -> "RatLattice":
-        fr = [[Fraction(x) for x in r] for r in rows]
-        den = 1
-        for r in fr:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-        scaled = [[int(x * den) for x in r] for r in fr]
-        return cls.from_int_rows(scaled, den)
+        return cls.from_int_rows(*clear_denominators(rows))
 
     @property
     def rank(self) -> int:
@@ -327,8 +280,3 @@ class RatLattice:
     def intersect(self, other: "RatLattice") -> "RatLattice":
         """Intersection via (L1 cap L2)^* = L1^* + L2^*."""
         return self.dual().sum(other.dual()).dual()
-
-    def scaled(self, f) -> "RatLattice":
-        f = Fraction(f)
-        return RatLattice.from_frac_rows(
-            [[x * f for x in r] for r in self.frac_rows()])

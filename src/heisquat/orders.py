@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .lattices import (IntLattice, RatLattice, det_int, hnf, kernel_basis,
-                       mat_frac_inverse)
+from .lattices import (IntLattice, RatLattice, clear_denominators, det_int, hnf,
+                       kernel_basis, mat_frac_inverse)
 from .quaternion import Algebra, Quaternion
 
 Coords = Tuple[int, int, int, int]
@@ -121,13 +121,12 @@ class Order:
     def _validate(self):
         alg = self.algebra
         B = [list(row) for row in self.basis]
-        den = 1
-        for row in B:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        Bint = [[int(x * den) for x in row] for row in B]
-        if det_int(Bint) == 0:
+        # covolume of O in H under the Euclidean structure; 0 iff the rows
+        # are dependent, since the algebra is definite
+        self.covolume_sq = abs(lattice_covolume_sq(alg, B))
+        if not self.covolume_sq:
             raise OrderError("basis rows are dependent")
+        self.covolume = _frac_sqrt(self.covolume_sq)
         self._basis_inv = mat_frac_inverse(B)
 
         one = self.coords_of(alg.one)
@@ -179,12 +178,6 @@ class Order:
              for i in range(4)]
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in G)
         self.gram2 = tuple(tuple(int(2 * x) for x in row) for row in self.gram)
-
-        # covolume of O in H under the Euclidean structure
-        covol2 = Fraction(det_int([[int(x * den) for x in row] for row in B]), den ** 4) ** 2 \
-            * (-alg.a) * (-alg.b) * (alg.a * alg.b)
-        self.covolume_sq = abs(covol2)
-        self.covolume = _frac_sqrt(self.covolume_sq)
 
         # rank-3 kernel of the trace, plus a deterministic trace-one element
         ker = kernel_basis([[t] for t in self.trace_vec])
@@ -357,12 +350,8 @@ def covolume(order: Order) -> Tuple[Fraction, Optional[Fraction]]:
 
 def lattice_covolume_sq(algebra: Algebra, frac_rows) -> Fraction:
     """Squared covolume of a rational lattice in H, rows in 1,i,j,k coords."""
-    B = [[Fraction(x) for x in row] for row in frac_rows]
-    den = 1
-    for row in B:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    d = Fraction(det_int([[int(x * den) for x in row] for row in B]), den ** 4)
+    Bint, den = clear_denominators(frac_rows)
+    d = Fraction(det_int(Bint), den ** 4)
     return d * d * (-algebra.a) * (-algebra.b) * (algebra.a * algebra.b)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,6 @@ class Algebra:
     @property
     def k(self) -> "Quaternion":
         return Quaternion(self, 0, 0, 0, 1)
-
-    def norm_diagonal(self) -> Tuple[int, int, int, int]:
-        """Diagonal of the norm form on coordinates: n(x) = sum d_i x_i^2."""
-        return (1, -self.a, -self.b, self.a * self.b)
 
 
 HAMILTON = Algebra(-1, -1)
@@ -162,10 +157,6 @@ class Quaternion:
     def is_zero(self) -> bool:
         return not (self.x0 or self.x1 or self.x2 or self.x3)
 
-    def to_float(self) -> "Quaternion":
-        return Quaternion(self.alg, float(self.x0), float(self.x1),
-                          float(self.x2), float(self.x3))
-
     def __eq__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -176,30 +167,6 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.alg.a},{self.alg.b}; {self.x0}, {self.x1}, {self.x2}, {self.x3})"
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def quat_norm(q: Quaternion):
-    return q.norm()
-
-
-def quat_trace(q: Quaternion):
-    return q.trace()
-
-
-def quat_im(q: Quaternion) -> Quaternion:
-    return q.imag()
-
-
-def quat_inv(q: Quaternion) -> Quaternion:
-    return q.inv()
 
 
 def inner(x: Quaternion, y: Quaternion):

@@ -174,6 +174,9 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["count", "--s-grid", ","],
     ["count", "--s-max", "abc"],
     ["count", "--s-max", "20000"],
+    ["oracle", "--s", "1", "--format", "csv"],
+    ["constants", "--da", "2", "--units", "24", "--threads", "3"],
+    ["geom-selftest", "--format", "csv"],
 ])
 def test_bad_input_exits_2(argv, capsys):
     try:

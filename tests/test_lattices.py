@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisquat.lattices import (IntLattice, RatLattice, adjugate, det_int, hnf,
                                hnf_in_span, kernel_basis, mat_frac_inverse,
@@ -133,3 +137,74 @@ def test_rat_lattice_intersection_randomised():
             continue
         for r in inter.frac_rows():
             assert a.contains_frac(r) and b.contains_frac(r)
+
+
+# -- properties of the one elimination kernel (derandomized: tier-1 stays
+# deterministic, and no example database is written)
+
+PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=4, bound=9):
+    n = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=1, max_size=max_rows))
+
+
+def _times(x, mat):
+    return [sum(x[r] * mat[r][c] for r in range(len(mat))) for c in range(len(mat[0]))]
+
+
+@PROPS
+@given(matrices(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                      st.integers(-3, 3)), max_size=10))
+def test_hnf_idempotent_and_invariant_under_unimodular_rows(mat, ops):
+    h = hnf(mat)
+    assert hnf(h) == h
+    mixed = [r[:] for r in mat]
+    m = len(mixed)
+    for a, b, q in ops:
+        a, b = a % m, b % m
+        if a == b:  # negate a row
+            mixed[a] = [-x for x in mixed[a]]
+        else:  # add q times row b to row a, then swap the two
+            mixed[a] = [x + q * y for x, y in zip(mixed[a], mixed[b])]
+            mixed[a], mixed[b] = mixed[b], mixed[a]
+    assert hnf(mixed) == h
+
+
+@PROPS
+@given(matrices(max_rows=4, max_cols=3, bound=6))
+def test_kernel_basis_annihilates_and_is_saturated(mat):
+    m = len(mat)
+    ker = kernel_basis(mat)
+    assert hnf(ker) == ker
+    assert len(ker) == m - len(hnf(mat))
+    for row in ker:
+        assert not any(_times(row, mat))
+    # every small integer solution lies in the span: a kernel scaled by 2
+    # (or any finite-index sublattice of the kernel) fails here
+    box = np.array(list(itertools.product(range(-3, 4), repeat=m)), np.int64)
+    for x in box[~(box @ np.array(mat, np.int64)).any(axis=1)]:
+        assert hnf_in_span(ker, x.tolist())
+
+
+@st.composite
+def systems(draw):
+    mat = draw(matrices())
+    x = draw(st.lists(st.integers(-3, 3), min_size=len(mat), max_size=len(mat)))
+    noise = draw(st.lists(st.sampled_from((0, 0, 0, 1, -2)),
+                          min_size=len(mat[0]), max_size=len(mat[0])))
+    return mat, [t + e for t, e in zip(_times(x, mat), noise)]
+
+
+@PROPS
+@given(systems())
+def test_solve_integer_exactly_when_target_in_span(system):
+    mat, target = system
+    x = solve_integer(mat, target)
+    if hnf_in_span(hnf(mat), target):
+        assert x is not None and _times(x, mat) == target
+    else:
+        assert x is None
