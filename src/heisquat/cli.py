@@ -129,6 +129,8 @@ def cmd_equidist(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    if args.n < 2:
+        return _usage_error("n must be >= 2")
     try:
         d = K.ArithmeticData(args.da, args.units, args.ha)
     except ValueError as exc:

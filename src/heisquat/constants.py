@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .heisenberg import cygan_dist4
 from .orbitlaw import mertens_euler_factor
@@ -85,15 +84,14 @@ class ArithmeticData:
 
     def __post_init__(self):
         ps = prime_factors(self.D_A)
-        prod = 1
-        for p in ps:
-            prod *= p
-        if prod != self.D_A:
+        if math.prod(ps) != self.D_A:
             raise ValueError("D_A must be squarefree")
         if len(ps) % 2 == 0:
             raise ValueError("D_A must have an odd number of prime factors")
         if self.unit_count <= 0:
             raise ValueError("unit_count must be positive")
+        if self.h_A is not None and self.h_A <= 0:
+            raise ValueError("h_A must be positive")
 
     @property
     def m_A(self) -> int:
@@ -106,7 +104,7 @@ class ArithmeticData:
 
 def local_factors(p: int) -> Tuple[int, int]:
     """(order of Sp3(F_p), nonsplit local factor (p-1)(p^2+1)(p^3-1))."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if prime_factors(p) != [p]:
         raise ValueError("p must be prime")
     sp3 = p ** 9 * (p ** 2 - 1) * (p ** 4 - 1) * (p ** 6 - 1)
     nonsplit = (p - 1) * (p ** 2 + 1) * (p ** 3 - 1)
@@ -114,10 +112,7 @@ def local_factors(p: int) -> Tuple[int, int]:
 
 
 def local_product(d: ArithmeticData) -> int:
-    prod = 1
-    for p in d.primes:
-        prod *= local_factors(p)[1]
-    return prod
+    return math.prod(local_factors(p)[1] for p in d.primes)
 
 
 INDEX_EVEN_DA = 72  # [Y_2 : U_q(O_2)], matching the parity rule for m_A
@@ -174,10 +169,7 @@ def mertens_kappa(d: ArithmeticData) -> SymbolicConstant:
     c per left ideal times |O^x|, so it needs every left ideal principal:
     by Eichler's mass formula that is |O^x| prod_{p | D_A} (p - 1) = 24.
     """
-    prod = 1
-    for p in d.primes:
-        prod *= p - 1
-    if d.unit_count * prod != 24:
+    if d.unit_count * math.prod(p - 1 for p in d.primes) != 24:
         raise ValueError("mertens_kappa needs class number one: "
                          "|O^x| prod_{p | D_A} (p - 1) must equal 24")
     coeff = Fraction(d.unit_count, 5)
@@ -241,6 +233,8 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
     Raises ValueError when a numerical check misses its closed form by more
     than rel_tol (default 1e-4 relative).
     """
+    from scipy.integrate import quad
+
     if n < 2:
         raise ValueError("n >= 2 required")
     out: Dict[str, dict] = {}
@@ -284,22 +278,18 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
                 0, 1, epsrel=1e-10)[0] / 2 ** (2 * n - 2)
     entry("c_prime_t_form", sym(cp), num2)
 
-    # I_{p,q} for small p, q
-    for p_ in (1, 2, 3):
-        for q_ in (1, 2, 3):
-            closed = Fraction(2 ** (2 * q_ + 1) * math.factorial(q_)
-                              * math.factorial(2 * p_) * math.factorial(p_ + q_),
-                              math.factorial(p_)
-                              * math.factorial(2 * p_ + 2 * q_ + 1))
-            num = quad(lambda t: t ** (2 * p_) * (1 - t * t) ** q_, -1, 1,
-                       epsrel=1e-10)[0]
-            entry(f"I_{p_}{q_}", sym(closed), num)
-
-    # exact identity c'_n = (I_{1,2n-3} + I_{2,2n-3}) / 2^{2n-1}
+    # I_{p,q} = int_{-1}^{1} t^2p (1 - t^2)^q dt for small p, q
     def I_pq(p_, q_):
         return Fraction(2 ** (2 * q_ + 1) * math.factorial(q_)
                         * math.factorial(2 * p_) * math.factorial(p_ + q_),
                         math.factorial(p_) * math.factorial(2 * p_ + 2 * q_ + 1))
+    for p_ in (1, 2, 3):
+        for q_ in (1, 2, 3):
+            num = quad(lambda t: t ** (2 * p_) * (1 - t * t) ** q_, -1, 1,
+                       epsrel=1e-10)[0]
+            entry(f"I_{p_}{q_}", sym(I_pq(p_, q_)), num)
+
+    # exact identity c'_n = (I_{1,2n-3} + I_{2,2n-3}) / 2^{2n-1}
     if Fraction(cp) != (I_pq(1, 2 * n - 3) + I_pq(2, 2 * n - 3)) / 2 ** (2 * n - 1):
         raise ValueError("c'_n does not match its I_{p,q} decomposition")
 
@@ -330,6 +320,8 @@ def _num_sphere_volume(dim: int) -> float:
 def _mu_mass_quadrature(n: int) -> float:
     """The Patterson mass as the reduced 2-D integral
     Vol(S^{4n-5}) Vol(S^2) * int int s^{4n-5} rho^2 ((s^2+1)^2 + rho^2)^{-(2n+1)}."""
+    from scipy.integrate import dblquad
+
     pref = _num_sphere_volume(4 * n - 5) * _num_sphere_volume(2)
     val, _ = dblquad(
         lambda rho, s: s ** (4 * n - 5) * rho * rho

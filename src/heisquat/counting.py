@@ -40,8 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
-from .lattices import (adjugate, clear_denominators, det_int, hnf, kernel_basis, mat_mul,
-                       solve_integer)
+from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
 from .orders import Order, OrderElement, enumerate_by_norm, prime_factors
 
 _S_LIMIT = 10 ** 4
@@ -107,97 +106,61 @@ def _rank_full_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# order-level integer data shared by every c
+# per-c integer data
 
 
-class _OrderData:
-    def __init__(self, order: Order, fd: FundamentalDomain):
-        self.order = order
-        self.fd = fd
-        self.G2 = np.array(order.gram2, np.int64)
-        self.S = np.array([[order.structure[i][j] for j in range(4)]
-                           for i in range(4)], np.int64)
-        self.one = np.array(order.one_coords, np.int64)
-        self.tvec = np.array(order.trace_vec, np.int64)
-        self.h = np.array(order.trace_one.coords, np.int64)
-        self.im = np.array(order.im_basis, np.int64)
-        # basis matrix as integers: E = Enum / Eden (rows in 1,i,j,k coords)
-        Enum, self.Eden = clear_denominators(order.basis)
-        self.Enum = np.array(Enum, np.int64)
-        # inverse of the (i,j,k)-coordinate matrix of the 2*Im(O) cell basis
-        rows = [[2 * Fraction(q.coeffs[pos]) for pos in (1, 2, 3)]
-                for q in fd.im_quats]
-        from .lattices import mat_frac_inverse
-        ImInvNum, self.ImInvDen = clear_denominators(mat_frac_inverse(rows))
-        self.ImInvNum = np.array(ImInvNum, np.int64)
+def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c, NA, NAL,
+                    nc) -> np.ndarray:
+    """Exact primitivity of the triples (A[r], AL[r], c), vectorised.
 
-    def conj_np(self, X: np.ndarray) -> np.ndarray:
-        return (X @ self.tvec)[:, None] * self.one[None, :] - X
-
-    def norms_np(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ri,ij,rj->r", X, self.G2, X) // 2
-
-    def right_mul_np(self, c: np.ndarray) -> np.ndarray:
-        """Matrix R with coords(x c) = x . R."""
-        return np.einsum("j,ijk->ik", c, self.S)
-
-    def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise products: coords(X[r] Y[r])."""
-        return (X[:, :, None] * Y[:, None, :]).reshape(-1, 16) @ self.S.reshape(16, 4)
-
-    def primitive_mask(self, A: np.ndarray, AL: np.ndarray, c, NA, NAL, nc) -> np.ndarray:
-        """Exact primitivity of the triples (A[r], AL[r], c), vectorised.
-
-        The reduced norm of the left ideal divides gcd of the element
-        norms, so gcd 1 certifies a full ideal.  A ramified prime dividing
-        the gcd puts all three generators in the unique two-sided ideal
-        above p, so the triple is imprimitive.  For the remaining split
-        primes, fullness at p is the rank of the twelve generator rows
-        mod p.
-        """
-        g3 = np.gcd(np.gcd(NA, NAL), nc)
-        mask = g3 == 1
-        rest = np.nonzero(~mask)[0]
-        if rest.size == 0:
-            return mask
-        D_A = self.order.D_A
-        ram = np.gcd(g3[rest], D_A) > 1
-        undecided = rest[~ram]
-        if undecided.size:
-            Rc = self.right_mul_np(np.array(c, np.int64))
-            RA = np.einsum("rj,ijk->rik", A[undecided], self.S)
-            RAL = np.einsum("rj,ijk->rik", AL[undecided], self.S)
-            rows = np.concatenate(
-                [RA, RAL, np.broadcast_to(Rc, (undecided.size, 4, 4))], axis=1)
-            full = np.ones(undecided.size, bool)
-            g_here = g3[undecided]
-            for p in sorted({p for g in np.unique(g_here)
-                             for p in prime_factors(int(g)) if D_A % p}):
-                sel = np.nonzero(g_here % p == 0)[0]
-                if sel.size:
-                    full[sel] &= _rank_full_mod_p(rows[sel], p)
-            mask[undecided] = full
+    The reduced norm of the left ideal divides gcd of the element
+    norms, so gcd 1 certifies a full ideal.  A ramified prime dividing
+    the gcd puts all three generators in the unique two-sided ideal
+    above p, so the triple is imprimitive.  For the remaining split
+    primes, fullness at p is the rank of the twelve generator rows
+    mod p.
+    """
+    g3 = np.gcd(np.gcd(NA, NAL), nc)
+    mask = g3 == 1
+    rest = np.nonzero(~mask)[0]
+    if rest.size == 0:
         return mask
+    D_A = order.D_A
+    ram = np.gcd(g3[rest], D_A) > 1
+    undecided = rest[~ram]
+    if undecided.size:
+        Rc = order.right_mul(np.array(c, np.int64))
+        rows = np.concatenate(
+            [order.right_mul(A[undecided]), order.right_mul(AL[undecided]),
+             np.broadcast_to(Rc, (undecided.size, 4, 4))], axis=1)
+        full = np.ones(undecided.size, bool)
+        g_here = g3[undecided]
+        for p in sorted({p for g in np.unique(g_here)
+                         for p in prime_factors(int(g)) if D_A % p}):
+            sel = np.nonzero(g_here % p == 0)[0]
+            if sel.size:
+                full[sel] &= _rank_full_mod_p(rows[sel], p)
+        mask[undecided] = full
+    return mask
 
 
 class _CContext:
     """Integer data for one value of c."""
 
-    def __init__(self, od: _OrderData, c: Tuple[int, ...]):
-        order = od.order
+    def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
+        order = fd.order
         self.c = tuple(int(x) for x in c)
         cnp = np.array(self.c, np.int64)
-        self.nc = int(od.norms_np(cnp[None, :])[0])
-        self.R = od.right_mul_np(cnp)
-        cbar = (cnp @ od.tvec) * od.one - cnp
-        Rbar = od.right_mul_np(cbar)
+        self.nc = int(order.norms(cnp))
+        self.R = order.right_mul(cnp)
+        Rbar = order.right_mul(order.conjugates(cnp))
         # adj(R_c) = n(c) R_{conj(c)} since R_c R_{conj(c)} = n(c) I
         self.adjR = self.nc * Rbar
         self.D = self.nc ** 2
         self.H4 = np.array(hnf(self.adjR.tolist()), np.int64)
 
         # trace form tr(conj(a) c) = a . tau
-        tau = (od.G2 @ cnp).tolist()
+        tau = order.trace_pairing(cnp).tolist()
         g = 0
         for t in tau:
             g = gcd(g, int(t))
@@ -206,10 +169,10 @@ class _CContext:
         self.xg = np.array(xg, np.int64)
         self.K3 = np.array(kernel_basis([[int(t)] for t in tau]), np.int64)
 
-        # cell3 coordinates of 2 Im(a c^-1): y = (a . Pnum) / Pden
-        M = Rbar @ od.Enum                    # coords of a c^bar in scaled 1ijk
-        Q = 2 * (M[:, 1:4] @ od.ImInvNum)     # 4x3 integer, imaginary part only
-        den = od.Eden * od.ImInvDen * self.nc
+        # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
+        # y = (a . Pnum) / Pden
+        Q = Rbar @ fd.cell3_num
+        den = fd.cell3_den * self.nc
         cont = int(np.gcd.reduce(np.concatenate([Q.reshape(-1), [den]])))
         if cont > 1:
             Q = Q // cont
@@ -253,9 +216,9 @@ class CRecord:
         return int(self.a.shape[0])
 
 
-def _scan_c(od: _OrderData, c, scale: int = 1) -> CRecord:
-    order = od.order
-    ctx = _CContext(od, c)
+def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
+    order = fd.order
+    ctx = _CContext(fd, c)
     zero = np.zeros((1, 4), np.int64)
     _, _, V4 = _box_points(ctx.H4, ctx.D, zero)
     if V4.shape[0] != ctx.D:
@@ -267,7 +230,7 @@ def _scan_c(od: _OrderData, c, scale: int = 1) -> CRecord:
     if scale != 1:
         keep = ~(X % scale).any(axis=1)
         X, V4 = X[keep], V4[keep]
-    NAL = od.norms_np(X)
+    NAL = order.norms(X)
 
     ok_idx = np.nonzero(NAL % ctx.g == 0)[0]
     if ok_idx.size == 0:
@@ -280,10 +243,10 @@ def _scan_c(od: _OrderData, c, scale: int = 1) -> CRecord:
     A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
     AL = X[rows]
     V4r = V4[rows]
-    NA = od.norms_np(A)
+    NA = order.norms(A)
     NALr = NAL[rows]
 
-    mask = od.primitive_mask(A, AL, ctx.c, NA, NALr, ctx.nc)
+    mask = _primitive_mask(order, A, AL, ctx.c, NA, NALr, ctx.nc)
     A, AL, V4r, W3 = A[mask], AL[mask], V4r[mask], W3[mask]
 
     bucket = np.zeros(A.shape[0], np.uint8)
@@ -319,7 +282,7 @@ def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
     rows = np.arange(C.shape[0])
     least = np.ones(C.shape[0], bool)
     for u in order.units:
-        image = C @ np.array(order.right_mul_matrix(u), np.int64)
+        image = C @ order.right_mul(np.array(u.coords, np.int64))
         differ = image != C
         first = differ.argmax(axis=1)
         least &= ~(differ.any(axis=1) & (image[rows, first] < C[rows, first]))
@@ -332,9 +295,8 @@ def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
 def scan(order: Order, s, scale: int = 1) -> Iterable[CRecord]:
     """Stream of per-c canonical-triple records, deterministic order."""
     fd = FundamentalDomain(order)
-    od = _OrderData(order, fd)
     for c in _c_list(order, s, scale):
-        yield _scan_c(od, c, scale)
+        yield _scan_c(fd, c, scale)
 
 
 def psi_count(order: Order, s, scale: int = 1,
@@ -388,13 +350,13 @@ def checkpoint_key(order: Order, scale: int = 1) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _scan_chunk(od: _OrderData, key: str, scale: int, chunk) -> List[dict]:
+def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict]:
     """Checkpoint records of the cosets c O^x, c in chunk: the scan of c
     with its count and histogram weighted by |O^x|."""
-    weight = len(od.order.units)
+    weight = len(fd.order.units)
     out = []
     for c in chunk:
-        rec = _scan_c(od, c, scale)
+        rec = _scan_c(fd, c, scale)
         hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
         out.append({"key": key, "c": list(rec.c), "nc": rec.nc,
                     "count": rec.count * weight, "hist": hist.tolist()})
@@ -406,7 +368,7 @@ def _pool_chunk(args) -> List[dict]:
     spec, key, scale, chunk = args
     from .orders import order_spec_from_dict
     order = order_spec_from_dict(spec)
-    return _scan_chunk(_OrderData(order, FundamentalDomain(order)), key, scale, chunk)
+    return _scan_chunk(FundamentalDomain(order), key, scale, chunk)
 
 
 def _record_batches(order: Order, cs, scale: int, key: str, threads: int):
@@ -420,9 +382,9 @@ def _record_batches(order: Order, cs, scale: int, key: str, threads: int):
             yield from pool.map(_pool_chunk,
                                 [(spec, key, scale, cs[i::nch]) for i in range(nch)])
     else:
-        od = _OrderData(order, FundamentalDomain(order))
+        fd = FundamentalDomain(order)
         for c in cs:
-            yield _scan_chunk(od, key, scale, [c])
+            yield _scan_chunk(fd, key, scale, [c])
 
 
 def _load_checkpoint(fh, key: str, cs) -> Dict[Tuple[int, ...], dict]:
@@ -557,12 +519,12 @@ def _group_keys(keys: np.ndarray, indom: np.ndarray):
     return perm[starts], np.add.reduceat(indom[perm].astype(np.int64), starts)
 
 
-def _brute_force_c(od: _OrderData, c) -> int:
+def _brute_force_c(fd: FundamentalDomain, c) -> int:
     """Oracle orbit count of one c; see brute_force_counts."""
-    order = od.order
-    ctx = _CContext(od, c)
+    order = fd.order
+    ctx = _CContext(fd, c)
     hR = np.array(order.mul(order.trace_one.coords, ctx.c), np.int64)
-    B3R = np.array([order.mul(tuple(r), ctx.c) for r in od.im.tolist()], np.int64)
+    B3R = np.array([order.mul(r, ctx.c) for r in order.im_basis], np.int64)
     # alpha window: cell coordinates in [-1, 2)
     zero = np.zeros((1, 4), np.int64)
     _, _, V4 = _box_points(ctx.H4, 2 * ctx.D, zero, lo_bound=-ctx.D)
@@ -570,7 +532,7 @@ def _brute_force_c(od: _OrderData, c) -> int:
     ALPH = prod // ctx.D
     if (ALPH * ctx.D != prod).any():
         raise AssertionError("oracle alpha window not integral")
-    NAL = od.norms_np(ALPH)
+    NAL = order.norms(ALPH)
     ok = np.nonzero(NAL % ctx.g == 0)[0]
     if ok.size == 0:
         return 0
@@ -597,9 +559,9 @@ def _brute_force_c(od: _OrderData, c) -> int:
     FL4 = V4a // ctx.D
     WT = -FL4
     AL_can = AL + WT @ ctx.R
-    CW = od.conj_np(WT)
-    NW = od.norms_np(WT)
-    A1 = A + od.mul_rows(CW, AL) + NW[:, None] * hR[None, :]
+    CW = order.conjugates(WT)
+    NW = order.norms(WT)
+    A1 = A + order.mul_rows(CW, AL) + NW[:, None] * hR[None, :]
     V3 = A1 @ ctx.Pnum
     FL3 = V3 // ctx.Pden
     A_can = A1 - FL3 @ B3R
@@ -610,8 +572,8 @@ def _brute_force_c(od: _OrderData, c) -> int:
         raise AssertionError("oracle bucket without a unique in-domain triple")
     # primitivity is orbit-invariant: test only the canonical reps
     Arep, ALrep = A_can[first], AL_can[first]
-    pmask = od.primitive_mask(Arep, ALrep, ctx.c, od.norms_np(Arep),
-                              od.norms_np(ALrep), ctx.nc)
+    pmask = _primitive_mask(order, Arep, ALrep, ctx.c, order.norms(Arep),
+                            order.norms(ALrep), ctx.nc)
     return int(pmask.sum())
 
 
@@ -634,9 +596,9 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
-    od = _OrderData(order, FundamentalDomain(order))
+    fd = FundamentalDomain(order)
     for c in _c_list(order, max(grid, default=0)):
-        found = _brute_force_c(od, c)
+        found = _brute_force_c(fd, c)
         nc = order.norm(c)
         for g in grid:
             if nc <= g:

@@ -14,7 +14,9 @@ from fractions import Fraction
 from math import floor
 from typing import Optional, Tuple
 
-from .lattices import mat_frac_inverse
+import numpy as np
+
+from .lattices import clear_denominators, mat_frac_inverse
 from .orders import Order, OrderElement
 from .quaternion import Quaternion, vec_add, vec_dot_conj, vec_neg, vec_norm
 
@@ -173,7 +175,6 @@ class FundamentalDomain:
             r4 = max(r4, Fraction(v.norm()))
         self.R4 = r4
         im_quats = [order.to_quaternion(r) for r in order.im_basis]
-        self.im_quats = im_quats
         r3 = Fraction(0)
         for mask in range(8):
             v = alg.quat(0, 0, 0, 0)
@@ -185,6 +186,13 @@ class FundamentalDomain:
         # invert the imaginary-coordinate map: u = y . (2 * im basis), u in Im H
         rows = [[2 * Fraction(q.coeffs[pos]) for pos in (1, 2, 3)] for q in im_quats]
         self._im_inv = mat_frac_inverse(rows)
+        # the same map on order coordinates x, in integers: the cell3
+        # coordinates of 2 Im(x) are x . cell3_num / cell3_den
+        basis_num, basis_den = clear_denominators(order.basis)
+        inv_num, inv_den = clear_denominators(self._im_inv)
+        self.cell3_num = (2 * np.array(basis_num, np.int64)[:, 1:4]
+                          @ np.array(inv_num, np.int64))
+        self.cell3_den = basis_den * inv_den
 
     def cell4_coords(self, q: Quaternion) -> Tuple[Fraction, ...]:
         return self.order.frac_coords_of(q)

@@ -177,14 +177,10 @@ def _code(X: np.ndarray, p: int) -> np.ndarray:
     return ((X % p) * p ** np.arange(3, -1, -1)).sum(axis=1)
 
 
-def _norms(order: Order, X: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ij,rj->r", X, np.array(order.gram2, np.int64), X) // 2
-
-
 @lru_cache(maxsize=None)
 def _residue_norms(order: Order, q: int) -> np.ndarray:
     """n(x) mod q for every residue x of _residues(q)."""
-    return _norms(order, _residues(q)) % q
+    return order.norms(_residues(q)) % q
 
 
 @lru_cache(maxsize=None)
@@ -192,13 +188,12 @@ def _maximal_left_ideals(order: Order, p: int) -> List[np.ndarray]:
     """Membership tables, indexed by residue code, of the maximal left ideals
     of O/pO: the p^2-element spans (O/pO) x of the nonzero x with p | n(x)."""
     X = _residues(p)
-    S = np.array(order.structure, np.int64)
     covered = np.zeros(p ** 4, bool)
     tables = []
     for r in np.nonzero((_residue_norms(order, p) == 0) & X.any(axis=1))[0]:
         if covered[r]:
             continue
-        rows = np.einsum("j,ijk->ik", X[r], S) % p          # e_i x
+        rows = order.right_mul(X[r]) % p                    # e_i x
         span = np.unique(_code(X @ rows, p))
         if span.size != p * p:
             raise AssertionError("left ideal of a zero divisor is not maximal")
@@ -223,7 +218,7 @@ def local_orbit_count(order: Order, c, p: int) -> int:
     k = _valuation(order.norm(cc), p)
     if k == 0:
         return 1
-    tau = np.array(order.gram2, np.int64) @ np.array(cc, np.int64)
+    tau = order.trace_pairing(np.array(cc, np.int64))
     e = min([k] + [_valuation(int(t), p) for t in tau if t])
     m = min(e + 1, k)
     pm = p ** m

@@ -4,7 +4,8 @@ An Order is given by a 4x4 rational basis matrix (rows = basis elements in
 the 1,i,j,k coordinates of its Algebra).  Validation checks that the
 lattice is a unitary ring with integral structure constants and that its
 reduced discriminant equals the discriminant of the algebra, which
-certifies maximality.  All arithmetic in this module is exact.
+certifies maximality.  All arithmetic in this module is exact; the
+batched Order methods use int64, so their callers bound the coordinates.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .lattices import (IntLattice, RatLattice, clear_denominators, det_int, hnf,
                        kernel_basis, mat_frac_inverse)
@@ -184,6 +187,11 @@ class Order:
         if len(ker) != 3:
             raise OrderError("trace kernel has wrong rank")
         self.im_basis = tuple(tuple(r) for r in ker)
+        # int64 copies of the tables for the batched arithmetic
+        self._S = np.array(self.structure, np.int64)
+        self._G2 = np.array(self.gram2, np.int64)
+        self._tvec = np.array(self.trace_vec, np.int64)
+        self._one = np.array(self.one_coords, np.int64)
         self._units: Optional[List[OrderElement]] = None
         self._trace_one: Optional[OrderElement] = None
 
@@ -262,23 +270,28 @@ class Order:
             acc += xi * (gi[0] * xc[0] + gi[1] * xc[1] + gi[2] * xc[2] + gi[3] * xc[3])
         return acc // 2
 
-    def right_mul_matrix(self, c) -> List[List[int]]:
-        """Matrix R with row i = coords(e_i * c); coords(x*c) = x . R."""
-        cc = c.coords if isinstance(c, OrderElement) else c
-        R = []
-        for i in range(4):
-            row = [0, 0, 0, 0]
-            for j in range(4):
-                cj = cc[j]
-                if not cj:
-                    continue
-                s = self.structure[i][j]
-                row[0] += cj * s[0]
-                row[1] += cj * s[1]
-                row[2] += cj * s[2]
-                row[3] += cj * s[3]
-            R.append(row)
-        return R
+    # -- batched int64 arithmetic on rows of order coordinates ------------
+
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """n(x) for each row x of X (or for X itself when it is one row)."""
+        return np.einsum("...i,ij,...j->...", X, self._G2, X) // 2
+
+    def conjugates(self, X: np.ndarray) -> np.ndarray:
+        """conj(x) for each row x of X (or for X itself when it is one row)."""
+        return (X @ self._tvec)[..., None] * self._one - X
+
+    def right_mul(self, C: np.ndarray) -> np.ndarray:
+        """Matrix R with coords(x c) = x . R for c of shape (4,), or the
+        stack of them, shape (N, 4, 4), for the rows of C."""
+        return np.einsum("...j,ijk->...ik", C, self._S)
+
+    def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Row-wise products: coords(X[r] Y[r])."""
+        return (X[:, :, None] * Y[:, None, :]).reshape(-1, 16) @ self._S.reshape(16, 4)
+
+    def trace_pairing(self, c: np.ndarray) -> np.ndarray:
+        """tau(c) with tr(conj(a) c) = a . tau(c) for every a."""
+        return self._G2 @ c
 
     # -- derived data -------------------------------------------------------
 
@@ -440,14 +453,7 @@ IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def left_ideal_gens_rows(order: Order, gens: Iterable) -> List[Coords]:
-    rows = []
-    for g in gens:
-        gc = g.coords if isinstance(g, OrderElement) else tuple(g)
-        for k in range(4):
-            e = [0, 0, 0, 0]
-            e[k] = 1
-            rows.append(order.mul(tuple(e), gc))
-    return rows
+    return [order.mul(e, g) for g in gens for e in IDENTITY_ROWS]
 
 
 def left_ideal_is_full(order: Order, gens: Sequence) -> bool:
@@ -492,6 +498,8 @@ def _hurwitz() -> Order:
 
 def order_spec_from_dict(spec: dict) -> Order:
     """Build an order from the JSON order-spec schema; floats are rejected."""
+    if not isinstance(spec, dict):
+        raise OrderError("order spec must be a JSON object")
     for key in ("a", "b", "basis", "name"):
         if key not in spec:
             raise OrderError(f"order spec is missing field '{key}'")
@@ -499,7 +507,8 @@ def order_spec_from_dict(spec: dict) -> Order:
     if not _is_int(a) or not _is_int(b):
         raise OrderError("order spec fields a, b must be exact integers")
     rows = spec["basis"]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+    if (not isinstance(rows, (list, tuple)) or len(rows) != 4
+            or any(not isinstance(r, (list, tuple)) or len(r) != 4 for r in rows)):
         raise OrderError("order spec basis must be 4x4")
     basis = []
     for row in rows:
@@ -513,7 +522,11 @@ def order_spec_from_dict(spec: dict) -> Order:
                 raise OrderError("zero denominator in basis entry")
             out.append(Fraction(int(num), int(den)))
         basis.append(out)
-    return make_order(Algebra(int(a), int(b)), basis, name=str(spec["name"]))
+    try:
+        algebra = Algebra(int(a), int(b))
+    except ValueError as exc:
+        raise OrderError(str(exc)) from None
+    return make_order(algebra, basis, name=str(spec["name"]))
 
 
 def _is_int(x) -> bool:

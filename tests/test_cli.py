@@ -35,6 +35,15 @@ def test_count_smax_below_one(tmp_path):
     assert data["rows"] == [{"s": "1/2", "count": 0}]
 
 
+def test_import_leaves_scipy_unloaded():
+    # only the quadrature checks of constants need scipy, and they import it
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, heisquat.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_count_missing_order_file_exit2():
     proc = run_cli(["count", "--order", "/nonexistent/order.json", "--s-max", "1"])
     assert proc.returncode == 2
@@ -177,6 +186,12 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["oracle", "--s", "1", "--format", "csv"],
     ["constants", "--da", "2", "--units", "24", "--threads", "3"],
     ["geom-selftest", "--format", "csv"],
+    ["constants", "--da", "2", "--units", "24", "--n", "1"],
+    ["constants", "--da", "2", "--units", "24", "--n", "0"],
+    ["constants", "--da", "2", "--units", "24", "--n", "-3"],
+    ["constants", "--da", "2", "--units", "24", "--n", "1", "--no-quadrature"],
+    ["constants", "--da", "2", "--units", "24", "--ha", "0"],
+    ["constants", "--da", "2", "--units", "24", "--ha", "-2"],
 ])
 def test_bad_input_exits_2(argv, capsys):
     try:
@@ -187,6 +202,30 @@ def test_bad_input_exits_2(argv, capsys):
     assert rc == 2
     assert out == ""
     assert "error" in err
+
+
+LIPSCHITZ_BASIS = [[[int(i == j), 1] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("spec", [
+    5,
+    {"name": "x", "a": -1, "b": -1, "basis": 5},
+    {"name": "x", "a": -1, "b": 1, "basis": LIPSCHITZ_BASIS},
+    {"name": "lipschitz", "a": -1, "b": -1, "basis": LIPSCHITZ_BASIS},
+    {"name": "x", "a": -1, "b": -1,
+     "basis": [[[float(i == j), 1] for j in range(4)] for i in range(4)]},
+])
+def test_malformed_order_spec_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    try:
+        rc = main(["count", "--order", str(path), "--s-max", "2"])
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "invalid order" in err
 
 
 def test_order_spec_via_file(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisquat.counting import (_c_list, _OrderData, _right_coset_representatives,
+from heisquat.counting import (_c_list, _right_coset_representatives,
                                _scan_c, psi_count, scan)
 from heisquat.heisenberg import FundamentalDomain, Triple, canonicalize, is_primitive
 from heisquat.orbitlaw import (_maximal_left_ideals, local_orbit_count,
@@ -31,11 +31,11 @@ def test_orbit_law_matches_scan_on_coset_representatives_up_to_32(name):
     # the scan count is constant on each right coset c O^x
     # (tests/test_counting.py), so one c per coset covers every c
     order = builtin_order(name)
-    od = _OrderData(order, FundamentalDomain(order))
+    fd = FundamentalDomain(order)
     reps = _right_coset_representatives(order, _c_list(order, 32))
     assert len(reps) == {"hurwitz": 417, "d3": 596}[name]
     for c in reps:
-        rec = _scan_c(od, c)
+        rec = _scan_c(fd, c)
         assert orbit_law(order, c) == rec.count, (c, rec.nc)
 
 

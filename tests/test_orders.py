@@ -1,9 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heisquat.heisenberg import FundamentalDomain
 from heisquat.orders import (Algebra, OrderElement, OrderError,
                              algebra_discriminant, builtin_order, covolume,
                              enumerate_by_norm, hilbert_symbol, ideal_inverse,
@@ -239,3 +244,41 @@ def test_element_roundtrip(hur, d3):
             assert order.norm(coords) == q.norm()
             assert order.trace(coords) == q.trace()
             assert order.to_quaternion(order.conj(coords)) == q.conj()
+
+
+# -- the batched int64 arithmetic against the exact scalar methods
+# (derandomized, as in tests/test_lattices.py)
+
+PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+COORDS = st.tuples(*[st.integers(-60, 60)] * 4)
+
+
+@lru_cache(maxsize=None)
+def _domain(name):
+    return FundamentalDomain(builtin_order(name))
+
+
+@PROPS
+@given(st.sampled_from(["hurwitz", "d3"]),
+       st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6))
+def test_batched_arithmetic_matches_scalar(name, pairs):
+    fd = _domain(name)
+    order = fd.order
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    X, Y = np.array(xs, np.int64), np.array(ys, np.int64)
+    assert order.norms(X).tolist() == [order.norm(x) for x in xs]
+    assert order.conjugates(X).tolist() == [list(order.conj(x)) for x in xs]
+    assert order.mul_rows(X, Y).tolist() == [list(order.mul(x, y)) for x, y in pairs]
+    stack = order.right_mul(Y)
+    for r, (x, y) in enumerate(pairs):
+        assert int(order.norms(X[r])) == order.norm(x)
+        assert order.conjugates(X[r]).tolist() == list(order.conj(x))
+        R = order.right_mul(Y[r])
+        assert (stack[r] == R).all()
+        assert (X[r] @ R).tolist() == list(order.mul(x, y))
+        assert int(X[r] @ order.trace_pairing(Y[r])) \
+            == order.trace(order.mul(order.conj(x), y))
+        u = 2 * order.to_quaternion(x).imag()
+        cell3 = tuple(Fraction(int(v), fd.cell3_den) for v in X[r] @ fd.cell3_num)
+        assert cell3 == fd.cell3_coords(u)
