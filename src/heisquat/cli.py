@@ -94,8 +94,8 @@ def cmd_count(args) -> int:
         grid = [_parse_s(args.s_max)]
     else:
         return _usage_error("count needs --s-grid or --s-max")
-    if sorted(grid) != grid:
-        return _usage_error("s grid must be ascending")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
         return _usage_error("scale must be >= 1")
     d = K.ArithmeticData(order.D_A, len(order.units))
@@ -135,7 +135,13 @@ def cmd_constants(args) -> int:
         d = K.ArithmeticData(args.da, args.units, args.ha)
     except ValueError as exc:
         return _usage_error(str(exc))
-    payload = K.constants_report(d, n=args.n, with_quadrature=not args.no_quadrature)
+    try:
+        payload = K.constants_report(d, n=args.n,
+                                     with_quadrature=not args.no_quadrature)
+    except (ValueError, OverflowError) as exc:
+        # a quadrature off its closed form or overflowing: a failed check
+        print(f"error: constants check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     _emit(payload, args.out, "json")
     return EXIT_OK
 
@@ -184,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting run over an s grid")
     common(p)
     scan_options(p)
-    p.add_argument("--s-grid", help="comma separated ascending s values")
+    p.add_argument("--s-grid", help="comma separated strictly ascending s values")
     p.add_argument("--s-max", help="single s value")
     p.add_argument("--scale", type=int, default=1,
                    help="congruence scale: alpha, c restricted to scale*O")

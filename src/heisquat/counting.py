@@ -266,7 +266,10 @@ def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
     else:
         inner = enumerate_by_norm(order, s / (scale * scale))
         cs = [tuple(scale * v for v in c) for c in inner]
-    return sorted(cs, key=lambda c: (order.norm(c), c))
+    # cs is lexicographic, so a stable sort by norm orders by (n(c), c)
+    by_norm = np.argsort(order.norms(np.array(cs, np.int64).reshape(-1, 4)),
+                         kind="stable")
+    return [cs[i] for i in by_norm]
 
 
 def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:

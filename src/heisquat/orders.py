@@ -383,70 +383,31 @@ def trace_one_element(order: Order) -> OrderElement:
 def enumerate_by_norm(order: Order, bound) -> List[Coords]:
     """All x in O with 0 < n(x) <= bound, sorted lexicographically on coords.
 
-    Recursive box enumeration driven by the LDL decomposition of the norm
-    form; ranges are located with floats and then corrected exactly, and
-    every emitted point satisfies the bound exactly.
+    With G the Gram matrix of the norm form, x_i = <x, v_i> for the dual
+    basis vector v_i, and n(v_i) = (G^-1)_ii, so Cauchy-Schwarz confines
+    every such x to the box |x_i| <= sqrt(bound (G^-1)_ii).  The box radii
+    are exact integer square roots and each box point is kept by its exact
+    int64 norm: no step uses floating point.
     """
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    G = order.gram
-    d, r = _ldl(G)
+    Ginv = mat_frac_inverse(order.gram)
+    radii = []
+    for i in range(4):
+        r2 = bound * Ginv[i][i]
+        radii.append(math.isqrt(r2.numerator * r2.denominator) // r2.denominator)
+    axes = np.ix_(*(np.arange(-r, r + 1, dtype=np.int64) for r in radii[1:]))
     out: List[Coords] = []
-    x = [0, 0, 0, 0]
-
-    def rec(level: int, rem: Fraction):
-        if level < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        s = sum(r[level][j] * x[j] for j in range(level + 1, 4))
-        lo, hi = _exact_range(d[level], s, rem)
-        for v in range(lo, hi + 1):
-            x[level] = v
-            term = d[level] * (v + s) ** 2
-            rec(level - 1, rem - term)
-        x[level] = 0
-
-    rec(3, bound)
-    out.sort()
+    # one x_0 slab at a time, so the transient arrays stay 3-dimensional
+    for x0 in range(-radii[0], radii[0] + 1):
+        x = (x0,) + axes
+        norm2 = sum(order.gram2[i][j] * x[i] * x[j]
+                    for i in range(4) for j in range(4))
+        # n(x) is an integer, so n(x) <= bound iff 2 n(x) <= 2 floor(bound)
+        keep = np.argwhere((norm2 > 0) & (norm2 <= 2 * math.floor(bound)))
+        out += [(x0, *y) for y in (keep - radii[1:]).tolist()]
     return out
-
-
-def _ldl(G):
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2 for the symmetric Gram G."""
-    n = len(G)
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = Fraction(G[i][i]) - sum(d[k] * r[k][i] * r[k][i] for k in range(i))
-        if di <= 0:
-            raise OrderError("norm form is not positive definite")
-        d[i] = di
-        for j in range(i + 1, n):
-            rij = (Fraction(G[i][j]) - sum(d[k] * r[k][i] * r[k][j] for k in range(i))) / di
-            r[i][j] = rij
-    return d, r
-
-
-def _exact_range(d: Fraction, s: Fraction, rem: Fraction) -> Tuple[int, int]:
-    """Integer range of x with d*(x+s)^2 <= rem (empty as (0,-1))."""
-    if rem < 0:
-        return 0, -1
-    t = rem / d
-    rt = math.sqrt(float(t)) if t > 0 else 0.0
-    sf = float(s)
-    lo = math.floor(-sf - rt) - 1
-    hi = math.ceil(-sf + rt) + 1
-    while lo <= hi and d * (lo + s) ** 2 > rem:
-        lo += 1
-    while hi >= lo and d * (hi + s) ** 2 > rem:
-        hi -= 1
-    while lo <= hi and d * (lo - 1 + s) ** 2 <= rem:
-        lo -= 1
-    while lo <= hi and d * (hi + 1 + s) ** 2 <= rem:
-        hi += 1
-    return lo, hi
 
 
 IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -143,6 +143,17 @@ def test_constants_table(tmp_path):
     assert json.loads(text)["assembly_identity_holds"] is True
 
 
+def test_failed_quadrature_exits_1_without_traceback():
+    # the quadrature integrands overflow a float from n = 14 on
+    proc = run_cli(["constants", "--da", "2", "--units", "24", "--n", "14"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli(["constants", "--da", "2", "--units", "24", "--n", "14",
+                    "--no-quadrature"])
+    assert proc.returncode == 0
+
+
 def test_constants_bad_da():
     proc = run_cli(["constants", "--da", "4", "--units", "24"])
     assert proc.returncode == 2
@@ -192,6 +203,8 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["constants", "--da", "2", "--units", "24", "--n", "1", "--no-quadrature"],
     ["constants", "--da", "2", "--units", "24", "--ha", "0"],
     ["constants", "--da", "2", "--units", "24", "--ha", "-2"],
+    ["count", "--s-grid", "2,2"],
+    ["count", "--s-grid", "2,4,4,8"],
 ])
 def test_bad_input_exits_2(argv, capsys):
     try:

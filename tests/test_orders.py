@@ -123,6 +123,25 @@ def test_enumerate_by_norm_against_box_scan(hur, d3):
         assert got == expect
 
 
+def _sigma(n, odd_only=False):
+    return sum(d for d in range(1, n + 1)
+               if n % d == 0 and not (odd_only and d % 2 == 0))
+
+
+@pytest.mark.parametrize("bound", [1, 2, Fraction(5, 2), 7, 16, 61, 64])
+def test_enumerate_by_norm_against_theta_series(hur, d3, bound):
+    # r(n) = #{x in O : n(x) = n}: the theta series of each order
+    def r_hurwitz(n):
+        return 24 * _sigma(n, odd_only=True)
+
+    def r_d3(n):
+        return 12 * (_sigma(n) - (3 * _sigma(n // 3) if n % 3 == 0 else 0))
+
+    for order, r in ((hur, r_hurwitz), (d3, r_d3)):
+        expect = sum(r(n) for n in range(1, int(bound) + 1))
+        assert len(enumerate_by_norm(order, bound)) == expect
+
+
 def test_trace_one_element(hur, d3):
     assert hur.trace(trace_one_element(hur)) == 1
     assert d3.trace(trace_one_element(d3)) == 1
