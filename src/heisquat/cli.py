@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -82,18 +83,17 @@ def _checkpoint_path(args, tag: str):
     base = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     if not base:
         return None
-    os.makedirs(base, exist_ok=True)
+    try:
+        os.makedirs(base, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cache {base} is not a usable directory: "
+                                      f"{exc.strerror}"))
     return os.path.join(base, tag + ".jsonl")
 
 
 def cmd_count(args) -> int:
     order = _load_order(args.order)
-    if args.s_grid:
-        grid = _parse_grid(args.s_grid)
-    elif args.s_max is not None:
-        grid = [_parse_s(args.s_max)]
-    else:
-        return _usage_error("count needs --s-grid or --s-max")
+    grid = _parse_grid(args.s_grid) if args.s_max is None else [_parse_s(args.s_max)]
     if any(a >= b for a, b in zip(grid, grid[1:])):
         return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
@@ -147,6 +147,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_geom_selftest(args) -> int:
+    if not 0 < args.tol_limit < math.inf:
+        return _usage_error("tol-limit must be finite and > 0")
     rep = G.geom_selftest(tol_limit=args.tol_limit)
     payload = {k: (bool(v) if isinstance(v, bool) else float(v))
                for k, v in rep.items()}
@@ -190,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting run over an s grid")
     common(p)
     scan_options(p)
-    p.add_argument("--s-grid", help="comma separated strictly ascending s values")
-    p.add_argument("--s-max", help="single s value")
+    levels = p.add_mutually_exclusive_group(required=True)
+    levels.add_argument("--s-grid", help="comma separated strictly ascending s values")
+    levels.add_argument("--s-max", help="single s value")
     p.add_argument("--scale", type=int, default=1,
                    help="congruence scale: alpha, c restricted to scale*O")
     p.add_argument("--cache", help=f"checkpoint dir (or ${CACHE_ENV})")
@@ -228,6 +231,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         return _usage_error("threads must be >= 1")
+    if args.out != "-":
+        # opened (and created) before the work, as a shell redirection would
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
     return args.func(args)
 
 

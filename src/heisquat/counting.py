@@ -41,7 +41,7 @@ import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
 from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
-from .orders import Order, OrderElement, enumerate_by_norm, prime_factors
+from .orders import Order, OrderElement, enumerate_by_norm
 
 _S_LIMIT = 10 ** 4
 
@@ -77,71 +77,40 @@ def _box_points(H: np.ndarray, B: int, offsets: np.ndarray, lo_bound: int = 0):
     return orig, T, W
 
 
-def _rank_full_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
-    """For a batch of integer matrices (N, r, 4): does each have rank 4 mod p?
-
-    Vectorised Gaussian elimination over F_p.  Used to decide whether the
-    index [O : I] is coprime to p (I + pO = O iff the generator rows span
-    mod p).
-    """
-    M = (batch % p).astype(np.int64)
-    n, r, _ = M.shape
-    inv = np.zeros(p, np.int64)
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
-    ok = np.ones(n, bool)
-    used = np.zeros((n, r), bool)
-    ar = np.arange(n)
-    for col in range(4):
-        cand = (M[:, :, col] != 0) & ~used
-        has = cand.any(axis=1)
-        ok &= has
-        piv = np.where(has, cand.argmax(axis=1), 0)
-        pivrow = (M[ar, piv, :] * inv[M[ar, piv, col]][:, None]) % p
-        pivrow[~has] = 0
-        M = (M - M[:, :, col][:, :, None] * pivrow[:, None, :]) % p
-        M[ar[has], piv[has], :] = pivrow[has]
-        used[ar[has], piv[has]] = True
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # per-c integer data
 
 
-def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c, NA, NAL,
-                    nc) -> np.ndarray:
+def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c) -> np.ndarray:
     """Exact primitivity of the triples (A[r], AL[r], c), vectorised.
 
-    The reduced norm of the left ideal divides gcd of the element
-    norms, so gcd 1 certifies a full ideal.  A ramified prime dividing
-    the gcd puts all three generators in the unique two-sided ideal
-    above p, so the triple is imprimitive.  For the remaining split
-    primes, fullness at p is the rank of the twelve generator rows
-    mod p.
+    Oa + O alpha + Oc = O iff gcd(n(a), n(alpha), n(c), cont(a conj(alpha)),
+    cont(a conj(c)), cont(alpha conj(c))) = 1, cont(x) being the gcd of
+    the order coordinates of x.  The ideal is proper iff the three lie in
+    one maximal left ideal M, of reduced norm a prime p with M conj(M) =
+    pO; then p divides all six.  Conversely let p divide all six.  If
+    p | D_A, the only maximal left ideal above p, P = {x : p | n(x)},
+    holds all three.  Else O/pO = M_2(F_p) with conj the adjugate.  If
+    all three lie in pO, they lie in every M above p.  If not, one of them,
+    y, has rank 1 mod p, adj(y) has image ker(y), and x adj(y) = 0 puts
+    ker(y) in ker(x) for each x of the three: all lie in the maximal left
+    ideal {x : x ker(y) = 0}.  As x conj(y) = conj(y conj(x)) and conj
+    keeps the content, three unordered pairs suffice.
+
+    The norm gcd certifies most rows; pair products are formed only for
+    the rest.  Their coordinates and intermediates are at most
+    sqrt(n(x) n(y)) <= max(n(x), n(y)) times a constant of the order: the
+    int64 range that order.norms already uses.
     """
-    g3 = np.gcd(np.gcd(NA, NAL), nc)
-    mask = g3 == 1
-    rest = np.nonzero(~mask)[0]
-    if rest.size == 0:
-        return mask
-    D_A = order.D_A
-    ram = np.gcd(g3[rest], D_A) > 1
-    undecided = rest[~ram]
-    if undecided.size:
-        Rc = order.right_mul(np.array(c, np.int64))
-        rows = np.concatenate(
-            [order.right_mul(A[undecided]), order.right_mul(AL[undecided]),
-             np.broadcast_to(Rc, (undecided.size, 4, 4))], axis=1)
-        full = np.ones(undecided.size, bool)
-        g_here = g3[undecided]
-        for p in sorted({p for g in np.unique(g_here)
-                         for p in prime_factors(int(g)) if D_A % p}):
-            sel = np.nonzero(g_here % p == 0)[0]
-            if sel.size:
-                full[sel] &= _rank_full_mod_p(rows[sel], p)
-        mask[undecided] = full
-    return mask
+    c = np.array(c, np.int64)
+    g = np.gcd(np.gcd(order.norms(A), order.norms(AL)), order.norms(c))
+    rest = np.nonzero(g > 1)[0]
+    if rest.size:
+        X, Y = A[rest], AL[rest]
+        Rcbar = order.right_mul(order.conjugates(c))
+        for P in (order.mul_rows(X, order.conjugates(Y)), X @ Rcbar, Y @ Rcbar):
+            g[rest] = np.gcd(g[rest], np.gcd.reduce(P, axis=1))
+    return g == 1
 
 
 class _CContext:
@@ -243,10 +212,8 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
     AL = X[rows]
     V4r = V4[rows]
-    NA = order.norms(A)
-    NALr = NAL[rows]
 
-    mask = _primitive_mask(order, A, AL, ctx.c, NA, NALr, ctx.nc)
+    mask = _primitive_mask(order, A, AL, ctx.c)
     A, AL, V4r, W3 = A[mask], AL[mask], V4r[mask], W3[mask]
 
     bucket = np.zeros(A.shape[0], np.uint8)
@@ -574,10 +541,7 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     if not (hits == 1).all():
         raise AssertionError("oracle bucket without a unique in-domain triple")
     # primitivity is orbit-invariant: test only the canonical reps
-    Arep, ALrep = A_can[first], AL_can[first]
-    pmask = _primitive_mask(order, Arep, ALrep, ctx.c, order.norms(Arep),
-                            order.norms(ALrep), ctx.nc)
-    return int(pmask.sum())
+    return int(_primitive_mask(order, A_can[first], AL_can[first], ctx.c).sum())
 
 
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:

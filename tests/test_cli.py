@@ -205,16 +205,54 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["constants", "--da", "2", "--units", "24", "--ha", "-2"],
     ["count", "--s-grid", "2,2"],
     ["count", "--s-grid", "2,4,4,8"],
+    ["count", "--s-grid", "1,2", "--s-max", "16"],
+    ["geom-selftest", "--tol-limit", "-1"],
+    ["geom-selftest", "--tol-limit", "nan"],
 ])
 def test_bad_input_exits_2(argv, capsys):
+    rc, out, err = _exit_code_and_output(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error" in err
+
+
+def _exit_code_and_output(argv, capsys):
     try:
         rc = main(argv)
     except SystemExit as exc:
         rc = exc.code
     out, err = capsys.readouterr()
-    assert rc == 2
-    assert out == ""
-    assert "error" in err
+    return rc, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--s-max", "16"],
+    ["equidist", "--s", "16"],
+    ["oracle", "--s", "5"],
+    ["constants", "--da", "2", "--units", "24"],
+    ["geom-selftest"],
+])
+def test_unwritable_out_exits_2_before_the_work(argv, tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        rc, stdout, err = _exit_code_and_output(argv + ["--out", str(out)], capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_that_is_not_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["count", "--s-max", "2", "--out", str(tmp_path / "c.json")]
+    for env, extra in ((None, ["--cache", str(blocker)]), (str(blocker), [])):
+        if env:
+            monkeypatch.setenv("HEIS_MERTENS_CACHE", env)
+        rc, stdout, err = _exit_code_and_output(argv + extra, capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 LIPSCHITZ_BASIS = [[[int(i == j), 1] for j in range(4)] for i in range(4)]

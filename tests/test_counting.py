@@ -2,12 +2,15 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (CountTable, _c_list, _group_keys,
+from heisquat.counting import (CountTable, _c_list, _group_keys, _primitive_mask,
                                _right_coset_representatives, brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
@@ -15,7 +18,7 @@ from heisquat.counting import (CountTable, _c_list, _group_keys,
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
                                  is_primitive)
-from heisquat.orders import builtin_order
+from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,60 @@ def test_emitted_triples_satisfy_predicates(hur, fd):
         assert in_fundamental_domain(hur, t, fd)
     # distinct canonical triples = distinct orbits
     assert len({t.coords() for t in triples}) == len(triples)
+
+
+# -- primitivity by the gcd identity against the HNF of the left ideal
+# (derandomized, as in tests/test_lattices.py)
+
+PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+# per builtin order: the ramified prime and two split primes
+PRIMES = {"hurwitz": (2, (3, 5)), "d3": (3, (2, 5))}
+
+NONZERO = st.tuples(*[st.integers(-4, 4)] * 4).filter(any)
+
+
+@lru_cache(maxsize=None)
+def _elements_of_norm(name, p):
+    order = builtin_order(name)
+    return [x for x in enumerate_by_norm(order, p) if order.norm(x) == p]
+
+
+@st.composite
+def _triples(draw):
+    name = draw(st.sampled_from(sorted(PRIMES)))
+    order = builtin_order(name)
+    ramified, split = PRIMES[name]
+    x, y, z = draw(NONZERO), draw(NONZERO), draw(NONZERO)
+    kind = draw(st.sampled_from(["random", "common right factor", "one in pO"]))
+    if kind == "random":
+        return name, [x, y, z]
+    if kind == "common right factor":
+        d = draw(st.sampled_from(_elements_of_norm(name, draw(st.sampled_from(
+            (ramified,) + split)))))
+        return name, [order.mul(x, d), order.mul(y, d), order.mul(z, d)]
+    # one of the three in pO, the other two in the maximal left ideals
+    # O d1 != O d2 above a split p (O d1 = O d2 iff d2 conj(d1) is in pO)
+    p = draw(st.sampled_from(split))
+    gens = _elements_of_norm(name, p)
+    d1 = draw(st.sampled_from(gens))
+    d2 = draw(st.sampled_from(
+        [d for d in gens if any(v % p for v in order.mul(d, order.conj(d1)))]))
+    triple = [order.mul(x, d1), order.mul(y, d2), tuple(p * v for v in z)]
+    k = draw(st.integers(0, 2))
+    return name, triple[k:] + triple[:k]
+
+
+@PROPS
+@given(_triples())
+def test_primitive_mask_equals_the_left_ideal_hnf(case):
+    name, (a, alpha, c) = case
+    order = builtin_order(name)
+    full = left_ideal_is_full(order, [a, alpha, c])
+    # a batch: the triple, its swap, and (1, 0, c), which the norm gcd certifies
+    A = np.array([a, alpha, order.one_coords], np.int64)
+    AL = np.array([alpha, a, (0, 0, 0, 0)], np.int64)
+    assert _primitive_mask(order, A, AL, c).tolist() == [full, full, True]
 
 
 def test_monotone_in_s(hur):
