@@ -58,10 +58,7 @@ def _parse_s(text: str) -> Fraction:
 
 
 def _parse_grid(text: str):
-    grid = [_parse_s(part) for part in text.split(",") if part.strip()]
-    if not grid:
-        raise SystemExit(_usage_error(f"empty s grid '{text}'"))
-    return grid
+    return [_parse_s(part) for part in text.split(",")]
 
 
 def _emit(payload: dict, out: str, fmt: str, csv_rows=None):

@@ -31,7 +31,9 @@ every c, in one pass for a whole grid of s.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -41,7 +43,7 @@ import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
 from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
-from .orders import Order, OrderElement, enumerate_by_norm
+from .orders import Order, OrderElement, enumerate_by_norm, order_spec_dict
 
 _S_LIMIT = 10 ** 4
 
@@ -295,15 +297,6 @@ def psi_count(order: Order, s, scale: int = 1,
 # summaries: tables, histograms, checkpoints, worker pools
 
 
-def order_spec_dict(order: Order) -> dict:
-    return {
-        "a": order.algebra.a,
-        "b": order.algebra.b,
-        "name": order.name or "custom",
-        "basis": [[[x.numerator, x.denominator] for x in row] for row in order.basis],
-    }
-
-
 # Version of the checkpoint record; part of every key.  Version 2 records
 # hold the count and histogram of a whole right coset c O^x.
 _CKPT_VERSION = 2
@@ -333,28 +326,19 @@ def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict
     return out
 
 
-def _pool_chunk(args) -> List[dict]:
-    """Worker: _scan_chunk on the order rebuilt from its spec."""
-    spec, key, scale, chunk = args
-    from .orders import order_spec_from_dict
-    order = order_spec_from_dict(spec)
-    return _scan_chunk(FundamentalDomain(order), key, scale, chunk)
-
-
-def _record_batches(order: Order, cs, scale: int, key: str, threads: int):
+def _record_batches(fd: FundamentalDomain, cs, scale: int, key: str, threads: int):
     """Checkpoint records of cs, a list per batch: one c per batch in
-    process, or a process pool over threads * 8 interleaved chunks."""
+    process, or a process pool of at most one worker per CPU over
+    threads * 8 interleaved chunks.  Workers receive fd pickled, with its
+    order's validated tables and units."""
+    scan_chunk = functools.partial(_scan_chunk, fd, key, scale)
     if threads > 1 and len(cs) > 8:
         from concurrent.futures import ProcessPoolExecutor
-        spec = order_spec_dict(order)
         nch = min(threads * 8, len(cs))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_pool_chunk,
-                                [(spec, key, scale, cs[i::nch]) for i in range(nch)])
+        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+            yield from pool.map(scan_chunk, [cs[i::nch] for i in range(nch)])
     else:
-        fd = FundamentalDomain(order)
-        for c in cs:
-            yield _scan_chunk(fd, key, scale, [c])
+        yield from map(scan_chunk, ([c] for c in cs))
 
 
 def _load_checkpoint(fh, key: str, cs) -> Dict[Tuple[int, ...], dict]:
@@ -435,7 +419,7 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
         done = _load_checkpoint(ckpt, key, reps) if ckpt else {}
         records = list(done.values())
         todo = [c for c in reps if c not in done]
-        for batch in _record_batches(order, todo, scale, key, threads):
+        for batch in _record_batches(FundamentalDomain(order), todo, scale, key, threads):
             records.extend(batch)
             if ckpt:
                 _append_checkpoint(ckpt, batch)
@@ -680,8 +664,7 @@ def histogram_report(s, hist: np.ndarray) -> EquidistReport:
     return EquidistReport(Fraction(s), [int(x) for x in hist], expected, total, disc)
 
 
-def equidist_histogram(order: Order, s, scale: int = 1,
-                       threads: int = 1) -> EquidistReport:
+def equidist_histogram(order: Order, s, threads: int = 1) -> EquidistReport:
     """128-cell dyadic histogram of the canonical representatives at level s."""
-    summ = scan_summary(order, [], [Fraction(s)], scale, None, threads)
+    summ = scan_summary(order, [], [Fraction(s)], threads=threads)
     return histogram_report(s, summ.hists[Fraction(s)])

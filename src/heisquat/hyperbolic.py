@@ -385,9 +385,7 @@ def metric_matrix(p: HoroPoint) -> List[List[float]]:
 # self-test report
 
 
-def geom_selftest(seed: int = 20240801, n_triples: int = 200,
-                  tol_identity: float = DEFAULT_TOL,
-                  tol_limit: float = 1e-6) -> dict:
+def geom_selftest(seed: int = 20240801, tol_limit: float = 1e-6) -> dict:
     """Numerical residual suite for the geometry kernel; returns a report
     dict with per-check maxima and pass flags."""
     import random
@@ -407,7 +405,7 @@ def geom_selftest(seed: int = 20240801, n_triples: int = 200,
     report = {}
 
     worst = 0.0
-    for _ in range(n_triples):
+    for _ in range(200):
         a, b, c = rpoint(), rpoint(), rpoint()
         worst = max(worst, dist(a, c) - dist(a, b) - dist(b, c))
     report["triangle_inequality_slack"] = worst

@@ -457,6 +457,16 @@ def _hurwitz() -> Order:
     return make_order(alg, basis, name="hurwitz")
 
 
+def order_spec_dict(order: Order) -> dict:
+    """The JSON order-spec of order, read back by order_spec_from_dict."""
+    return {
+        "a": order.algebra.a,
+        "b": order.algebra.b,
+        "name": order.name or "custom",
+        "basis": [[[x.numerator, x.denominator] for x in row] for row in order.basis],
+    }
+
+
 def order_spec_from_dict(spec: dict) -> Order:
     """Build an order from the JSON order-spec schema; floats are rejected."""
     if not isinstance(spec, dict):

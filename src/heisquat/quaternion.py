@@ -70,6 +70,11 @@ class Quaternion:
     def __setattr__(self, *_):
         raise AttributeError("Quaternion is immutable")
 
+    def __reduce__(self):
+        # unpickle through the constructor: the default slot restore would
+        # go through the __setattr__ above
+        return Quaternion, (self.alg, *self.coeffs)
+
     @property
     def coeffs(self):
         return (self.x0, self.x1, self.x2, self.x3)

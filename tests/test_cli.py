@@ -1,19 +1,26 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import heisquat
 from heisquat.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 RUN = [sys.executable, "-m", "heisquat.cli"]
 
+# subprocesses import the package these tests import, also when pytest put
+# it on sys.path through its pythonpath setting and not PYTHONPATH
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(heisquat.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
 
 def run_cli(args, **kw):
-    return subprocess.run(RUN + args, capture_output=True, text=True, **kw)
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=ENV, **kw)
 
 
 def test_count_basic(tmp_path):
@@ -39,7 +46,7 @@ def test_import_leaves_scipy_unloaded():
     # only the quadrature checks of constants need scipy, and they import it
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, heisquat.cli; print('scipy' in sys.modules)"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
@@ -99,8 +106,7 @@ def test_count_checkpoint_resume(tmp_path):
 def test_checkpoint_not_shared_by_orders_with_one_name(tmp_path):
     # the d3 order under the name of a Hurwitz spec run before it in the
     # same cache directory must not resume from the Hurwitz records
-    from heisquat.counting import order_spec_dict
-    from heisquat.orders import builtin_order
+    from heisquat.orders import builtin_order, order_spec_dict
     cache = tmp_path / "cache"
     rows = {}
     for builtin in ("hurwitz", "d3"):
@@ -208,6 +214,9 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["count", "--s-grid", "1,2", "--s-max", "16"],
     ["geom-selftest", "--tol-limit", "-1"],
     ["geom-selftest", "--tol-limit", "nan"],
+    ["count", "--s-grid", "1,,2"],
+    ["count", "--s-grid", "1,2,"],
+    ["count", "--s-grid", ",1"],
 ])
 def test_bad_input_exits_2(argv, capsys):
     rc, out, err = _exit_code_and_output(argv, capsys)

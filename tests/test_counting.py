@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import math
+import os
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 
 from heisquat import counting
 from heisquat.counting import (CountTable, _c_list, _group_keys, _primitive_mask,
-                               _right_coset_representatives, brute_force_counts,
+                               _right_coset_representatives, _scan_chunk,
+                               brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
                                scan_summary)
@@ -192,6 +196,50 @@ def test_scan_summary_threads_match(hur, pool_runs):
     assert pool_runs == [2]
     assert a.counts == b.counts
     assert (a.hists[Fraction(8)] == b.hists[Fraction(8)]).all()
+
+
+def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch):
+    # a stand-in executor that records its worker count and maps in process,
+    # after a pickle round trip of what a worker would receive
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(pickle.loads(pickle.dumps(fn)), *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    serial = scan_summary(hur, [8], hist_levels=[8])
+    for cpus, workers in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = scan_summary(hur, [8], hist_levels=[8], threads=10 ** 6)
+        assert started.pop() == workers
+        assert got.counts == serial.counts
+        assert (got.hists[Fraction(8)] == serial.hists[Fraction(8)]).all()
+    assert started == []
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_fundamental_domain_survives_pickling(name):
+    # the pool ships the fundamental domain, with its order, to its workers
+    fd = FundamentalDomain(builtin_order(name))
+    copy = pickle.loads(pickle.dumps(fd))
+    assert copy.order.structure == fd.order.structure
+    assert copy.order.basis_quats == fd.order.basis_quats
+    assert copy.order.units == fd.order.units
+    assert (copy.cell3_num == fd.cell3_num).all()
+    with pytest.raises(AttributeError):
+        copy.order.basis_quats[0].x0 = 5
+    reps = _right_coset_representatives(fd.order, _c_list(fd.order, 6))
+    assert _scan_chunk(copy, "k", 1, reps) == _scan_chunk(fd, "k", 1, reps)
 
 
 def test_scan_summary_checkpoint_resume(hur, tmp_path):
