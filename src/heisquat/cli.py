@@ -37,7 +37,8 @@ def _load_order(name: str) -> Order:
         if not os.path.exists(name):
             raise OrderError(f"no such order or order-spec file: {name}")
         return load_order_spec(name)
-    except (OrderError, OSError, json.JSONDecodeError) as exc:
+    # ValueError covers OrderError, JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError) as exc:
         raise SystemExit(_usage_error(f"invalid order: {exc}"))
 
 

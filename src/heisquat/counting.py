@@ -36,13 +36,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .heisenberg import FundamentalDomain, Triple
-from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer
+from .lattices import hnf_transform
+# not called here: perfbench/spans.py wraps these names in this module
+from .lattices import adjugate, det_int, hnf, kernel_basis, mat_mul, solve_integer  # noqa: F401
 from .orders import Order, OrderElement, enumerate_by_norm, order_spec_dict
 
 _S_LIMIT = 10 ** 4
@@ -116,7 +117,16 @@ def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c) -> np.ndarra
 
 
 class _CContext:
-    """Integer data for one value of c."""
+    """Integer data for one value of c, read off two HNF transforms.
+
+    alpha c^-1 lies in cell4 iff V = alpha . adjR lies in [0, D)^4, with
+    D = n(c)^2; with U4 . adjR = H4 these V are t . H4, and alpha = t . U4.
+    With U . [tau | Pnum] = H, a = t . U has trace pairing a . tau =
+    tr(conj(a) c) = t_0 g, g = H[0, 0], and cell3 numerators t . H[:, 1:].
+    So t_0 = q = n(alpha) / g and a = q xg + t' . VK, with xg = U[0] and
+    VK = U[1:] a basis of the trace kernel, at q w0vec + t' . T3 (w0vec =
+    H[0, 1:], T3 = H[1:, 1:]).
+    """
 
     def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
         order = fd.order
@@ -128,17 +138,7 @@ class _CContext:
         # adj(R_c) = n(c) R_{conj(c)} since R_c R_{conj(c)} = n(c) I
         self.adjR = self.nc * Rbar
         self.D = self.nc ** 2
-        self.H4 = np.array(hnf(self.adjR.tolist()), np.int64)
-
-        # trace form tr(conj(a) c) = a . tau
-        tau = order.trace_pairing(cnp).tolist()
-        g = 0
-        for t in tau:
-            g = gcd(g, int(t))
-        self.g = g
-        xg = solve_integer([[int(t)] for t in tau], [g])
-        self.xg = np.array(xg, np.int64)
-        self.K3 = np.array(kernel_basis([[int(t)] for t in tau]), np.int64)
+        self.H4, self.U4 = np.array(hnf_transform(self.adjR.tolist()), np.int64)
 
         # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
         # y = (a . Pnum) / Pden
@@ -151,21 +151,13 @@ class _CContext:
         self.Pnum = Q
         self.Pden = int(den)
 
-        MP = (self.K3 @ self.Pnum).tolist()
-        detMP = det_int(MP)
-        if detMP == 0:
+        tau = order.trace_pairing(cnp)
+        H, U = np.array(hnf_transform(np.column_stack([tau, Q]).tolist()), np.int64)
+        if H[3, 3] == 0:
             raise AssertionError("vertical map singular on the trace kernel")
-        T3 = hnf(MP)
-        adjMP = adjugate(MP)
-        V = mat_mul(T3, adjMP)
-        for r in range(3):
-            for cc in range(3):
-                if V[r][cc] % detMP:
-                    raise AssertionError("HNF transition is not integral")
-                V[r][cc] //= detMP
-        self.T3 = np.array(T3, np.int64)
-        self.VK = np.array(V, np.int64) @ self.K3
-        self.w0vec = self.xg @ self.Pnum
+        self.g = int(H[0, 0])
+        self.w0vec, self.T3 = H[0, 1:], H[1:, 1:]
+        self.xg, self.VK = U[0], U[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +183,10 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     order = fd.order
     ctx = _CContext(fd, c)
     zero = np.zeros((1, 4), np.int64)
-    _, _, V4 = _box_points(ctx.H4, ctx.D, zero)
+    _, T4, V4 = _box_points(ctx.H4, ctx.D, zero)
     if V4.shape[0] != ctx.D:
         raise AssertionError("alpha transversal has wrong size")
-    prod = V4 @ ctx.R
-    X = prod // ctx.D
-    if (X * ctx.D != prod).any():
-        raise AssertionError("alpha residue is not integral")
+    X = T4 @ ctx.U4
     if scale != 1:
         keep = ~(X % scale).any(axis=1)
         X, V4 = X[keep], V4[keep]
@@ -542,8 +531,9 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     triple, and the buckets with a primitive representative are counted.
     About 64 enumerated triples per c are re-verified against the exact
     trace predicate.  The window and canonicalisation are independent of
-    the transversal scan, but the per-c lattice data (_CContext) and the
-    box enumeration (_box_points) are shared with it.
+    the transversal scan, and alpha = V4 . R / D is derived here, not read
+    off U4; the rest of the per-c data (_CContext) and the box
+    enumeration (_box_points) are shared with it.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
@@ -656,6 +646,11 @@ class EquidistReport:
 
 
 def histogram_report(s, hist: np.ndarray) -> EquidistReport:
+    """hist against the uniform expectation total / 128 per cell: the cells
+    halve each of the seven linear coordinates of the fundamental domain
+    (cell4 of alpha c^-1, cell3 of 2 Im(a c^-1)), in which Haar measure on
+    Heis_7 is Lebesgue measure, so each cell carries 1/128 of its mass.
+    """
     total = int(hist.sum())
     if total == 0:
         raise ValueError("empty sample")

@@ -108,6 +108,16 @@ def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
+def hnf_transform(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """(H, U) with U . mat = H, U unimodular: hnf([mat | I]) split after
+    the columns of mat (Cohen, GTM 138, 2.4).  The nonzero rows of H are
+    hnf(mat); the rows of U where H vanishes are kernel_basis(mat).
+    """
+    aug, n = _augment(mat)
+    rows = hnf(aug)
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
 def hnf_in_span(hrows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     """Membership of integer vector v in the row span of an HNF basis."""
     return not any(_reduce(hrows, v, len(v)))

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattices import (IntLattice, RatLattice, clear_denominators, det_int, hnf,
-                       kernel_basis, mat_frac_inverse)
+                       hnf_transform, mat_frac_inverse)
 from .quaternion import Algebra, Quaternion
 
 Coords = Tuple[int, int, int, int]
@@ -182,18 +182,21 @@ class Order:
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in G)
         self.gram2 = tuple(tuple(int(2 * x) for x in row) for row in self.gram)
 
-        # rank-3 kernel of the trace, plus a deterministic trace-one element
-        ker = kernel_basis([[t] for t in self.trace_vec])
-        if len(ker) != 3:
-            raise OrderError("trace kernel has wrong rank")
-        self.im_basis = tuple(tuple(r) for r in ker)
+        # U . trace_vec = H: U[0] has trace H[0], U[1:] spans the trace kernel
+        H, U = hnf_transform([[t] for t in self.trace_vec])
+        if H[0] != [1]:
+            raise OrderError("trace is not onto Z")
+        self.trace_one = OrderElement(tuple(U[0]))
+        self.im_basis = tuple(tuple(r) for r in U[1:])
         # int64 copies of the tables for the batched arithmetic
-        self._S = np.array(self.structure, np.int64)
-        self._G2 = np.array(self.gram2, np.int64)
+        try:
+            self._S = np.array(self.structure, np.int64)
+            self._G2 = np.array(self.gram2, np.int64)
+        except OverflowError:
+            raise OrderError("order tables overflow int64") from None
         self._tvec = np.array(self.trace_vec, np.int64)
         self._one = np.array(self.one_coords, np.int64)
         self._units: Optional[List[OrderElement]] = None
-        self._trace_one: Optional[OrderElement] = None
 
     # -- coordinate conversions --------------------------------------------
 
@@ -301,19 +304,6 @@ class Order:
         if self._units is None:
             self._units = [OrderElement(c) for c in enumerate_by_norm(self, 1)]
         return self._units
-
-    @property
-    def trace_one(self) -> OrderElement:
-        """Deterministic element h with tr(h) = 1 (trace is onto Z)."""
-        if self._trace_one is None:
-            bound = 1
-            while True:
-                for c in enumerate_by_norm(self, bound):
-                    if self.trace(c) == 1:
-                        self._trace_one = OrderElement(c)
-                        return self._trace_one
-                bound += 1
-        return self._trace_one
 
     @property
     def imaginary_sublattice(self) -> IntLattice:

@@ -1,6 +1,13 @@
 import concurrent.futures
 
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: derandomized, so tier-1 stays
+# deterministic, and no example database is written
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None,
+                          max_examples=150)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

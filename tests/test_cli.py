@@ -266,6 +266,15 @@ def test_cache_that_is_not_a_directory_exits_2(tmp_path, monkeypatch, capsys):
 
 LIPSCHITZ_BASIS = [[[int(i == j), 1] for j in range(4)] for i in range(4)]
 
+# the Hurwitz order, with row1 += 10^4 row0 and then row2 += 10^4 row1:
+# maximal, but its structure constants do not fit in int64
+SKEWED_HURWITZ_BASIS = [
+    [[1, 2], [1, 2], [1, 2], [1, 2]],
+    [[5000, 1], [5001, 1], [5000, 1], [5000, 1]],
+    [[50000000, 1], [50010000, 1], [50000001, 1], [50000000, 1]],
+    [[0, 1], [0, 1], [0, 1], [1, 1]],
+]
+
 
 @pytest.mark.parametrize("spec", [
     5,
@@ -274,10 +283,16 @@ LIPSCHITZ_BASIS = [[[int(i == j), 1] for j in range(4)] for i in range(4)]
     {"name": "lipschitz", "a": -1, "b": -1, "basis": LIPSCHITZ_BASIS},
     {"name": "x", "a": -1, "b": -1,
      "basis": [[[float(i == j), 1] for j in range(4)] for i in range(4)]},
+    pytest.param({"name": "skewed", "a": -1, "b": -1, "basis": SKEWED_HURWITZ_BASIS},
+                 id="int64-overflow"),
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
 ])
 def test_malformed_order_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(json.dumps(spec))
     try:
         rc = main(["count", "--order", str(path), "--s-max", "2"])
     except SystemExit as exc:

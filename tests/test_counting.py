@@ -9,11 +9,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (CountTable, _c_list, _group_keys, _primitive_mask,
+from heisquat.counting import (CountTable, _box_points, _c_list, _CContext,
+                               _group_keys, _primitive_mask,
                                _right_coset_representatives, _scan_chunk,
                                brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
@@ -105,9 +106,6 @@ def test_emitted_triples_satisfy_predicates(hur, fd):
 
 
 # -- primitivity by the gcd identity against the HNF of the left ideal
-# (derandomized, as in tests/test_lattices.py)
-
-PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 # per builtin order: the ramified prime and two split primes
 PRIMES = {"hurwitz": (2, (3, 5)), "d3": (3, (2, 5))}
@@ -146,7 +144,6 @@ def _triples(draw):
     return name, triple[k:] + triple[:k]
 
 
-@PROPS
 @given(_triples())
 def test_primitive_mask_equals_the_left_ideal_hnf(case):
     name, (a, alpha, c) = case
@@ -240,6 +237,41 @@ def test_fundamental_domain_survives_pickling(name):
         copy.order.basis_quats[0].x0 = 5
     reps = _right_coset_representatives(fd.order, _c_list(fd.order, 6))
     assert _scan_chunk(copy, "k", 1, reps) == _scan_chunk(fd, "k", 1, reps)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_alpha_transversal_equals_the_oracle_formula(name):
+    # the scan reads alpha = t . U4 off the HNF transform of adjR; the
+    # oracle derives alpha = V4 . R / D, which must be integral
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    zero = np.zeros((1, 4), np.int64)
+    for c in _right_coset_representatives(order, _c_list(order, 16)):
+        ctx = _CContext(fd, c)
+        _, T4, V4 = _box_points(ctx.H4, ctx.D, zero)
+        prod = V4 @ ctx.R
+        assert not (prod % ctx.D).any()
+        assert (T4 @ ctx.U4 == prod // ctx.D).all()
+
+
+def test_scan_summary_progress(tmp_path, pool_runs):
+    # 44 coset representatives up to s = 8 on d3
+    d3 = builtin_order("d3")
+    calls = []
+
+    def progress(done, total):
+        calls.append((done, total))
+
+    scan_summary(d3, [8], progress=progress)
+    assert calls == [(k, 44) for k in range(1, 45)]
+    ck = str(tmp_path / "chk.jsonl")
+    calls.clear()
+    scan_summary(d3, [8], checkpoint_path=ck, threads=2, progress=progress)
+    assert pool_runs == [2]
+    assert calls == sorted(calls) and calls[-1] == (44, 44)
+    calls.clear()
+    scan_summary(d3, [8], checkpoint_path=ck, threads=2, progress=progress)
+    assert calls == []
 
 
 def test_scan_summary_checkpoint_resume(hur, tmp_path):

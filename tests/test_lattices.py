@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat.lattices import (IntLattice, RatLattice, adjugate, det_int, hnf,
-                               hnf_in_span, kernel_basis, mat_frac_inverse,
-                               solve_integer)
+                               hnf_in_span, hnf_transform, kernel_basis,
+                               mat_frac_inverse, solve_integer)
 
 
 def test_hnf_identity():
@@ -139,10 +139,7 @@ def test_rat_lattice_intersection_randomised():
             assert a.contains_frac(r) and b.contains_frac(r)
 
 
-# -- properties of the one elimination kernel (derandomized: tier-1 stays
-# deterministic, and no example database is written)
-
-PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+# -- properties of the one elimination kernel
 
 
 @st.composite
@@ -156,7 +153,6 @@ def _times(x, mat):
     return [sum(x[r] * mat[r][c] for r in range(len(mat))) for c in range(len(mat[0]))]
 
 
-@PROPS
 @given(matrices(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
                                       st.integers(-3, 3)), max_size=10))
 def test_hnf_idempotent_and_invariant_under_unimodular_rows(mat, ops):
@@ -174,7 +170,18 @@ def test_hnf_idempotent_and_invariant_under_unimodular_rows(mat, ops):
     assert hnf(mixed) == h
 
 
-@PROPS
+@given(matrices())
+def test_hnf_transform_is_unimodular_and_gives_the_hnf(mat):
+    H, U = hnf_transform(mat)
+    assert [_times(u, mat) for u in U] == H
+    assert abs(det_int(U)) == 1
+    # the nonzero rows of H are hnf(mat), the rest of U spans the kernel
+    h = hnf(mat)
+    assert H[:len(h)] == h
+    assert not any(map(any, H[len(h):]))
+    assert U[len(h):] == kernel_basis(mat)
+
+
 @given(matrices(max_rows=4, max_cols=3, bound=6))
 def test_kernel_basis_annihilates_and_is_saturated(mat):
     m = len(mat)
@@ -199,7 +206,6 @@ def systems(draw):
     return mat, [t + e for t, e in zip(_times(x, mat), noise)]
 
 
-@PROPS
 @given(systems())
 def test_solve_integer_exactly_when_target_in_span(system):
     mat, target = system

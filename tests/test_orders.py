@@ -5,10 +5,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat.heisenberg import FundamentalDomain
+from heisquat.lattices import kernel_basis
 from heisquat.orders import (Algebra, OrderElement, OrderError,
                              algebra_discriminant, builtin_order, covolume,
                              enumerate_by_norm, hilbert_symbol, ideal_inverse,
@@ -147,6 +148,18 @@ def test_trace_one_element(hur, d3):
     assert d3.trace(trace_one_element(d3)) == 1
 
 
+def test_trace_one_and_trace_kernel_of_a_large_discriminant_order():
+    # the maximal order Z<1, i, (1+j)/2, (i+k)/2> for p = 10007 = 3 mod 4:
+    # every element of trace 1 has norm at least p/4
+    h = Fraction(1, 2)
+    order = make_order(Algebra(-1, -10007),
+                       [[1, 0, 0, 0], [0, 1, 0, 0], [h, 0, h, 0], [0, h, 0, h]])
+    assert order.D_A == 10007
+    assert order.trace(trace_one_element(order)) == 1
+    ker = kernel_basis([[t] for t in order.trace_vec])
+    assert order.im_basis == tuple(tuple(r) for r in ker)
+
+
 def test_imaginary_sublattice(hur):
     # Im O = Zi + Zj + Zk: coordinates (0,*,*,*) in the basis (omega,i,j,k)
     assert hur.im_basis == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -266,9 +279,6 @@ def test_element_roundtrip(hur, d3):
 
 
 # -- the batched int64 arithmetic against the exact scalar methods
-# (derandomized, as in tests/test_lattices.py)
-
-PROPS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 COORDS = st.tuples(*[st.integers(-60, 60)] * 4)
 
@@ -278,7 +288,6 @@ def _domain(name):
     return FundamentalDomain(builtin_order(name))
 
 
-@PROPS
 @given(st.sampled_from(["hurwitz", "d3"]),
        st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6))
 def test_batched_arithmetic_matches_scalar(name, pairs):
