@@ -160,6 +160,26 @@ class _CContext:
         self.xg, self.VK = U[0], U[1:]
 
 
+def _a_box(ctx: _CContext, q: np.ndarray):
+    """_box_points(ctx.T3, ctx.Pden, q[:, None] * ctx.w0vec), enumerating
+    the box once per distinct value of q.
+
+    The box of an offset depends only on q, and _box_points emits the
+    points of each source row as one contiguous run, source rows in
+    order; so the runs of the distinct values are gathered back per row,
+    in the same order.
+    """
+    uq, inv = np.unique(q, return_inverse=True)
+    ulocal, uT, uW = _box_points(ctx.T3, ctx.Pden, uq[:, None] * ctx.w0vec[None, :])
+    ucnt = np.bincount(ulocal, minlength=uq.shape[0])
+    cnt = ucnt[inv]
+    local = np.repeat(np.arange(q.shape[0], dtype=np.int64), cnt)
+    # output row k is point k - (start of its own run) of its q's box
+    sel = np.arange(int(cnt.sum()), dtype=np.int64) \
+        + np.repeat((np.cumsum(ucnt) - ucnt)[inv] - (np.cumsum(cnt) - cnt), cnt)
+    return local, uT[sel], uW[sel]
+
+
 # ---------------------------------------------------------------------------
 # the transversal scan (fast path)
 
@@ -197,8 +217,7 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
         empty = np.zeros((0, 4), np.int64)
         return CRecord(ctx.c, ctx.nc, empty, empty, np.zeros(0, np.uint8))
     q = NAL[ok_idx] // ctx.g
-    offsets = q[:, None] * ctx.w0vec[None, :]
-    local, T, W3 = _box_points(ctx.T3, ctx.Pden, offsets)
+    local, T, W3 = _a_box(ctx, q)
     rows = ok_idx[local]
     A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
     AL = X[rows]
@@ -433,37 +452,49 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
 # independent oracle
 
 
-def _pack_keys(AL: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Pack an (alpha, a) coordinate pair into two int64 key columns."""
-    vals = np.concatenate([AL, A], axis=1).astype(np.int64)
-    if vals.size and np.abs(vals).max() >= (1 << 14):
+def _pack_coords(X: np.ndarray) -> np.ndarray:
+    """Pack each row of an (N, 4) coordinate array into one int64 key."""
+    if X.size and np.abs(X).max() >= (1 << 14):
         raise AssertionError("key coordinates exceed packing range")
     shift = np.int64(1 << 14)
-    k1 = ((vals[:, 0] + shift) << 45) | ((vals[:, 1] + shift) << 30) \
-        | ((vals[:, 2] + shift) << 15) | (vals[:, 3] + shift)
-    k2 = ((vals[:, 4] + shift) << 45) | ((vals[:, 5] + shift) << 30) \
-        | ((vals[:, 6] + shift) << 15) | (vals[:, 7] + shift)
-    return np.stack([k1, k2], axis=1)
+    return ((X[:, 0] + shift) << 45) | ((X[:, 1] + shift) << 30) \
+        | ((X[:, 2] + shift) << 15) | (X[:, 3] + shift)
 
 
 def _group_keys(keys: np.ndarray, indom: np.ndarray):
     """Bucket the rows of an (N, 2) int64 key array by equal key.
 
-    Returns (first, hits): for each distinct key (in ascending order) the
-    index of its first row, and how many of its rows have indom set.
+    Returns (first, hits, size): for each distinct key (in ascending
+    order) the index of its first row, how many of its rows have indom
+    set, and how many rows it has.
     """
     if keys.shape[0] == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        empty = np.zeros(0, np.int64)
+        return empty, empty, empty
     perm = np.lexsort((keys[:, 1], keys[:, 0]))
     sk = keys[perm]
     new = np.ones(sk.shape[0], bool)
     new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    return perm[starts], np.add.reduceat(indom[perm].astype(np.int64), starts)
+    size = np.diff(np.append(starts, sk.shape[0]))
+    return perm[starts], np.add.reduceat(indom[perm].astype(np.int64), starts), size
 
 
 def _brute_force_c(fd: FundamentalDomain, c) -> int:
-    """Oracle orbit count of one c; see brute_force_counts."""
+    """Oracle orbit count of one c; see brute_force_counts.
+
+    Every bucket holds exactly 81 = 3^4 triples, one per cell of the
+    window.  With c fixed, the shear (n(w) h + r, w), w in O and r in
+    Im O, sends alpha to alpha + w c and moves the cell coordinates of
+    alpha c^-1 by the coordinates of w, so an orbit meets each of the 3^4
+    horizontal cells of [-1, 2)^4 in exactly one horizontal translate.
+    Over that translate the shears with w fixed form the vertical fibre,
+    on which Im O moves the cell3 coordinates of 2 Im(a c^-1) by the
+    integer coordinates of r; the fibre therefore has exactly one point
+    with cell3 coordinates in [0, 1)^3.  The trace relation holds on the
+    whole orbit, so the enumeration holds these 81 triples of it and no
+    other, and only the one of the middle cell is in the domain.
+    """
     order = fd.order
     ctx = _CContext(fd, c)
     hR = np.array(order.mul(order.trace_one.coords, ctx.c), np.int64)
@@ -480,41 +511,44 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     if ok.size == 0:
         return 0
     ALPH, NAL = ALPH[ok], NAL[ok]
-    q = NAL // ctx.g
-    offs = q[:, None] * ctx.w0vec[None, :]
     # vertical window: cell coordinates in [0, 1)
-    local, T, _ = _box_points(ctx.T3, ctx.Pden, offs)
+    q = NAL // ctx.g
+    local, T, _ = _a_box(ctx, q)
     A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
-    AL = ALPH[local]
     if A.shape[0] == 0:
         return 0
 
     # spot re-verification of the defining predicates on about 64 rows
     step = max(1, A.shape[0] // 64)
-    for r in range((12345 + ctx.nc) % step, A.shape[0], step):
-        ac = tuple(int(v) for v in A[r])
-        alc = tuple(int(v) for v in AL[r])
+    spot = np.arange((12345 + ctx.nc) % step, A.shape[0], step)
+    for ac, alc in zip(A[spot].tolist(), ALPH[local[spot]].tolist()):
         if order.trace(order.mul(order.conj(ac), ctx.c)) != order.norm(alc):
             raise AssertionError("oracle emitted an inadmissible triple")
 
-    # canonicalise: horizontal translation first, then vertical
-    V4a = AL @ ctx.adjR
-    FL4 = V4a // ctx.D
+    # canonicalise: horizontal translation first, then vertical.  The
+    # horizontal step depends on alpha alone: per alpha, the translate
+    # WT, the canonical alpha and the shift it adds to a
+    FL4 = (ALPH @ ctx.adjR) // ctx.D
     WT = -FL4
-    AL_can = AL + WT @ ctx.R
-    CW = order.conjugates(WT)
-    NW = order.norms(WT)
-    A1 = A + order.mul_rows(CW, AL) + NW[:, None] * hR[None, :]
-    V3 = A1 @ ctx.Pnum
-    FL3 = V3 // ctx.Pden
+    AL_can = ALPH + WT @ ctx.R
+    shift = order.mul_rows(order.conjugates(WT), ALPH) \
+        + order.norms(WT)[:, None] * hR[None, :]
+    indom4 = (FL4 == 0).all(axis=1)
+    alpha_key = _pack_coords(AL_can)
+    # per triple: the vertical step
+    A1 = A + shift[local]
+    FL3 = (A1 @ ctx.Pnum) // ctx.Pden
     A_can = A1 - FL3 @ B3R
-    indom = (FL4 == 0).all(axis=1) & (FL3 == 0).all(axis=1)
+    indom = indom4[local] & (FL3 == 0).all(axis=1)
 
-    first, hits = _group_keys(_pack_keys(AL_can, A_can), indom)
+    keys = np.stack([alpha_key[local], _pack_coords(A_can)], axis=1)
+    first, hits, size = _group_keys(keys, indom)
     if not (hits == 1).all():
         raise AssertionError("oracle bucket without a unique in-domain triple")
+    if not (size == 81).all():
+        raise AssertionError("oracle bucket without one triple per window cell (81)")
     # primitivity is orbit-invariant: test only the canonical reps
-    return int(_primitive_mask(order, A_can[first], AL_can[first], ctx.c).sum())
+    return int(_primitive_mask(order, A_can[first], AL_can[local[first]], ctx.c).sum())
 
 
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
@@ -528,12 +562,24 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     the whole lattice during canonicalisation.  Each triple is moved to
     its canonical orbit representative, the triples are bucketed by that
     representative, every bucket is asserted to hold exactly one in-domain
-    triple, and the buckets with a primitive representative are counted.
-    About 64 enumerated triples per c are re-verified against the exact
-    trace predicate.  The window and canonicalisation are independent of
-    the transversal scan, and alpha = V4 . R / D is derived here, not read
-    off U4; the rest of the per-c data (_CContext) and the box
-    enumeration (_box_points) are shared with it.
+    triple and 81 triples in all (one per window cell, see _brute_force_c),
+    and the buckets with a primitive representative are counted.  About 64
+    enumerated triples per c are re-verified against the exact trace
+    predicate with the scalar Order arithmetic.
+
+    The horizontal step of the canonicalisation depends on alpha alone, so
+    it runs once per alpha: the floor of the alpha cell coordinates, the
+    canonical alpha, the shift conj(w) alpha + n(w) h that it adds to a,
+    the in-domain test of the four horizontal coordinates and the alpha
+    half of the key.  Per triple remain a, the shifted a, the vertical
+    floor, the canonical a, the a half of the key and the grouping.  The
+    a-box depends only on q = n(alpha) / g and is enumerated once per
+    distinct q (_a_box).
+
+    The window and canonicalisation are independent of the transversal
+    scan, and alpha = V4 . R / D is derived here, not read off U4; the rest
+    of the per-c data (_CContext) and the box enumeration (_box_points,
+    _a_box) are shared with it.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}

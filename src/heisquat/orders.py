@@ -277,7 +277,7 @@ class Order:
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         """n(x) for each row x of X (or for X itself when it is one row)."""
-        return np.einsum("...i,ij,...j->...", X, self._G2, X) // 2
+        return np.einsum("...i,...i->...", X @ self._G2, X) // 2
 
     def conjugates(self, X: np.ndarray) -> np.ndarray:
         """conj(x) for each row x of X (or for X itself when it is one row)."""

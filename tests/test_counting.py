@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (CountTable, _box_points, _c_list, _CContext,
-                               _group_keys, _primitive_mask,
-                               _right_coset_representatives, _scan_chunk,
+from heisquat.counting import (CountTable, _box_points, _brute_force_c, _c_list,
+                               _CContext, _group_keys, _primitive_mask,
+                               _right_coset_representatives, _scan_c, _scan_chunk,
                                brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
@@ -71,12 +71,13 @@ def test_brute_force_counts_equal_scan_summary(name, grid):
 def test_group_keys_buckets_by_both_columns():
     keys = np.array([[3, 1], [1, 2], [3, 1], [1, 1], [1, 2], [3, 0]], np.int64)
     indom = np.array([False, True, True, True, False, False])
-    first, hits = _group_keys(keys, indom)
+    first, hits, size = _group_keys(keys, indom)
     # buckets in key order: (1, 1), (1, 2), (3, 0), (3, 1)
     assert first.tolist() == [3, 1, 5, 0]
     assert hits.tolist() == [1, 1, 0, 1]
-    first, hits = _group_keys(keys[:0], indom[:0])
-    assert first.size == hits.size == 0
+    assert size.tolist() == [1, 2, 1, 2]
+    first, hits, size = _group_keys(keys[:0], indom[:0])
+    assert first.size == hits.size == size.size == 0
 
 
 @pytest.mark.parametrize("bad_keys", [
@@ -86,10 +87,59 @@ def test_group_keys_buckets_by_both_columns():
     lambda keys: np.zeros_like(keys),
 ], ids=["zero_in_domain", "several_in_domain"])
 def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, bad_keys):
-    pack = counting._pack_keys
-    monkeypatch.setattr(counting, "_pack_keys", lambda AL, A: bad_keys(pack(AL, A)))
+    group = counting._group_keys
+    monkeypatch.setattr(counting, "_group_keys",
+                        lambda keys, indom: group(bad_keys(keys), indom))
     with pytest.raises(AssertionError, match="unique in-domain"):
         brute_force_psi(hur, 3)
+
+
+def test_oracle_rejects_a_missing_triple(hur, monkeypatch):
+    # the first a-box row belongs to an alpha in cell -1 of the window, so
+    # its bucket keeps its in-domain triple and is left with 80 rows
+    a_box = counting._a_box
+    monkeypatch.setattr(counting, "_a_box",
+                        lambda ctx, q: tuple(x[1:] for x in a_box(ctx, q)))
+    with pytest.raises(AssertionError, match="one triple per window cell"):
+        brute_force_psi(hur, 2)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_a_box_equals_the_box_of_each_offset(name, monkeypatch):
+    # every q that the scan (scale 1 and 2) and the oracle form for
+    # n(c) <= 8; the oracle is stopped after its a-box
+    fd = FundamentalDomain(builtin_order(name))
+    a_box = counting._a_box
+    repeated = []
+
+    class Stop(Exception):
+        pass
+
+    def checked(ctx, q, stop=False):
+        got = a_box(ctx, q)
+        want = _box_points(ctx.T3, ctx.Pden, q[:, None] * ctx.w0vec[None, :])
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+        repeated.append(np.unique(q).size < q.size)
+        if stop:
+            raise Stop
+        return got
+
+    monkeypatch.setattr(counting, "_a_box", checked)
+    for c in _c_list(fd.order, 8):
+        _scan_c(fd, c)
+    for c in _c_list(fd.order, 8, 2):
+        _scan_c(fd, c, 2)
+    calls = len(repeated)
+    monkeypatch.setattr(counting, "_a_box", lambda ctx, q: checked(ctx, q, stop=True))
+    for c in _c_list(fd.order, 8):
+        try:
+            _brute_force_c(fd, c)
+        except Stop:
+            pass
+    assert calls > 0 and len(repeated) > calls
+    # the gather of a shared box is exercised by the scan and the oracle
+    assert any(repeated[:calls]) and any(repeated[calls:])
 
 
 def test_emitted_triples_satisfy_predicates(hur, fd):

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisquat.heisenberg import FundamentalDomain
@@ -281,6 +281,9 @@ def test_element_roundtrip(hur, d3):
 # -- the batched int64 arithmetic against the exact scalar methods
 
 COORDS = st.tuples(*[st.integers(-60, 60)] * 4)
+# the oracle's key-packing range, which bounds every coordinate it forms
+KEY = 2 ** 14 - 1
+ROWS = COORDS | st.tuples(*[st.integers(-KEY, KEY)] * 4)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +292,9 @@ def _domain(name):
 
 
 @given(st.sampled_from(["hurwitz", "d3"]),
-       st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6))
+       st.lists(st.tuples(ROWS, ROWS), min_size=1, max_size=6))
+@example("hurwitz", [((KEY, -KEY, KEY, -KEY), (KEY,) * 4), ((-KEY,) * 4, (0, KEY, 0, -KEY))])
+@example("d3", [((KEY,) * 4, (-KEY, KEY, -KEY, KEY)), ((-KEY, 0, KEY, -KEY), (KEY,) * 4)])
 def test_batched_arithmetic_matches_scalar(name, pairs):
     fd = _domain(name)
     order = fd.order
