@@ -27,6 +27,11 @@ oracle: it enumerates *all* admissible triples in a padded window of
 cells, buckets them by canonical orbit key and counts distinct keys,
 asserting that each bucket holds exactly one in-domain triple.  It scans
 every c, in one pass for a whole grid of s.
+
+The per-c work of both is independent and exact, so one helper,
+_pool_map, spreads a list of c over a process pool: scan_summary with
+threads > 1, the oracle always, with one worker per CPU.  Per-c results
+are added in the parent, so no output depends on the partition.
 """
 
 from __future__ import annotations
@@ -334,29 +339,36 @@ def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict
     return out
 
 
-def _record_batches(fd: FundamentalDomain, cs, scale: int, key: str, threads: int):
-    """Checkpoint records of cs, a list per batch: one c per batch in
-    process, or a process pool of at most one worker per CPU over
-    threads * 8 interleaved chunks.  Workers receive fd pickled, with its
-    order's validated tables and units."""
-    scan_chunk = functools.partial(_scan_chunk, fd, key, scale)
-    if threads > 1 and len(cs) > 8:
+def _pool_map(chunk_fn, items: list, workers: int):
+    """chunk_fn over items, yielding its results in order: one item per
+    call in process, or, with more than one worker and more than 8 items,
+    a process pool of at most one worker per CPU over workers * 8
+    interleaved slices.  chunk_fn is pickled to the workers, so it must be
+    a module-level function or a partial of one."""
+    if workers > 1 and len(items) > 8:
         from concurrent.futures import ProcessPoolExecutor
-        nch = min(threads * 8, len(cs))
-        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            yield from pool.map(scan_chunk, [cs[i::nch] for i in range(nch)])
+        nch = min(workers * 8, len(items))
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            yield from pool.map(chunk_fn, [items[i::nch] for i in range(nch)])
     else:
-        yield from map(scan_chunk, ([c] for c in cs))
+        yield from map(chunk_fn, ([x] for x in items))
 
 
-def _load_checkpoint(fh, key: str, cs) -> Dict[Tuple[int, ...], dict]:
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], dict]:
     """The records that carry key and whose c is in cs, from a JSONL
     checkpoint open in "a+b" mode.
 
-    A torn last line, left by a killed run, is cut off the file so that
-    new records start on a line of their own.  The file is read under the
-    lock that every append takes, so a record another run is still
-    writing is never taken for a torn one.
+    A record is kept only if its nc is n(c), its count a non-negative int
+    divisible by |O^x| and its hist 128 non-negative ints that sum to the
+    count; any other record is ignored, like a foreign one, and its coset
+    is scanned again.  A torn last line, left by a killed run, is cut off
+    the file so that new records start on a line of their own.  The file
+    is read under the lock that every append takes, so a record another
+    run is still writing is never taken for a torn one.
     """
     import fcntl
     fcntl.flock(fh, fcntl.LOCK_EX)
@@ -368,13 +380,19 @@ def _load_checkpoint(fh, key: str, cs) -> Dict[Tuple[int, ...], dict]:
             fh.truncate(end)
     finally:
         fcntl.flock(fh, fcntl.LOCK_UN)
+    weight = len(order.units)
     wanted = set(cs)
     done = {}
     for line in data[:end].splitlines():
         try:
             rec = json.loads(line)
             c = tuple(rec["c"])
-            if rec["key"] == key and c in wanted:
+            if rec["key"] != key or c not in wanted:
+                continue
+            count, hist = rec["count"], rec["hist"]
+            if (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0
+                    and type(hist) is list and len(hist) == 128
+                    and all(_is_count(h) for h in hist) and sum(hist) == count):
                 done[c] = rec
         except (ValueError, KeyError, TypeError):
             continue
@@ -411,23 +429,27 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     module docstring).  Results are per-coset additive, so the output does
     not depend on the thread partition.  An optional JSONL checkpoint
     stores one record per coset, keyed by checkpoint_key(order, scale);
-    on resume, records with another key or a c outside the current list
-    are ignored.  Runs that share a checkpoint take turns reading and
-    appending it, so neither loses the other's records; a coset both runs
-    scan is stored twice and counted once.  progress(done, total) is
-    called after each batch.
+    on resume, records with another key, a c outside the current list or
+    a count and histogram that do not check out are ignored.  Runs that
+    share a checkpoint take turns reading and appending it, so neither
+    loses the other's records; a coset both runs scan is stored twice and
+    counted once.  With threads > 1 the cosets go to a process pool
+    (_pool_map) that receives the fundamental domain pickled, with its
+    order's validated tables and units.  progress(done, total) is called
+    after each batch.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
     smax = max(grid + hlev) if (grid or hlev) else Fraction(0)
     reps = _right_coset_representatives(order, _c_list(order, smax, scale))
     key = checkpoint_key(order, scale)
+    scan_chunk = functools.partial(_scan_chunk, FundamentalDomain(order), key, scale)
     ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
-        done = _load_checkpoint(ckpt, key, reps) if ckpt else {}
+        done = _load_checkpoint(ckpt, key, order, reps) if ckpt else {}
         records = list(done.values())
         todo = [c for c in reps if c not in done]
-        for batch in _record_batches(FundamentalDomain(order), todo, scale, key, threads):
+        for batch in _pool_map(scan_chunk, todo, threads):
             records.extend(batch)
             if ckpt:
                 _append_checkpoint(ckpt, batch)
@@ -551,9 +573,18 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     return int(_primitive_mask(order, A_can[first], AL_can[local[first]], ctx.c).sum())
 
 
+def _brute_force_chunk(fd: FundamentalDomain, cs) -> List[Tuple[int, int]]:
+    """(n(c), oracle orbit count of c) for each c in cs."""
+    return [(fd.order.norm(c), _brute_force_c(fd, c)) for c in cs]
+
+
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """Oracle orbit counts at each s in s_grid, from one pass over every c
-    with 0 < n(c) <= max(s_grid); no unit-coset reduction.
+    with 0 < n(c) <= max(s_grid); no unit-coset reduction.  The per-c
+    counts run on a process pool of one worker per CPU (_pool_map, as the
+    scan's --threads) and are added per level here, so the result does not
+    depend on the partition; the pool splits the list of c and shares
+    nothing else with the scan.
 
     For each c the oracle enumerates the admissible triples whose alpha
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
@@ -583,13 +614,12 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
-    fd = FundamentalDomain(order)
-    for c in _c_list(order, max(grid, default=0)):
-        found = _brute_force_c(fd, c)
-        nc = order.norm(c)
-        for g in grid:
-            if nc <= g:
-                counts[g] += found
+    chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
+    for batch in _pool_map(chunk, _c_list(order, max(grid, default=0)), os.cpu_count() or 1):
+        for nc, found in batch:
+            for g in grid:
+                if nc <= g:
+                    counts[g] += found
     return counts
 
 

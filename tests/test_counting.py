@@ -16,7 +16,7 @@ from heisquat import counting
 from heisquat.counting import (CountTable, _box_points, _brute_force_c, _c_list,
                                _CContext, _group_keys, _primitive_mask,
                                _right_coset_representatives, _scan_c, _scan_chunk,
-                               brute_force_counts,
+                               ScanSummary, brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
                                scan_summary)
@@ -61,10 +61,15 @@ def test_oracle_equality_d3():
 
 
 @pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4]), ("d3", [1, 2, 3])])
-def test_brute_force_counts_equal_scan_summary(name, grid):
+def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_runs):
     order = builtin_order(name)
-    counts = brute_force_counts(order, grid)
-    assert counts == scan_summary(order, grid).counts
+    want = scan_summary(order, grid).counts
+    # the oracle runs one worker per CPU, and no pool on one CPU
+    for cpus, pools in ((2, [2]), (1, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert brute_force_counts(order, grid) == want
+        assert pool_runs == pools
+        pool_runs.clear()
     assert brute_force_counts(order, [Fraction(1, 2), 0]) == {0: 0, Fraction(1, 2): 0}
 
 
@@ -86,22 +91,28 @@ def test_group_keys_buckets_by_both_columns():
     # one bucket for all rows: it holds every in-domain triple
     lambda keys: np.zeros_like(keys),
 ], ids=["zero_in_domain", "several_in_domain"])
-def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, bad_keys):
+def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, pool_runs,
+                                                             bad_keys):
+    # raised in a pool worker, the assertion reaches the caller
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     group = counting._group_keys
     monkeypatch.setattr(counting, "_group_keys",
                         lambda keys, indom: group(bad_keys(keys), indom))
     with pytest.raises(AssertionError, match="unique in-domain"):
         brute_force_psi(hur, 3)
+    assert pool_runs
 
 
-def test_oracle_rejects_a_missing_triple(hur, monkeypatch):
+def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
     # the first a-box row belongs to an alpha in cell -1 of the window, so
     # its bucket keeps its in-domain triple and is left with 80 rows
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     a_box = counting._a_box
     monkeypatch.setattr(counting, "_a_box",
                         lambda ctx, q: tuple(x[1:] for x in a_box(ctx, q)))
     with pytest.raises(AssertionError, match="one triple per window cell"):
         brute_force_psi(hur, 2)
+    assert pool_runs
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -245,7 +256,13 @@ def test_scan_summary_threads_match(hur, pool_runs):
     assert (a.hists[Fraction(8)] == b.hists[Fraction(8)]).all()
 
 
-def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch):
+@pytest.mark.parametrize("run, s, one_cpu", [
+    # the scan takes any thread count down to one worker per CPU
+    (lambda order, s: scan_summary(order, [s], hist_levels=[s], threads=10 ** 6), 8, [1]),
+    # the oracle asks for one worker per CPU, so one CPU starts no pool
+    (lambda order, s: ScanSummary(brute_force_counts(order, [s]), {}), 4, []),
+], ids=["scan", "oracle"])
+def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch, run, s, one_cpu):
     # a stand-in executor that records its worker count and maps in process,
     # after a pickle round trip of what a worker would receive
     started = []
@@ -264,14 +281,15 @@ def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch):
             return map(pickle.loads(pickle.dumps(fn)), *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    serial = scan_summary(hur, [8], hist_levels=[8])
-    for cpus, workers in ((3, 3), (None, 1)):
+    serial = scan_summary(hur, [s], hist_levels=[s])
+    for cpus, workers in ((3, [3]), (None, one_cpu)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        got = scan_summary(hur, [8], hist_levels=[8], threads=10 ** 6)
-        assert started.pop() == workers
+        got = run(hur, s)
+        assert started == workers
+        started.clear()
         assert got.counts == serial.counts
-        assert (got.hists[Fraction(8)] == serial.hists[Fraction(8)]).all()
-    assert started == []
+        for g in got.hists:
+            assert (got.hists[g] == serial.hists[g]).all(), g
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -546,3 +564,40 @@ def test_count_table_fields(hur):
     assert d["rows"][1] == {"s": "2", "count": 96}
     assert len(d["ratios"]) == 3
     assert d["reference_symbolic"] == "54*pi^-8"
+
+
+def _shift_hist(rec):
+    # a negative cell, the sum kept
+    rec["hist"][0] -= rec["count"] + 24
+    rec["hist"][1] += rec["count"] + 24
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda rec: rec.pop("count"),
+    lambda rec: rec.pop("nc"),
+    lambda rec: rec.pop("hist"),
+    lambda rec: rec.update(nc=rec["nc"] + 1),
+    lambda rec: rec.update(count=rec["count"] + 24),
+    lambda rec: rec.update(count=rec["count"] + 1, hist=[rec["hist"][0] + 1] + rec["hist"][1:]),
+    lambda rec: rec.update(count=-rec["count"], hist=[-h for h in rec["hist"]]),
+    lambda rec: rec.update(count=float(rec["count"])),
+    lambda rec: rec.update(hist=rec["hist"][:126] + [rec["hist"][126] + rec["hist"][127]]),
+    lambda rec: rec.update(hist=[float(rec["hist"][0])] + rec["hist"][1:]),
+    _shift_hist,
+], ids=["no_count", "no_nc", "no_hist", "wrong_nc", "count_not_hist_sum",
+        "count_not_unit_multiple", "negative_count", "float_count", "short_hist",
+        "float_cell", "negative_cell"])
+def test_checkpoint_record_that_does_not_check_out_is_scanned_again(hur, tmp_path, spoil):
+    ck = tmp_path / "chk.jsonl"
+    fresh = scan_summary(hur, [1, 2, 3], hist_levels=[3], checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    rec = json.loads(lines[-1])
+    assert rec["nc"] == 3 and rec["count"] > 0
+    spoil(rec)
+    ck.write_text("\n".join(lines[:-1] + [json.dumps(rec)]) + "\n")
+    resumed = scan_summary(hur, [1, 2, 3], hist_levels=[3], checkpoint_path=str(ck))
+    assert resumed.counts == fresh.counts
+    assert (resumed.hists[Fraction(3)] == fresh.hists[Fraction(3)]).all()
+    # only the spoiled coset was scanned again
+    again = ck.read_text().splitlines()
+    assert again[:-1] == lines[:-1] + [json.dumps(rec)] and again[-1] == lines[-1]
