@@ -16,11 +16,24 @@ n(c), commutes with the left shear action, and fixes the Heisenberg point
 given c bijectively onto those with cv and keeps each one's dyadic cell:
 the per-c count and 128-cell histogram depend only on the right coset
 c O^x.  Units act freely on c != 0 and keep c in scale * O, so the c list
-is a union of whole cosets of |O^x| members each.  scan_summary (and
-through it psi_count without triples, count_table and equidist_histogram)
-therefore scans the lexicographically least c of each coset and weights
-it by |O^x|.  scan() and psi_count with triples stay full per-c
-enumerations; the tests compare the reduction against them.
+is a union of whole cosets of |O^x| members each.
+
+Left multiplication by a unit u, (a, alpha, c) -> (ua, u alpha, uc), also
+keeps the trace relation (tr(conj(ua) uc) = n(u) tr(conj(a) c)), the left
+ideal (O u = O) and n(c).  It maps N(O)-orbits to N(O)-orbits: the shear
+(n(w) h + r, w) moves alpha by w c and a by conj(w) alpha + (n(w) h + r) c,
+and u conjugates it to the shear (n(w) h + r', u w u^-1), r' = n(w) (u h
+u^-1 - h) + u r u^-1, where u h u^-1 - h has trace 0 and lies in O, so r'
+is in Im O.  So the per-c orbit count f(c) (which depends only on the
+left ideal Oc) is constant on the double coset O^x c O^x: f(u c v) = f(c).
+The histogram is not, since u moves alpha c^-1 to u alpha c^-1 u^-1.
+
+scan_summary (and through it psi_count without triples, count_table and
+equidist_histogram) scans the lexicographically least c of each right
+coset, weighted by |O^x|, if n(c) is at most the largest histogram level;
+above it, only the least c of each double coset, whose count stands for
+every right coset of the class.  scan() and psi_count with triples stay
+full per-c enumerations; the tests compare the reductions against them.
 
 brute_force_counts (and brute_force_psi, its one-level form) is the
 oracle: it enumerates *all* admissible triples in a padded window of
@@ -29,9 +42,10 @@ asserting that each bucket holds exactly one in-domain triple.  It scans
 every c, in one pass for a whole grid of s.
 
 The per-c work of both is independent and exact, so one helper,
-_pool_map, spreads a list of c over a process pool: scan_summary with
-threads > 1, the oracle always, with one worker per CPU.  Per-c results
-are added in the parent, so no output depends on the partition.
+_pool_map, spreads it over a process pool: scan_summary's work items with
+threads > 1, the oracle's list of c always, with one worker per CPU.
+Per-c results are added in the parent, so no output depends on the
+partition.
 """
 
 from __future__ import annotations
@@ -254,6 +268,22 @@ def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
     return [cs[i] for i in by_norm]
 
 
+def _lex_least(X: np.ndarray) -> np.ndarray:
+    """Row n of the result is the lexicographically least of the rows
+    X[:, n] of a (k, N, 4) array."""
+    out = np.empty(X.shape[1:], X.dtype)
+    keep = np.ones(X.shape[:2], bool)
+    for j in range(X.shape[2]):
+        out[:, j] = np.where(keep, X[..., j], np.iinfo(X.dtype).max).min(axis=0)
+        keep &= X[..., j] == out[:, j]
+    return out
+
+
+def _unit_right_mul(order: Order) -> np.ndarray:
+    """The (|O^x|, 4, 4) stack of the matrices of x -> x v, v in O^x."""
+    return order.right_mul(np.array([u.coords for u in order.units], np.int64))
+
+
 def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
     """The lexicographically least member of each right coset c O^x in cs.
 
@@ -261,20 +291,42 @@ def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
     multiplication by a unit keeps n(c) and keeps c in scale * O.  Units
     act freely on c != 0, so each coset has exactly |O^x| members.
     """
-    if not cs:
-        return []
-    C = np.array(cs, np.int64)
-    rows = np.arange(C.shape[0])
-    least = np.ones(C.shape[0], bool)
-    for u in order.units:
-        image = C @ order.right_mul(np.array(u.coords, np.int64))
-        differ = image != C
-        first = differ.argmax(axis=1)
-        least &= ~(differ.any(axis=1) & (image[rows, first] < C[rows, first]))
+    C = np.array(cs, np.int64).reshape(-1, 4)
+    least = (_lex_least(C @ _unit_right_mul(order)) == C).all(axis=1)
     reps = [c for c, keep in zip(cs, least) if keep]
     if len(reps) * len(order.units) != len(cs):
         raise AssertionError("c list is not a union of whole right unit cosets")
     return reps
+
+
+def _double_coset_keys(order: Order, C: np.ndarray) -> np.ndarray:
+    """The lexicographically least u c v, u and v in O^x, for each row c
+    of C; it is also the least member of its own right coset.  As -1 is
+    central, u c v = (-u) c (-v), so u runs over one of each pair +-u."""
+    R = _unit_right_mul(order)
+    U = np.array([u.coords for u in order.units
+                  if u.coords > tuple(-x for x in u.coords)], np.int64)
+    # the matrices of x -> u x: row i is coords(u e_i) = u . R_{e_i}
+    L = np.einsum("kj,ijl->kil", U, order.right_mul(np.eye(4, dtype=np.int64)))
+    key = C
+    for Lu in L:
+        key = _lex_least(np.concatenate([key[None], (C @ Lu) @ R]))
+    return key
+
+
+def _scan_classes(order: Order, reps, hist_max) -> Dict[Tuple[int, ...], list]:
+    """{c to scan: the right cosets it stands for}, over the right coset
+    representatives reps, in their order.  A c with n(c) > hist_max stands
+    for every right coset in O^x c O^x and is the least member of it; any
+    other c stands for its own right coset only (the histogram is not
+    left-invariant)."""
+    C = np.array(reps, np.int64).reshape(-1, 4)
+    big = order.norms(C) > hist_max
+    keys = iter(_double_coset_keys(order, C[big]).tolist())
+    classes: Dict[Tuple[int, ...], list] = {}
+    for c, b in zip(reps, big):
+        classes.setdefault(tuple(next(keys)) if b else c, []).append(c)
+    return classes
 
 
 def scan(order: Order, s, scale: int = 1) -> Iterable[CRecord]:
@@ -327,15 +379,21 @@ def checkpoint_key(order: Order, scale: int = 1) -> str:
 
 
 def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict]:
-    """Checkpoint records of the cosets c O^x, c in chunk: the scan of c
-    with its count and histogram weighted by |O^x|."""
+    """Checkpoint records for the work items (c, cosets) in chunk: c is
+    scanned once, and each right coset r O^x, r in cosets, gets a record
+    with the count of c weighted by |O^x|.  That is exact for every r in
+    O^x c O^x, as the orbit count is invariant under left and right unit
+    multiplication (module docstring).  The histogram is only right
+    invariant, so only the record of c itself carries it."""
     weight = len(fd.order.units)
     out = []
-    for c in chunk:
+    for c, cosets in chunk:
         rec = _scan_c(fd, c, scale)
-        hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
-        out.append({"key": key, "c": list(rec.c), "nc": rec.nc,
-                    "count": rec.count * weight, "hist": hist.tolist()})
+        for r in cosets:
+            out.append({"key": key, "c": list(r), "nc": rec.nc, "count": rec.count * weight})
+            if r == rec.c:
+                hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
+                out[-1]["hist"] = hist.tolist()
     return out
 
 
@@ -363,12 +421,14 @@ def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], di
     checkpoint open in "a+b" mode.
 
     A record is kept only if its nc is n(c), its count a non-negative int
-    divisible by |O^x| and its hist 128 non-negative ints that sum to the
-    count; any other record is ignored, like a foreign one, and its coset
-    is scanned again.  A torn last line, left by a killed run, is cut off
-    the file so that new records start on a line of their own.  The file
-    is read under the lock that every append takes, so a record another
-    run is still writing is never taken for a torn one.
+    divisible by |O^x| and its hist, if it has one, 128 non-negative ints
+    that sum to the count; any other record is ignored, like a foreign one,
+    and its coset is scanned again.  Of several records of one coset, one
+    with a hist is kept over any without.  A torn last line, left by a
+    killed run, is cut off the file so that new records start on a line of
+    their own.  The file is read under the lock that every append takes,
+    so a record another run is still writing is never taken for a torn
+    one.
     """
     import fcntl
     fcntl.flock(fh, fcntl.LOCK_EX)
@@ -389,9 +449,14 @@ def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], di
             c = tuple(rec["c"])
             if rec["key"] != key or c not in wanted:
                 continue
-            count, hist = rec["count"], rec["hist"]
-            if (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0
-                    and type(hist) is list and len(hist) == 128
+            count = rec["count"]
+            if not (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0):
+                continue
+            if "hist" not in rec:
+                done.setdefault(c, rec)
+                continue
+            hist = rec["hist"]
+            if (type(hist) is list and len(hist) == 128
                     and all(_is_count(h) for h in hist) and sum(hist) == count):
                 done[c] = rec
         except (ValueError, KeyError, TypeError):
@@ -425,36 +490,48 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     """Counts at each s in s_grid and 128-cell histograms at hist_levels,
     from a single pass over c with 0 < n(c) <= max(s_grid).
 
-    One c per right unit coset is scanned and weighted by |O^x| (see the
-    module docstring).  Results are per-coset additive, so the output does
-    not depend on the thread partition.  An optional JSONL checkpoint
-    stores one record per coset, keyed by checkpoint_key(order, scale);
-    on resume, records with another key, a c outside the current list or
-    a count and histogram that do not check out are ignored.  Runs that
-    share a checkpoint take turns reading and appending it, so neither
-    loses the other's records; a coset both runs scan is stored twice and
-    counted once.  With threads > 1 the cosets go to a process pool
-    (_pool_map) that receives the fundamental domain pickled, with its
-    order's validated tables and units.  progress(done, total) is called
-    after each batch.
+    The count of c is constant on its double coset O^x c O^x and its
+    histogram on its right coset c O^x (see the module docstring).  So a
+    right coset with n(c) <= max(hist_levels) is scanned once, at its
+    least member, weighted by |O^x|; above that level one c per double
+    coset is scanned, its least member, and its weighted count is recorded
+    for every right coset of the class, the histogram only for its own.
+    Results are per-coset additive, so the output does not depend on the
+    thread partition.  An optional JSONL checkpoint stores one record per
+    right coset, keyed by checkpoint_key(order, scale); on resume, records
+    with another key, a c outside the current list or a count and
+    histogram that do not check out are ignored, and so is a record
+    without a histogram where one is needed.  Runs that share a checkpoint
+    take turns reading and appending it, so neither loses the other's
+    records; a coset both runs scan is stored twice and counted once.
+    With threads > 1 the work items (c to scan, right cosets to record) go
+    to a process pool (_pool_map) that receives the fundamental domain
+    pickled, with its order's validated tables and units.
+    progress(done, total) is called after each batch, with the number of
+    right cosets recorded so far and to record in all.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
     smax = max(grid + hlev) if (grid or hlev) else Fraction(0)
+    hist_max = max(hlev, default=Fraction(0)) // 1
     reps = _right_coset_representatives(order, _c_list(order, smax, scale))
     key = checkpoint_key(order, scale)
     scan_chunk = functools.partial(_scan_chunk, FundamentalDomain(order), key, scale)
     ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
         done = _load_checkpoint(ckpt, key, order, reps) if ckpt else {}
+        done = {c: rec for c, rec in done.items() if "hist" in rec or rec["nc"] > hist_max}
         records = list(done.values())
-        todo = [c for c in reps if c not in done]
+        todo = [(c, [r for r in cosets if r not in done])
+                for c, cosets in _scan_classes(order, reps, hist_max).items()]
+        todo = [item for item in todo if item[1]]
+        total = sum(len(cosets) for _, cosets in todo)
         for batch in _pool_map(scan_chunk, todo, threads):
             records.extend(batch)
             if ckpt:
                 _append_checkpoint(ckpt, batch)
             if progress:
-                progress(len(records) - len(done), len(todo))
+                progress(len(records) - len(done), total)
     finally:
         if ckpt:
             ckpt.close()

@@ -16,6 +16,7 @@ from heisquat import counting
 from heisquat.counting import (CountTable, _box_points, _brute_force_c, _c_list,
                                _CContext, _group_keys, _primitive_mask,
                                _right_coset_representatives, _scan_c, _scan_chunk,
+                               _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
                                fit_and_compare, histogram_report, psi_count, scan,
@@ -303,8 +304,12 @@ def test_fundamental_domain_survives_pickling(name):
     assert (copy.cell3_num == fd.cell3_num).all()
     with pytest.raises(AttributeError):
         copy.order.basis_quats[0].x0 = 5
+    # work items of both kinds: one right coset each up to n(c) = 3, one
+    # double coset each above
     reps = _right_coset_representatives(fd.order, _c_list(fd.order, 6))
-    assert _scan_chunk(copy, "k", 1, reps) == _scan_chunk(fd, "k", 1, reps)
+    items = list(_scan_classes(fd.order, reps, 3).items())
+    assert any(len(cosets) > 1 for _, cosets in items)
+    assert _scan_chunk(copy, "k", 1, items) == _scan_chunk(fd, "k", 1, items)
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -323,7 +328,8 @@ def test_alpha_transversal_equals_the_oracle_formula(name):
 
 
 def test_scan_summary_progress(tmp_path, pool_runs):
-    # 44 coset representatives up to s = 8 on d3
+    # 44 right coset representatives up to s = 8 on d3, in 13 double cosets:
+    # one call per double coset, counting the right cosets recorded
     d3 = builtin_order("d3")
     calls = []
 
@@ -331,7 +337,7 @@ def test_scan_summary_progress(tmp_path, pool_runs):
         calls.append((done, total))
 
     scan_summary(d3, [8], progress=progress)
-    assert calls == [(k, 44) for k in range(1, 45)]
+    assert calls == [(k, 44) for k in (1, 4, 5, 11, 12, 15, 18, 21, 23, 29, 35, 41, 44)]
     ck = str(tmp_path / "chk.jsonl")
     calls.clear()
     scan_summary(d3, [8], checkpoint_path=ck, threads=2, progress=progress)
@@ -354,7 +360,8 @@ def test_scan_summary_checkpoint_resume(hur, tmp_path):
 
 
 @pytest.mark.parametrize("name, scale, grid", [
-    ("hurwitz", 1, (4, 8, 12)), ("d3", 1, (4, 8, 12)), ("hurwitz", 2, (8, 16))])
+    ("hurwitz", 1, (4, 8, 12)), ("d3", 1, (4, 8, 12)), ("hurwitz", 2, (8, 16)),
+    ("hurwitz", 3, (9, 18, 36))])
 def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
     order = builtin_order(name)
     units = len(order.units)
@@ -387,6 +394,143 @@ def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
     assert reduced.counts == counts
     for g in counts:
         assert (reduced.hists[g] == hists[g]).all(), g
+    # counts only: one scan per double coset
+    assert scan_summary(order, grid, scale=scale).counts == counts
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_orbit_count_is_invariant_under_left_units(name):
+    # f(u c) = f(c) for every c and unit u; the histogram is not left
+    # invariant, which is why histogram levels scan every right coset
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    moved_hist = False
+    for scale, s in ((1, 8), (2, 32)):
+        recs = {c: _scan_c(fd, c, scale) for c in _c_list(order, s, scale)}
+        for c, rec in recs.items():
+            for u in order.units:
+                other = recs[order.mul(u.coords, c)]
+                assert other.count == rec.count, (c, u)
+                moved_hist |= not (np.bincount(other.bucket, minlength=128)
+                                   == np.bincount(rec.bucket, minlength=128)).all()
+    assert moved_hist
+
+
+@pytest.mark.parametrize("name, scale, s", [
+    ("hurwitz", 1, 16), ("d3", 1, 16), ("hurwitz", 2, 32), ("d3", 2, 32)])
+def test_scan_classes_are_the_two_sided_unit_cosets(name, scale, s):
+    order = builtin_order(name)
+    units = [u.coords for u in order.units]
+    cs = _c_list(order, s, scale)
+    reps = _right_coset_representatives(order, cs)
+    classes = _scan_classes(order, reps, 0)
+    recorded = [r for cosets in classes.values() for r in cosets]
+    assert sorted(recorded) == sorted(reps)
+    assert sum(len(cosets) for cosets in classes.values()) * len(units) == len(cs)
+    for key, cosets in classes.items():
+        assert key in cosets
+        for c in cosets:
+            left = {order.mul(u, c) for u in units}
+            assert min(order.mul(x, v) for x in left for v in units) == key, c
+    # up to the histogram level each right coset is its own class
+    hist_max = 4
+    for key, cosets in _scan_classes(order, reps, hist_max).items():
+        if order.norm(key) <= hist_max:
+            assert cosets == [key]
+        else:
+            assert cosets == classes[key]
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mixed_summary_equals_the_histogram_run(name, threads, pool_runs):
+    # histograms up to s = 8 from one scan per right coset, counts above it
+    # from one scan per double coset
+    order = builtin_order(name)
+    full = scan_summary(order, (4, 8, 12), hist_levels=(8, 12))
+    mixed = scan_summary(order, (4, 8, 12), hist_levels=[8], threads=threads)
+    assert pool_runs == ([2] if threads == 2 else [])
+    assert mixed.counts == full.counts
+    assert list(mixed.hists) == [8]
+    assert (mixed.hists[Fraction(8)] == full.hists[Fraction(8)]).all()
+
+
+def _all_histogram_checkpoint(order, s, path):
+    # one record with count and histogram per right coset, the format of
+    # every record before counts were recorded per double coset
+    key = checkpoint_key(order)
+    weight = len(order.units)
+    reps = set(_right_coset_representatives(order, _c_list(order, s)))
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in scan(order, s):
+            if rec.c in reps:
+                hist = (np.bincount(rec.bucket, minlength=128) * weight).tolist()
+                fh.write(json.dumps({"key": key, "c": list(rec.c), "nc": rec.nc,
+                                     "count": rec.count * weight, "hist": hist}) + "\n")
+
+
+def test_checkpoint_with_histograms_everywhere_resumes_with_no_new_lines(hur, tmp_path):
+    ck = tmp_path / "chk.jsonl"
+    _all_histogram_checkpoint(hur, 6, ck)
+    lines = ck.read_text()
+    for hist_levels in ((), (3,), (6,)):
+        got = scan_summary(hur, (2, 4, 6), hist_levels=hist_levels, checkpoint_path=str(ck))
+        fresh = scan_summary(hur, (2, 4, 6), hist_levels=hist_levels)
+        assert ck.read_text() == lines
+        assert got.counts == fresh.counts
+        for g in fresh.hists:
+            assert (got.hists[g] == fresh.hists[g]).all(), g
+
+
+def test_histogram_run_rescans_exactly_the_cosets_without_a_histogram(tmp_path):
+    d3 = builtin_order("d3")
+    ck = tmp_path / "chk.jsonl"
+    counts_only = scan_summary(d3, (4, 8), checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(_right_coset_representatives(d3, _c_list(d3, 8)))
+    # records without a histogram are accepted by a run that needs none
+    assert any("hist" not in rec for rec in records)
+    assert scan_summary(d3, (4, 8), checkpoint_path=str(ck)).counts == counts_only.counts
+    assert ck.read_text().splitlines() == lines
+    # a run with histograms up to 4 rescans the cosets with n(c) <= 4
+    # whose record has none, and only those
+    missing = sorted(tuple(rec["c"]) for rec in records
+                     if rec["nc"] <= 4 and "hist" not in rec)
+    assert missing
+    got = scan_summary(d3, (4, 8), hist_levels=[4], checkpoint_path=str(ck))
+    fresh = scan_summary(d3, (4, 8), hist_levels=[4])
+    assert got.counts == fresh.counts
+    assert (got.hists[Fraction(4)] == fresh.hists[Fraction(4)]).all()
+    after = ck.read_text().splitlines()
+    assert after[:len(lines)] == lines
+    added = [json.loads(line) for line in after[len(lines):]]
+    assert sorted(tuple(rec["c"]) for rec in added) == missing
+    assert all("hist" in rec for rec in added)
+    scan_summary(d3, (4, 8), hist_levels=[4], checkpoint_path=str(ck))
+    assert ck.read_text().splitlines() == after
+
+
+@pytest.mark.parametrize("without_first", [True, False])
+def test_a_record_with_a_histogram_wins_over_one_without(hur, tmp_path, without_first):
+    # every coset also gets a valid record without a histogram whose count
+    # is off by one unit multiple; the record with the histogram must win
+    ck = tmp_path / "chk.jsonl"
+    fresh = scan_summary(hur, (2, 4), hist_levels=[4], checkpoint_path=str(ck))
+    with_hist = ck.read_text().splitlines()
+    without = []
+    for line in with_hist:
+        rec = json.loads(line)
+        del rec["hist"]
+        rec["count"] += len(hur.units)
+        without.append(json.dumps(rec))
+    lines = without + with_hist if without_first else with_hist + without
+    ck.write_text("\n".join(lines) + "\n")
+    for hist_levels in ((), (4,)):
+        got = scan_summary(hur, (2, 4), hist_levels=hist_levels, checkpoint_path=str(ck))
+        assert got.counts == fresh.counts
+        assert ck.read_text().splitlines() == lines
+    assert (got.hists[Fraction(4)] == fresh.hists[Fraction(4)]).all()
 
 
 @pytest.mark.parametrize("name, grid", [("hurwitz", (4, 8)), ("d3", (4, 8, 12))])
