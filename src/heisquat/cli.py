@@ -129,6 +129,13 @@ def cmd_equidist(args) -> int:
 def cmd_constants(args) -> int:
     if args.n < 2:
         return _usage_error("n must be >= 2")
+    # str() of a longer int raises; 2^(4n+1) alone has more than n digits
+    limit = sys.get_int_max_str_digits()
+    if limit and (args.n > limit or K.report_digits(args.n) > limit):
+        return _usage_error(
+            f"n = {args.n} is too large: the report's largest exact number, "
+            f"2^(4n+1) (2n+1)!/n, would exceed the {limit}-digit limit of "
+            "integer strings")
     try:
         d = K.ArithmeticData(args.da, args.units, args.ha)
     except ValueError as exc:

@@ -4,7 +4,10 @@ independent numerical verification.
 Every constant is carried as an exact rational multiple of a power of pi
 (SymbolicConstant), so identities between constants are checked exactly;
 decimals appear only at the display layer.  Each constant that has an
-integral representation is re-computed by adaptive quadrature.
+integral representation is re-computed by adaptive quadrature: QUADPACK's
+qagse (21-point Gauss-Kronrod, qk21) on finite ranges and qagie (15-point
+rule qk15i on the mapped range) on infinite ones, both with epsilon
+extrapolation, ported to Python in heisquat.quadrature.
 """
 
 from __future__ import annotations
@@ -230,10 +233,15 @@ def sphere_volume(dim: int) -> SymbolicConstant:
 def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
     """Closed forms of the special constants, each cross-checked numerically.
 
-    Raises ValueError when a numerical check misses its closed form by more
-    than rel_tol (default 1e-4 relative).
+    The integrals run through heisquat.quadrature: qagse with the qk21 rule
+    on finite ranges, qagie with the qk15i rule on infinite ones, and the
+    Patterson mass as qagie nested in qagie.  Raises ValueError when a
+    numerical check misses its closed form by more than rel_tol (default
+    1e-4 relative).
     """
-    from scipy.integrate import quad
+    # imported here: every subcommand imports this module, and only these
+    # checks use the quadrature
+    from .quadrature import quad
 
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -254,15 +262,15 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
     # residue integral over R: rho^2/(1+rho^2)^{2n+1}
     res = sym(Fraction(n * math.factorial(4 * n - 2),
                        2 ** (4 * n - 2) * math.factorial(2 * n) ** 2), 1)
-    num = quad(lambda r: r * r / (1 + r * r) ** (2 * n + 1), -np.inf, np.inf,
-               epsrel=1e-10)[0]
+    num = quad(lambda r: r * r / (1 + r * r) ** (2 * n + 1), -math.inf,
+               math.inf, 1e-10)[0]
     entry("residue_integral", res, num)
 
     # beta integral: s^{2n-3}/(s+1)^{4n-1} over (0, inf)
     beta = Fraction(math.factorial(2 * n - 3) * math.factorial(2 * n),
                     math.factorial(4 * n - 2))
-    num = quad(lambda s: s ** (2 * n - 3) / (s + 1) ** (4 * n - 1), 0, np.inf,
-               epsrel=1e-10)[0]
+    num = quad(lambda s: s ** (2 * n - 3) / (s + 1) ** (4 * n - 1), 0,
+               math.inf, 1e-10)[0]
     entry("beta_integral", sym(beta), num)
 
     # c'_n: the theta integral of the geodesic skinning computation
@@ -270,12 +278,11 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
                   * math.factorial(2 * n - 1) * (2 * n + 1),
                   math.factorial(4 * n - 1))
     num = quad(lambda th: math.cos(th) ** (2 * n - 3) * math.sin(th) ** 2
-               / (1 + math.cos(th)) ** (2 * n + 1), 0, math.pi / 2,
-               epsrel=1e-10)[0]
+               / (1 + math.cos(th)) ** (2 * n + 1), 0, math.pi / 2, 1e-10)[0]
     entry("c_prime", sym(cp), num)
     # the same constant through the substituted t-integral
     num2 = quad(lambda t: (1 - t * t) ** (2 * n - 3) * t * t * (1 + t * t),
-                0, 1, epsrel=1e-10)[0] / 2 ** (2 * n - 2)
+                0, 1, 1e-10)[0] / 2 ** (2 * n - 2)
     entry("c_prime_t_form", sym(cp), num2)
 
     # I_{p,q} = int_{-1}^{1} t^2p (1 - t^2)^q dt for small p, q
@@ -286,7 +293,7 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
     for p_ in (1, 2, 3):
         for q_ in (1, 2, 3):
             num = quad(lambda t: t ** (2 * p_) * (1 - t * t) ** q_, -1, 1,
-                       epsrel=1e-10)[0]
+                       1e-10)[0]
             entry(f"I_{p_}{q_}", sym(I_pq(p_, q_)), num)
 
     # exact identity c'_n = (I_{1,2n-3} + I_{2,2n-3}) / 2^{2n-1}
@@ -319,15 +326,17 @@ def _num_sphere_volume(dim: int) -> float:
 
 def _mu_mass_quadrature(n: int) -> float:
     """The Patterson mass as the reduced 2-D integral
-    Vol(S^{4n-5}) Vol(S^2) * int int s^{4n-5} rho^2 ((s^2+1)^2 + rho^2)^{-(2n+1)}."""
-    from scipy.integrate import dblquad
+    Vol(S^{4n-5}) Vol(S^2) * int int s^{4n-5} rho^2 ((s^2+1)^2 + rho^2)^{-(2n+1)},
+    over rho inside s, both on (0, inf) (the order of scipy's dblquad)."""
+    from .quadrature import quad
+
+    def over_rho(s):
+        return quad(lambda rho: s ** (4 * n - 5) * rho * rho
+                    / ((s * s + 1) ** 2 + rho * rho) ** (2 * n + 1),
+                    0, math.inf, 1e-9)[0]
 
     pref = _num_sphere_volume(4 * n - 5) * _num_sphere_volume(2)
-    val, _ = dblquad(
-        lambda rho, s: s ** (4 * n - 5) * rho * rho
-        / ((s * s + 1) ** 2 + rho * rho) ** (2 * n + 1),
-        0, np.inf, 0, np.inf, epsrel=1e-9)
-    return pref * val
+    return pref * quad(over_rho, 0, math.inf, 1e-9)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +381,15 @@ def perpendicular_prefactor(n: int, case: str, m_plus: int = 1) -> SymbolicConst
     if case == "horoball-qline":
         return sym(Fraction(2 * (n - 1) * (2 * n - 1), m_plus), -2)
     raise ValueError(f"unknown case '{case}'")
+
+
+def report_digits(n: int) -> int:
+    """Decimal digits of the largest exact number of constants_report at
+    this n, the horoball-horoball prefactor 2^(4n+1) (2n+1)!/n, found from
+    lgamma without forming the factorial."""
+    log10 = ((4 * n + 1) * math.log(2) + math.lgamma(2 * n + 2)
+             - math.log(n)) / math.log(10)
+    return math.floor(log10) + 1
 
 
 def perpendicular_constants(n: int, vol_minus: float, vol_plus: float,

@@ -43,12 +43,22 @@ def test_count_smax_below_one(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the quadrature checks of constants need scipy, and they import it
+    # importing the CLI loads neither scipy nor the quadrature module,
+    # which only the constants checks use
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, heisquat.cli; print('scipy' in sys.modules)"],
+                           "import sys, heisquat.cli; print('scipy' in sys.modules, "
+                           "'heisquat.quadrature' in sys.modules)"],
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
+    # the quadrature checks of constants run with scipy blocked
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; sys.modules['scipy'] = None\n"
+                           "from heisquat.cli import main\n"
+                           "sys.exit(main(['constants', '--da', '2', '--units', '24']))"],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (REFERENCE / "constants_da2_u24.json").read_text()
 
 
 def test_count_missing_order_file_exit2():
@@ -217,6 +227,10 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     ["count", "--s-grid", "1,,2"],
     ["count", "--s-grid", "1,2,"],
     ["count", "--s-grid", ",1"],
+    ["constants", "--da", "2", "--units", "24", "--n", "655"],
+    ["constants", "--da", "2", "--units", "24", "--n", "655", "--no-quadrature"],
+    ["constants", "--da", "2", "--units", "24", "--n", "1000000"],
+    ["constants", "--da", "2", "--units", "24", "--n", "1000000", "--no-quadrature"],
 ])
 def test_bad_input_exits_2(argv, capsys):
     rc, out, err = _exit_code_and_output(argv, capsys)

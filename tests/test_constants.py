@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,8 @@ from heisquat.constants import (ArithmeticData, PERPENDICULAR_CASES,
                                 local_factors, measure_masses, mertens_constant,
                                 mertens_kappa, orbifold_volume, perpendicular_constants,
                                 perpendicular_from_masses,
-                                perpendicular_prefactor, sphere_volume, sym,
-                                zeta_and_integrals)
+                                perpendicular_prefactor, report_digits,
+                                sphere_volume, sym, zeta_and_integrals)
 from fractions import Fraction as F
 
 D2 = ArithmeticData(2, 24, h_A=1)
@@ -200,6 +202,17 @@ def test_quadrature_suite_generic_n():
     out = zeta_and_integrals(3)
     for name, rec in out.items():
         assert rec["residual"] <= 1e-4, name
+
+
+def test_report_digits_is_the_longest_exact_number():
+    # exact at every n up to the default 4300-digit limit of int strings
+    for n in range(2, 655):
+        pre = perpendicular_prefactor(n, "horoball-horoball")
+        assert report_digits(n) == len(str(pre.coeff)), n
+    assert report_digits(654) <= 4300 < report_digits(655)
+    for n in (50, 300, 654):
+        rep = json.dumps(constants_report(D2, n, with_quadrature=False))
+        assert max(map(len, re.findall(r"\d+", rep))) == report_digits(n)
 
 
 def test_symbolic_arithmetic():
