@@ -7,6 +7,8 @@ horospherical models with curvature normalised to [-4, -1].
 
 import math
 
+import numpy as np
+
 from heisquat.hyperbolic import (INFINITY, IOTA, Q_ZERO, busemann, cygan, dist,
                                  geodesic_to_zero, geom_selftest,
                                  heis_translation_matrix, horo,
@@ -14,11 +16,10 @@ from heisquat.hyperbolic import (INFINITY, IOTA, Q_ZERO, busemann, cygan, dist,
                                  metric_and_volume, project_to_quaternionic_line,
                                  project_to_vertical_geodesic, q_scalar,
                                  six_equations, to_horo, to_siegel)
-from heisquat.quaternion import HAMILTON, Quaternion
 
 
 def imq(a, b, c):
-    return Quaternion(HAMILTON, 0.0, a, b, c)
+    return np.array([0.0, a, b, c])
 
 
 # Vertical geodesics are unit speed: d((0,0,1), (0,0,e^2)) = 1.
@@ -32,8 +33,10 @@ xi = horo(q_scalar(1.0), imq(1, 0, 0), 0.0)
 gamma = geodesic_to_zero(to_siegel(xi))
 print("Cygan distance of gamma(-30) to its source:",
       cygan(to_horo(gamma(-30.0)), xi))
+# d(gamma(0), gamma(h)) = h exactly for any h; near acosh(1) (small h) the
+# round-off of dist reaches 1e-6, so check at h = 0.5.
 print("unit speed check:",
-      dist(gamma(0.0), gamma(1e-4)) / 1e-4)
+      dist(gamma(0.0), gamma(0.5)) / 0.5)
 
 # Projections to the vertical geodesic and the quaternionic line.
 print("projection of (zeta,u,0), n(zeta)=1, u=0:",
@@ -52,7 +55,7 @@ print("d(H_2, iota H_2) =", horoball_distance(IOTA, 2.0))
 print("d(H_s, iota H_s) at s = 2e^2:", horoball_distance(IOTA, 2 * math.e ** 2))
 
 # Metric and volume density in horospherical coordinates.
-sq, dens = metric_and_volume(p1, ((Q_ZERO,), 0 * Q_ZERO, 1.0))
+sq, dens = metric_and_volume(p1, (Q_ZERO, 0 * Q_ZERO, 1.0))
 print("squared length of d/dt at (0,0,1):", sq, " volume density:", dens)
 
 # Full residual report.

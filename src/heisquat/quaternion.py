@@ -2,9 +2,9 @@
 
 An algebra is determined by two negative integers a, b with i^2 = a,
 j^2 = b, ij = k = -ji.  Elements carry four coefficients in the basis
-1, i, j, k.  Coefficients may be exact (int / Fraction) or float; the
-same class serves the exact arithmetic modules and the floating-point
-geometry kernel.
+1, i, j, k.  Coefficients may be int, Fraction or float, but the package
+uses this class for exact arithmetic; the floating-point geometry kernel
+(`hyperbolic`) works on numpy arrays instead.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def inner(x: Quaternion, y: Quaternion):
     return Fraction(t, 2) if isinstance(t, int) else t / 2
 
 
-# -- helpers for vectors in H^(n-1), used by the geometry kernel ------------
+# -- helpers for vectors in H^(n-1), used by the Cygan gauge ----------------
 
 def vec_add(w, wp):
     return tuple(x + y for x, y in zip(w, wp))
@@ -205,7 +205,3 @@ def vec_dot_conj(w, wp):
 def vec_norm(w):
     """n(w) = sum of reduced norms of the entries."""
     return sum(x.norm() for x in w)
-
-
-def vec_scale_right(w, lam: Quaternion):
-    return tuple(x * lam for x in w)
