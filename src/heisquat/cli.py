@@ -5,6 +5,11 @@ Subcommands: count, equidist, constants, geom-selftest, oracle.  Exact
 rationals are serialized as strings "p/q"; decimals only appear in
 clearly labeled display fields.  Identical configurations produce
 byte-identical JSON regardless of the thread count.
+
+Each subcommand imports only the modules it runs: `constants` loads
+heisquat.constants, heisquat.lattices and heisquat.quadrature and no
+numpy; `geom-selftest` adds heisquat.hyperbolic; the scan commands
+(count, equidist, oracle) load the orders and heisquat.counting.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import constants as K
-from . import counting as C
-from . import hyperbolic as G
-from .orders import Order, OrderError, builtin_order, load_order_spec
+
+if TYPE_CHECKING:
+    from .orders import Order
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -30,13 +36,20 @@ EXIT_USAGE = 2
 CACHE_ENV = "HEIS_MERTENS_CACHE"
 
 
+def builtin_order(name: str) -> Order:
+    """heisquat.orders.builtin_order, with the orders imported on first use."""
+    from . import orders
+    return orders.builtin_order(name)
+
+
 def _load_order(name: str) -> Order:
+    from . import orders
     try:
         if name.lower() in ("hurwitz", "d3", "a3"):
             return builtin_order(name)
         if not os.path.exists(name):
-            raise OrderError(f"no such order or order-spec file: {name}")
-        return load_order_spec(name)
+            raise orders.OrderError(f"no such order or order-spec file: {name}")
+        return orders.load_order_spec(name)
     # ValueError covers OrderError, JSONDecodeError and UnicodeDecodeError
     except (OSError, ValueError) as exc:
         raise SystemExit(_usage_error(f"invalid order: {exc}"))
@@ -49,12 +62,13 @@ def _usage_error(msg: str) -> int:
 
 def _parse_s(text: str) -> Fraction:
     """A rational s with 0 < s <= the supported limit, else exit 2."""
+    from .counting import _S_LIMIT
     try:
         s = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SystemExit(_usage_error(f"bad s value '{text}'"))
-    if not 0 < s <= C._S_LIMIT:
-        raise SystemExit(_usage_error(f"s = {text} is outside (0, {C._S_LIMIT}]"))
+    if not 0 < s <= _S_LIMIT:
+        raise SystemExit(_usage_error(f"s = {text} is outside (0, {_S_LIMIT}]"))
     return s
 
 
@@ -90,6 +104,7 @@ def _checkpoint_path(args, tag: str):
 
 
 def cmd_count(args) -> int:
+    from . import counting as C
     order = _load_order(args.order)
     grid = _parse_grid(args.s_grid) if args.s_max is None else [_parse_s(args.s_max)]
     if any(a >= b for a, b in zip(grid, grid[1:])):
@@ -113,6 +128,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_equidist(args) -> int:
+    from . import counting as C
     order = _load_order(args.order)
     s = _parse_s(args.s)
     if s < 1:  # n(c) >= 1 for every c != 0, so there is no sample
@@ -152,6 +168,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_geom_selftest(args) -> int:
+    from . import hyperbolic as G
     if not 0 < args.tol_limit < math.inf:
         return _usage_error("tol-limit must be finite and > 0")
     rep = G.geom_selftest(tol_limit=args.tol_limit)
@@ -162,6 +179,7 @@ def cmd_geom_selftest(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import counting as C
     order = _load_order(args.order)
     smax = _parse_s(args.s)
     if smax.denominator != 1:

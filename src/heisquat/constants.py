@@ -8,6 +8,10 @@ integral representation is re-computed by adaptive quadrature: QUADPACK's
 qagse (21-point Gauss-Kronrod, qk21) on finite ranges and qagie (15-point
 rule qk15i on the mapped range) on infinite ones, both with epsilon
 extrapolation, ported to Python in heisquat.quadrature.
+
+At import this module loads only pure-Python modules, so the `constants`
+subcommand runs without numpy: mertens_kappa and bm_density, which need
+heisquat.orbitlaw and heisquat.heisenberg, import them when called.
 """
 
 from __future__ import annotations
@@ -15,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .heisenberg import cygan_dist4
-from .orbitlaw import mertens_euler_factor
-from .orders import prime_factors
+from .lattices import prime_factors
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,8 @@ def mertens_kappa(d: ArithmeticData) -> SymbolicConstant:
     c per left ideal times |O^x|, so it needs every left ideal principal:
     by Eichler's mass formula that is |O^x| prod_{p | D_A} (p - 1) = 24.
     """
+    from .orbitlaw import mertens_euler_factor
+
     if d.unit_count * math.prod(p - 1 for p in d.primes) != 24:
         raise ValueError("mertens_kappa needs class number one: "
                          "|O^x| prod_{p | D_A} (p - 1) must equal 24")
@@ -310,14 +313,17 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
 
 
 def _euler_product_zeta246(limit: int) -> float:
-    sieve = np.ones(limit + 1, bool)
-    sieve[:2] = False
+    """prod over primes p <= limit of 1/((1 - x)(1 - x^2)(1 - x^3)), x = p^-2,
+    multiplied in ascending p."""
+    sieve = bytearray(2) + bytes([1]) * (limit - 1)
     for p in range(2, int(limit ** 0.5) + 1):
         if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.nonzero(sieve)[0].astype(np.float64)
-    x = 1.0 / (primes * primes)
-    return float(np.prod(1.0 / ((1 - x) * (1 - x * x) * (1 - x * x * x))))
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    out = 1.0
+    for p in compress(range(limit + 1), sieve):
+        x = 1.0 / float(p * p)
+        out *= 1.0 / ((1 - x) * (1 - x * x) * (1 - x * x * x))
+    return out
 
 
 def _num_sphere_volume(dim: int) -> float:
@@ -417,6 +423,8 @@ def perpendicular_from_masses(n: int, vol_minus: float, vol_plus: float,
 
 def bm_density(v_minus, v_plus, n: int = 2):
     """Bowen-Margulis density 1/d_Cyg(v-, v+)^{8n+4}; exact on rationals."""
+    from .heisenberg import cygan_dist4
+
     d4 = cygan_dist4(v_minus, v_plus)
     if d4 == 0:
         raise ValueError("coincident endpoints")

@@ -43,7 +43,8 @@ every c, in one pass for a whole grid of s.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's work items with
-threads > 1, the oracle's list of c always, with one worker per CPU.
+threads > 1, the oracle's list of c always, with one worker per CPU
+that the process may use (_usable_cpus, its affinity mask).
 Per-c results are added in the parent, so no output depends on the
 partition.
 """
@@ -397,16 +398,24 @@ def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(chunk_fn, items: list, workers: int):
     """chunk_fn over items, yielding its results in order: one item per
     call in process, or, with more than one worker and more than 8 items,
-    a process pool of at most one worker per CPU over workers * 8
+    a process pool of at most one worker per usable CPU over workers * 8
     interleaved slices.  chunk_fn is pickled to the workers, so it must be
     a module-level function or a partial of one."""
     if workers > 1 and len(items) > 8:
         from concurrent.futures import ProcessPoolExecutor
         nch = min(workers * 8, len(items))
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool:
             yield from pool.map(chunk_fn, [items[i::nch] for i in range(nch)])
     else:
         yield from map(chunk_fn, ([x] for x in items))
@@ -658,7 +667,7 @@ def _brute_force_chunk(fd: FundamentalDomain, cs) -> List[Tuple[int, int]]:
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """Oracle orbit counts at each s in s_grid, from one pass over every c
     with 0 < n(c) <= max(s_grid); no unit-coset reduction.  The per-c
-    counts run on a process pool of one worker per CPU (_pool_map, as the
+    counts run on a process pool of one worker per usable CPU (_pool_map, as the
     scan's --threads) and are added per level here, so the result does not
     depend on the partition; the pool splits the list of c and shares
     nothing else with the scan.
@@ -692,7 +701,7 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
     chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
-    for batch in _pool_map(chunk, _c_list(order, max(grid, default=0)), os.cpu_count() or 1):
+    for batch in _pool_map(chunk, _c_list(order, max(grid, default=0)), _usable_cpus()):
         for nc, found in batch:
             for g in grid:
                 if nc <= g:

@@ -5,6 +5,10 @@ throughout is row-style with pivot columns strictly increasing, positive
 pivots, and entries above each pivot reduced into [0, pivot).  This makes
 the HNF a canonical form: two row sets span the same Z-module iff their
 HNFs are identical.
+
+The module is pure Python (no numpy), so it also holds prime_factors,
+the integer factoring that heisquat.constants needs without loading the
+order and scan modules; heisquat.orders re-exports it.
 """
 
 from __future__ import annotations
@@ -201,6 +205,22 @@ def mat_frac_inverse(mat: Sequence[Sequence]) -> List[List[Fraction]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    n = abs(int(n))
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def mat_mul(A, B):

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattices import (IntLattice, RatLattice, clear_denominators, det_int, hnf,
-                       hnf_transform, mat_frac_inverse)
+                       hnf_transform, mat_frac_inverse, prime_factors)
 from .quaternion import Algebra, Quaternion
 
 Coords = Tuple[int, int, int, int]
@@ -41,21 +41,6 @@ class OrderElement:
 
 # ---------------------------------------------------------------------------
 # discriminant of the algebra via Hilbert symbols
-
-
-def prime_factors(n: int) -> List[int]:
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _legendre(a: int, p: int) -> int:

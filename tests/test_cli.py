@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,6 +61,55 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (REFERENCE / "constants_da2_u24.json").read_text()
+
+
+def _run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+
+
+def test_import_loads_no_numpy_and_no_scan_or_geometry_module():
+    proc = _run_python(
+        "import sys, heisquat.cli\n"
+        "print(sorted(m for m in ('numpy', 'heisquat.counting', 'heisquat.hyperbolic',\n"
+        "    'heisquat.orders', 'heisquat.heisenberg', 'heisquat.orbitlaw')\n"
+        "    if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("args, reference", [
+    (["--da", "2", "--units", "24"], "constants_da2_u24.json"),
+    (["--da", "3", "--units", "12"], "constants_da3_u12.json"),
+])
+def test_constants_runs_with_numpy_blocked(args, reference):
+    proc = _run_python("import sys; sys.modules['numpy'] = None\n"
+                       "from heisquat.cli import main\n"
+                       f"sys.exit(main(['constants', *{args!r}]))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (REFERENCE / reference).read_text()
+
+
+def test_geom_selftest_runs_with_the_scan_modules_blocked():
+    proc = _run_python("import sys\n"
+                       "sys.modules['heisquat.counting'] = None\n"
+                       "sys.modules['heisquat.orders'] = None\n"
+                       "from heisquat.cli import main\n"
+                       "sys.exit(main(['geom-selftest']))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_every_trace_site_resolves_after_importing_the_cli():
+    # the traced benchmark child wraps each (module, attr) of WRAP_SITES
+    # after `import heisquat.cli`; a name moved away breaks every traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REFERENCE.parent / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import heisquat.cli  # noqa: F401
+    for module, attr, _ in spans.WRAP_SITES:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
 def test_count_missing_order_file_exit2():

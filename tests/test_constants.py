@@ -3,10 +3,11 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heisquat.constants import (ArithmeticData, PERPENDICULAR_CASES,
-                                assembly_identity, bm_density,
+                                _euler_product_zeta246, assembly_identity, bm_density,
                                 constants_report, cusp_boundary_volume,
                                 cusp_volume, equidist_constants,
                                 equidist_mass_consistency, lemma71_identity,
@@ -196,6 +197,20 @@ def test_quadrature_suite_values():
     assert out["vol_S7"]["symbolic"] == "(1/3)*pi^4"
     for name, rec in out.items():
         assert rec["residual"] <= 1e-4, name
+
+
+@pytest.mark.parametrize("limit", [2, 10, 1000, 10 ** 5])
+def test_euler_product_equals_the_numpy_sieve_bit_for_bit(limit):
+    # the numpy form that the pure-Python product replaced
+    sieve = np.ones(limit + 1, bool)
+    sieve[:2] = False
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.nonzero(sieve)[0].astype(np.float64)
+    x = 1.0 / (primes * primes)
+    want = float(np.prod(1.0 / ((1 - x) * (1 - x * x) * (1 - x * x * x))))
+    assert _euler_product_zeta246(limit) == want
 
 
 def test_quadrature_suite_generic_n():

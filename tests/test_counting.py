@@ -65,13 +65,31 @@ def test_oracle_equality_d3():
 def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_runs):
     order = builtin_order(name)
     want = scan_summary(order, grid).counts
-    # the oracle runs one worker per CPU, and no pool on one CPU
+    # the oracle runs one worker per usable CPU, and no pool on one CPU
     for cpus, pools in ((2, [2]), (1, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
         assert brute_force_counts(order, grid) == want
         assert pool_runs == pools
         pool_runs.clear()
     assert brute_force_counts(order, [Fraction(1, 2), 0]) == {0: 0, Fraction(1, 2): 0}
+
+
+def test_oracle_pool_follows_the_affinity_mask(hur, monkeypatch, pool_runs):
+    # two CPUs in the machine, one of them usable: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert brute_force_counts(hur, [1, 2, 3]) == scan_summary(hur, [1, 2, 3]).counts
+    assert pool_runs == []
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert counting._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert counting._usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert counting._usable_cpus() == 1
 
 
 def test_group_keys_buckets_by_both_columns():
@@ -95,7 +113,7 @@ def test_group_keys_buckets_by_both_columns():
 def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, pool_runs,
                                                              bad_keys):
     # raised in a pool worker, the assertion reaches the caller
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
     group = counting._group_keys
     monkeypatch.setattr(counting, "_group_keys",
                         lambda keys, indom: group(bad_keys(keys), indom))
@@ -107,7 +125,7 @@ def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, 
 def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
     # the first a-box row belongs to an alpha in cell -1 of the window, so
     # its bucket keeps its in-domain triple and is left with 80 rows
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
     a_box = counting._a_box
     monkeypatch.setattr(counting, "_a_box",
                         lambda ctx, q: tuple(x[1:] for x in a_box(ctx, q)))
@@ -283,8 +301,8 @@ def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch, run, s, one_cp
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     serial = scan_summary(hur, [s], hist_levels=[s])
-    for cpus, workers in ((3, [3]), (None, one_cpu)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for cpus, workers in ((3, [3]), (1, one_cpu)):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
         got = run(hur, s)
         assert started == workers
         started.clear()
