@@ -45,7 +45,7 @@ def builtin_order(name: str) -> Order:
 def _load_order(name: str) -> Order:
     from . import orders
     try:
-        if name.lower() in ("hurwitz", "d3", "a3"):
+        if name.lower() in orders.BUILTIN_ORDERS:
             return builtin_order(name)
         if not os.path.exists(name):
             raise orders.OrderError(f"no such order or order-spec file: {name}")
@@ -111,18 +111,13 @@ def cmd_count(args) -> int:
         return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
         return _usage_error("scale must be >= 1")
-    d = K.ArithmeticData(order.D_A, len(order.units))
-    ref = K.mertens_constant(d)
     ckpt = _checkpoint_path(args, f"count_{C.checkpoint_key(order, args.scale)}")
     table = C.count_table(order, grid, scale=args.scale,
-                          reference_constant=ref.value(),
-                          reference_symbolic=str(ref),
                           checkpoint_path=ckpt, threads=args.threads)
     payload = table.to_json_dict()
     csv_rows = [("s", "count", "ratio")]
-    for (s, cnt), ratio in zip(table.rows, table.ratios or [None] * len(table.rows)):
-        csv_rows.append((C._frac_str(s), cnt,
-                         "" if ratio is None else f"{ratio:.12g}"))
+    for (s, cnt), ratio in zip(table.rows, table.ratios):
+        csv_rows.append((C._frac_str(s), cnt, f"{ratio:.12g}"))
     _emit(payload, args.out, args.format, csv_rows)
     return EXIT_OK
 

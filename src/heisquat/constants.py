@@ -421,16 +421,14 @@ def perpendicular_from_masses(n: int, vol_minus: float, vol_plus: float,
     return sig_minus * sig_plus / ((4 * n + 2) * mm["bowen_margulis"]["value"])
 
 
-def bm_density(v_minus, v_plus, n: int = 2):
-    """Bowen-Margulis density 1/d_Cyg(v-, v+)^{8n+4}; exact on rationals."""
+def bm_density(v_minus, v_plus) -> Fraction:
+    """Bowen-Margulis density 1/d_Cyg(v-, v+)^{8n+4} on Heis_7 (n = 2), exact."""
     from .heisenberg import cygan_dist4
 
     d4 = cygan_dist4(v_minus, v_plus)
     if d4 == 0:
         raise ValueError("coincident endpoints")
-    if isinstance(d4, Fraction) or isinstance(d4, int):
-        return Fraction(1) / (Fraction(d4) ** (2 * n + 1))
-    return 1.0 / float(d4) ** (2 * n + 1)
+    return Fraction(1) / Fraction(d4) ** 5
 
 
 # ---------------------------------------------------------------------------

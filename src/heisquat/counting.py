@@ -60,6 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import constants
 from .heisenberg import FundamentalDomain, Triple
 from .lattices import hnf_transform
 # not called here: perfbench/spans.py wraps these names in this module
@@ -407,15 +408,17 @@ def _usable_cpus() -> int:
 
 
 def _pool_map(chunk_fn, items: list, workers: int):
-    """chunk_fn over items, yielding its results in order: one item per
-    call in process, or, with more than one worker and more than 8 items,
-    a process pool of at most one worker per usable CPU over workers * 8
-    interleaved slices.  chunk_fn is pickled to the workers, so it must be
-    a module-level function or a partial of one."""
+    """chunk_fn over items, yielding its results in order.  workers is
+    first capped at one per usable CPU; with more than one left and more
+    than 8 items, a process pool of that many workers maps workers * 8
+    interleaved slices, else each item is one call in process.  chunk_fn
+    is pickled to the workers, so it must be a module-level function or a
+    partial of one."""
+    workers = min(workers, _usable_cpus())
     if workers > 1 and len(items) > 8:
         from concurrent.futures import ProcessPoolExecutor
         nch = min(workers * 8, len(items))
-        with ProcessPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(chunk_fn, [items[i::nch] for i in range(nch)])
     else:
         yield from map(chunk_fn, ([x] for x in items))
@@ -752,19 +755,19 @@ def _float_str(x) -> Optional[str]:
 
 
 def count_table(order: Order, s_grid: Sequence, scale: int = 1,
-                reference_constant: float = 0.0, reference_symbolic: str = "",
                 checkpoint_path: Optional[str] = None, threads: int = 1) -> CountTable:
-    """Counting table over s_grid from a single scan at max(s_grid)."""
+    """Counting table over s_grid from a single scan at max(s_grid), with
+    each count's ratio to the order's Mertens constant times s^5."""
     grid = sorted(Fraction(x) for x in s_grid)
     if not grid:
         raise ValueError("empty s grid")
+    ref = constants.mertens_constant(constants.ArithmeticData(order.D_A, len(order.units)))
     summ = scan_summary(order, grid, (), scale, checkpoint_path, threads)
     table = CountTable(order.name, order.D_A,
                        [(g, summ.counts[g]) for g in grid],
-                       reference_constant, reference_symbolic)
-    if reference_constant:
-        table.ratios = [cnt / (reference_constant * float(g) ** 5) if cnt else 0.0
-                        for g, cnt in table.rows]
+                       ref.value(), str(ref))
+    table.ratios = [cnt / (table.reference_constant * float(g) ** 5) if cnt else 0.0
+                    for g, cnt in table.rows]
     fit_rows = [(g, c) for g, c in table.rows if c > 0]
     if len(fit_rows) >= 2:
         table.slope, table.intercept = _loglog_fit(fit_rows)
@@ -776,16 +779,6 @@ def _loglog_fit(rows) -> Tuple[float, float]:
     slope, intercept = np.polyfit(np.log([float(s) for s, _ in rows]),
                                   np.log([float(c) for _, c in rows]), 1)
     return float(slope), float(intercept)
-
-
-def fit_and_compare(table: CountTable, reference_constant: float) -> dict:
-    """Least-squares slope of log count vs log s plus the ratio sequence."""
-    rows = [(float(s), c) for s, c in table.rows if c > 0]
-    if len(rows) < 4 or rows[-1][0] < 4 * rows[0][0]:
-        raise ValueError("need >= 4 rows spanning at least a factor 4 in s")
-    slope, intercept = _loglog_fit(rows)
-    ratios = [c / (reference_constant * s ** 5) for s, c in rows]
-    return {"slope": slope, "intercept": intercept, "ratios": ratios}
 
 
 @dataclass

@@ -4,7 +4,8 @@ the Cygan metric, the shear action on triples and exact orbit reduction.
 Points (w0, w) satisfy the defining relation tr(w0) = n(w).  The group law
 is (w0, w)(w0', w') = (w0 + w0' + conj(w) w', w + w'), and the lattice
 N(O) = Heis_7 cap (O x O) acts on admissible triples (a, alpha, c) by
-shears.  All arithmetic here is exact rational.
+shears.  The group is Heis_7 only (dimension n = 2: w is one quaternion),
+and all arithmetic here is exact, on int and Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .lattices import clear_denominators, mat_frac_inverse
 from .orders import Order, OrderElement
-from .quaternion import Quaternion, vec_add, vec_dot_conj, vec_neg, vec_norm
+from .quaternion import Quaternion
 
 
 class HeisError(ValueError):
@@ -56,29 +57,22 @@ def heis_inv(p: HeisPoint) -> HeisPoint:
 def _cygan4_zut(z, u, t, zp, up, tp) -> Fraction:
     """Fourth power of the Cygan distance in (zeta, u, t) coordinates.
 
-    zeta and zeta' are tuples of quaternions (one entry in Heis_7).  The
+    zeta, zeta' are single quaternions, since Heis_7 has n = 2.  The
     quaternion inside the outer norm has real part n(zeta - zeta') +
-    |t - t'| and imaginary part u - u' + 2 Im(conj(zeta) . zeta'); this is
+    |t - t'| and imaginary part u - u' + 2 Im(conj(zeta) zeta'); this is
     the left-invariant version (the group-difference gauge).
     """
-    re = vec_norm(vec_add(z, vec_neg(zp))) + abs(t - tp)
-    im = u - up + 2 * vec_dot_conj(z, zp).imag()
+    re = (z - zp).norm() + abs(t - tp)
+    im = u - up + 2 * (z.conj() * zp).imag()
     return re * re + im.norm()
 
 
-def cygan_dist4(p, q):
-    """Fourth power of the Cygan distance; exact when the inputs are.
+def cygan_dist4(p, q) -> Fraction:
+    """Fourth power of the Cygan distance, exact.
 
-    Accepts HeisPoint (t = 0) or (zeta, u, t) triples; works for rational
-    and float coefficients alike.
+    Accepts HeisPoint (t = 0) or (zeta, u, t) triples.
     """
-    z, u, t = _as_zut(p)
-    zp, up, tp = _as_zut(q)
-    return _cygan4_zut((z,), u, t, (zp,), up, tp)
-
-
-def cygan_dist(p, q) -> float:
-    return float(cygan_dist4(p, q)) ** 0.25
+    return _cygan4_zut(*_as_zut(p), *_as_zut(q))
 
 
 def _as_zut(p):

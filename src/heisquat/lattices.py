@@ -232,27 +232,6 @@ def mat_mul(A, B):
 
 
 @dataclass(frozen=True)
-class IntLattice:
-    """Full or partial rank sublattice of Z^n, stored by its canonical HNF rows."""
-
-    rows: Tuple[Row, ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntLattice":
-        return cls(tuple(tuple(r) for r in hnf(rows)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def contains(self, v) -> bool:
-        return hnf_in_span(self.rows, v)
-
-    def __eq__(self, other):
-        return isinstance(other, IntLattice) and self.rows == other.rows
-
-
-@dataclass(frozen=True)
 class RatLattice:
     """Rational lattice den^-1 * L for an integer lattice L, canonicalised.
 

@@ -18,8 +18,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattices import (IntLattice, RatLattice, clear_denominators, det_int, hnf,
-                       hnf_transform, mat_frac_inverse, prime_factors)
+from .lattices import (RatLattice, clear_denominators, det_int, hnf, hnf_transform,
+                       mat_frac_inverse, prime_factors)
 from .quaternion import Algebra, Quaternion
 
 Coords = Tuple[int, int, int, int]
@@ -290,15 +290,6 @@ class Order:
             self._units = [OrderElement(c) for c in enumerate_by_norm(self, 1)]
         return self._units
 
-    @property
-    def imaginary_sublattice(self) -> IntLattice:
-        return IntLattice.from_rows(self.im_basis)
-
-    def lattice(self) -> RatLattice:
-        """The order itself as a rational lattice in order coordinates."""
-        return RatLattice.from_int_rows([[1, 0, 0, 0], [0, 1, 0, 0],
-                                         [0, 0, 1, 0], [0, 0, 0, 1]])
-
     def inv_principal_lattice(self, u: Quaternion) -> RatLattice:
         """Lattice u^-1 O in order coordinates (u a nonzero quaternion)."""
         uinv = u.inv()
@@ -327,10 +318,6 @@ def make_order(algebra: Algebra, basis, name: str = "") -> Order:
     return Order(algebra, basis, name)
 
 
-def reduced_discriminant(order: Order) -> int:
-    return order.reduced_discriminant
-
-
 def covolume(order: Order) -> Tuple[Fraction, Optional[Fraction]]:
     """(exact square of the covolume, rational square root when it exists)."""
     return order.covolume_sq, order.covolume
@@ -345,14 +332,6 @@ def lattice_covolume_sq(algebra: Algebra, frac_rows) -> Fraction:
 
 def units(order: Order) -> List[OrderElement]:
     return order.units
-
-
-def imaginary_sublattice(order: Order) -> IntLattice:
-    return order.imaginary_sublattice
-
-
-def trace_one_element(order: Order) -> OrderElement:
-    return order.trace_one
 
 
 def enumerate_by_norm(order: Order, bound) -> List[Coords]:
@@ -485,21 +464,25 @@ def load_order_spec(path) -> Order:
     return order_spec_from_dict(spec)
 
 
+# the builtin order names, in lower case; "a3" is another name for "d3"
+BUILTIN_ORDERS = ("hurwitz", "d3", "a3")
+
 _BUILTIN_CACHE: dict = {}
 
 
 def builtin_order(name: str) -> Order:
-    """Builtin orders: 'hurwitz' (in code) and 'd3' (packaged order-spec file)."""
+    """Builtin orders: 'hurwitz' (in code) and 'd3' (packaged order-spec file),
+    by any name in BUILTIN_ORDERS, in any case."""
     key = name.lower()
     if key in _BUILTIN_CACHE:
         return _BUILTIN_CACHE[key]
+    if key not in BUILTIN_ORDERS:
+        raise OrderError(f"unknown builtin order '{name}'")
     if key == "hurwitz":
         order = _hurwitz()
-    elif key in ("d3", "a3"):
+    else:
         from importlib.resources import files
         spec = json.loads(files("heisquat.data").joinpath("order_d3.json").read_text())
         order = order_spec_from_dict(spec)
-    else:
-        raise OrderError(f"unknown builtin order '{name}'")
     _BUILTIN_CACHE[key] = order
     return order

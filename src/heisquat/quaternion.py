@@ -2,9 +2,8 @@
 
 An algebra is determined by two negative integers a, b with i^2 = a,
 j^2 = b, ij = k = -ji.  Elements carry four coefficients in the basis
-1, i, j, k.  Coefficients may be int, Fraction or float, but the package
-uses this class for exact arithmetic; the floating-point geometry kernel
-(`hyperbolic`) works on numpy arrays instead.
+1, i, j, k, each an int or a Fraction: this class is exact only.  The
+floating-point geometry kernel (`hyperbolic`) works on numpy arrays.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ class Quaternion:
     def _coerce(self, other):
         if isinstance(other, Quaternion):
             return other
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, (int, Fraction)):
             return Quaternion(self.alg, other, 0, 0, 0)
         return NotImplemented
 
@@ -129,7 +128,7 @@ class Quaternion:
 
     def __rmul__(self, other):
         # only scalars reach here
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, (int, Fraction)):
             return Quaternion(self.alg, other * self.x0, other * self.x1,
                               other * self.x2, other * self.x3)
         return NotImplemented
@@ -156,8 +155,7 @@ class Quaternion:
         n = self.norm()
         if not n:
             raise ZeroDivisionError("not invertible")
-        scale = 1.0 / n if isinstance(n, float) else Fraction(1) / n
-        return self.conj() * scale
+        return self.conj() * (Fraction(1) / n)
 
     def is_zero(self) -> bool:
         return not (self.x0 or self.x1 or self.x2 or self.x3)
@@ -176,32 +174,5 @@ class Quaternion:
 
 def inner(x: Quaternion, y: Quaternion):
     """Euclidean pairing <x,y> = tr(conj(x) y)/2; <x,x> = n(x)."""
-    t = (x.conj() * y).trace()
-    if isinstance(t, float):
-        return t / 2.0
-    return Fraction(t, 2) if isinstance(t, int) else t / 2
+    return Fraction((x.conj() * y).trace(), 2)
 
-
-# -- helpers for vectors in H^(n-1), used by the Cygan gauge ----------------
-
-def vec_add(w, wp):
-    return tuple(x + y for x, y in zip(w, wp))
-
-
-def vec_neg(w):
-    return tuple(-x for x in w)
-
-
-def vec_dot_conj(w, wp):
-    """Hermitian product conj(w) . w' = sum conj(w_p) w'_p."""
-    if not w:
-        raise ValueError("empty vector")
-    acc = w[0].conj() * wp[0]
-    for x, y in zip(w[1:], wp[1:]):
-        acc = acc + x.conj() * y
-    return acc
-
-
-def vec_norm(w):
-    """n(w) = sum of reduced norms of the entries."""
-    return sum(x.norm() for x in w)

@@ -249,6 +249,22 @@ def test_oracle_s5_matches_the_benchmark_reference(capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_count_matches_the_benchmark_references(name, capsys):
+    assert main(["count", "--order", name, "--s-grid", "4,8,12,16"]) == 0
+    expected = (REFERENCE / f"count_{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("alias, name", [("A3", "d3"), ("a3", "d3"), ("HURWITZ", "hurwitz")])
+def test_builtin_order_names_ignore_case_and_a3_is_d3(alias, name, capsys):
+    outs = []
+    for order in (alias, name):
+        assert main(["count", "--order", order, "--s-grid", "2,4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--s", "2.5"],
     ["oracle", "--s", "0"],

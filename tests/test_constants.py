@@ -173,16 +173,16 @@ def test_bm_density():
     zero = alg.quat(0, 0, 0, 0)
     vm = HeisPoint(zero, zero)
     vp = HeisPoint(alg.quat(0, Fraction(1, 2), 0, 0), zero)  # u = 2 Im w0 = i
-    assert bm_density(vm, vp, 2) == 1
+    assert bm_density(vm, vp) == 1
     with pytest.raises(ValueError):
-        bm_density(vm, vm, 2)
+        bm_density(vm, vm)
     rng = random.Random(0)
     for _ in range(100):
         g = random_lattice_point(hur, rng, 3)
-        assert bm_density(heis_mul(g, vm), heis_mul(g, vp), 2) == 1
+        assert bm_density(heis_mul(g, vm), heis_mul(g, vp)) == 1
     # doubling the Cygan distance divides the density by 2^(8n+4)
     vp2 = HeisPoint(alg.quat(0, 2, 0, 0), zero)  # u = 4i, d^4 = 16, d = 2
-    assert bm_density(vm, vp2, 2) == Fraction(1, 2 ** 20)
+    assert bm_density(vm, vp2) == Fraction(1, 2 ** 20)
 
 
 def test_quadrature_suite_values():

@@ -13,13 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (CountTable, _box_points, _brute_force_c, _c_list,
-                               _CContext, _group_keys, _primitive_mask,
+from heisquat.counting import (_box_points, _brute_force_c, _c_list,
+                               _CContext, _group_keys, _loglog_fit, _primitive_mask,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
                                brute_force_psi, count_table, equidist_histogram,
-                               fit_and_compare, histogram_report, psi_count, scan,
+                               histogram_report, psi_count, scan,
                                scan_summary)
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
@@ -80,6 +80,17 @@ def test_oracle_pool_follows_the_affinity_mask(hur, monkeypatch, pool_runs):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert brute_force_counts(hur, [1, 2, 3]) == scan_summary(hur, [1, 2, 3]).counts
     assert pool_runs == []
+
+
+def test_scan_pool_follows_the_affinity_mask(hur, monkeypatch, pool_runs):
+    # two threads asked for, one CPU usable: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = scan_summary(hur, [4, 8], hist_levels=[8])
+    got = scan_summary(hur, [4, 8], hist_levels=[8], threads=2)
+    assert pool_runs == []
+    assert got.counts == serial.counts
+    assert (got.hists[Fraction(8)] == serial.hists[Fraction(8)]).all()
 
 
 def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
@@ -276,8 +287,9 @@ def test_scan_summary_threads_match(hur, pool_runs):
 
 
 @pytest.mark.parametrize("run, s, one_cpu", [
-    # the scan takes any thread count down to one worker per CPU
-    (lambda order, s: scan_summary(order, [s], hist_levels=[s], threads=10 ** 6), 8, [1]),
+    # the scan takes any thread count down to one worker per CPU, so one
+    # CPU starts no pool
+    (lambda order, s: scan_summary(order, [s], hist_levels=[s], threads=10 ** 6), 8, []),
     # the oracle asks for one worker per CPU, so one CPU starts no pool
     (lambda order, s: ScanSummary(brute_force_counts(order, [s]), {}), 4, []),
 ], ids=["scan", "oracle"])
@@ -679,16 +691,9 @@ def test_scale_parameter(hur):
 def test_fit_synthetic_slope():
     C = 0.005
     rows = [(Fraction(s), round(C * s ** 5)) for s in (4, 8, 16, 32, 64)]
-    table = CountTable("synthetic", 2, rows, C)
-    fit = fit_and_compare(table, C)
-    assert abs(fit["slope"] - 5.0) < 0.02
-    assert all(abs(r - 1) < 0.03 for r in fit["ratios"])  # rounding at s = 4
-
-
-def test_fit_requires_enough_rows():
-    table = CountTable("synthetic", 2, [(Fraction(4), 10), (Fraction(8), 300)], 1.0)
-    with pytest.raises(ValueError):
-        fit_and_compare(table, 1.0)
+    slope, intercept = _loglog_fit(rows)
+    assert abs(slope - 5.0) < 0.02
+    assert abs(math.exp(intercept) / C - 1) < 0.03  # rounding at s = 4
 
 
 def test_histogram_uniform_synthetic():
@@ -719,8 +724,7 @@ def test_empty_histogram_raises(hur):
 
 
 def test_count_table_fields(hur):
-    table = count_table(hur, [1, 2, 4], reference_constant=54 / math.pi ** 8,
-                        reference_symbolic="54*pi^-8")
+    table = count_table(hur, [1, 2, 4])
     d = table.to_json_dict()
     assert d["rows"][0] == {"s": "1", "count": 24}
     assert d["rows"][1] == {"s": "2", "count": 96}

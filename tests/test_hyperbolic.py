@@ -290,8 +290,8 @@ def test_float_cygan_equals_the_exact_cygan_gauge():
         z, zp = dyadic(rng, 4), dyadic(rng, 4)
         u, up = [0] + dyadic(rng, 3), [0] + dyadic(rng, 3)
         t, tp = (abs(x) for x in dyadic(rng, 2))
-        exact = _cygan4_zut((Quaternion(HAMILTON, *z),), Quaternion(HAMILTON, *u), t,
-                            (Quaternion(HAMILTON, *zp),), Quaternion(HAMILTON, *up), tp)
+        exact = _cygan4_zut(Quaternion(HAMILTON, *z), Quaternion(HAMILTON, *u), t,
+                            Quaternion(HAMILTON, *zp), Quaternion(HAMILTON, *up), tp)
         got = _cygan4(horo(z, u, t), horo(zp, up, tp))
         assert Fraction(got) == exact
 

@@ -9,15 +9,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisquat.heisenberg import FundamentalDomain
-from heisquat.lattices import kernel_basis
+from heisquat.lattices import RatLattice, kernel_basis
 from heisquat.orders import (Algebra, OrderElement, OrderError,
                              algebra_discriminant, builtin_order, covolume,
                              enumerate_by_norm, hilbert_symbol, ideal_inverse,
                              lattice_covolume_sq, left_ideal_is_full,
-                             load_order_spec, make_order, order_spec_from_dict,
-                             reduced_discriminant, trace_one_element, units)
+                             load_order_spec, make_order, order_spec_from_dict, units)
 
 LIPSCHITZ = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+# the order itself, in order coordinates
+IDENTITY_ROWS = [[int(r == c) for c in range(4)] for r in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def test_hilbert_symbols():
 
 
 def test_hurwitz_valid(hur):
-    assert reduced_discriminant(hur) == 2
+    assert hur.reduced_discriminant == 2
     sq, root = covolume(hur)
     assert root == Fraction(1, 2) and sq == Fraction(1, 4)
     assert len(units(hur)) == 24
@@ -79,7 +80,7 @@ def test_not_unital_rejected():
 
 def test_d3_builtin(d3):
     assert d3.D_A == 3
-    assert reduced_discriminant(d3) == 3
+    assert d3.reduced_discriminant == 3
     assert covolume(d3)[1] == Fraction(3, 4)
     assert len(units(d3)) == 12
 
@@ -144,8 +145,8 @@ def test_enumerate_by_norm_against_theta_series(hur, d3, bound):
 
 
 def test_trace_one_element(hur, d3):
-    assert hur.trace(trace_one_element(hur)) == 1
-    assert d3.trace(trace_one_element(d3)) == 1
+    assert hur.trace(hur.trace_one) == 1
+    assert d3.trace(d3.trace_one) == 1
 
 
 def test_trace_one_and_trace_kernel_of_a_large_discriminant_order():
@@ -155,7 +156,7 @@ def test_trace_one_and_trace_kernel_of_a_large_discriminant_order():
     order = make_order(Algebra(-1, -10007),
                        [[1, 0, 0, 0], [0, 1, 0, 0], [h, 0, h, 0], [0, h, 0, h]])
     assert order.D_A == 10007
-    assert order.trace(trace_one_element(order)) == 1
+    assert order.trace(order.trace_one) == 1
     ker = kernel_basis([[t] for t in order.trace_vec])
     assert order.im_basis == tuple(tuple(r) for r in ker)
 
@@ -204,7 +205,7 @@ def test_ideal_inverse_examples(hur):
     one = hur.element_of(alg.one)
     opi = hur.element_of(1 + alg.i)
     two = hur.element_of(alg.quat(2, 0, 0, 0))
-    assert ideal_inverse(hur, [one]) == hur.lattice()
+    assert ideal_inverse(hur, [one]) == RatLattice.from_int_rows(IDENTITY_ROWS)
     assert ideal_inverse(hur, [opi]) == hur.inv_principal_lattice(1 + alg.i)
     got = ideal_inverse(hur, [two, opi])
     expect = hur.inv_principal_lattice(alg.quat(2, 0, 0, 0)).intersect(

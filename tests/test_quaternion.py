@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisquat.quaternion import Algebra, inner, vec_dot_conj
+from heisquat.quaternion import Algebra, inner
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,3 @@ def test_zero_inverse_raises(hamilton):
     with pytest.raises(ZeroDivisionError, match="not invertible"):
         hamilton.quat(0, 0, 0, 0).inv()
 
-
-def test_vector_helpers(hamilton):
-    i, j = hamilton.i, hamilton.j
-    w = (1 + i, j)
-    wp = (i, 1 - j)
-    dot = vec_dot_conj(w, wp)
-    assert dot == (1 + i).conj() * i + j.conj() * (1 - j)
