@@ -16,6 +16,7 @@ heisquat.orbitlaw and heisquat.heisenberg, import them when called.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +88,7 @@ class ArithmeticData:
     h_A: Optional[int] = None
 
     def __post_init__(self):
-        ps = prime_factors(self.D_A)
+        ps = self.primes
         if math.prod(ps) != self.D_A:
             raise ValueError("D_A must be squarefree")
         if len(ps) % 2 == 0:
@@ -101,8 +102,9 @@ class ArithmeticData:
     def m_A(self) -> int:
         return 72 if self.D_A % 2 == 0 else 1
 
-    @property
+    @functools.cached_property
     def primes(self) -> List[int]:
+        """The primes dividing D_A, factored once."""
         return prime_factors(self.D_A)
 
 

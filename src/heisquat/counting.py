@@ -5,9 +5,10 @@ in O x m x m (m = scale * O) with tr(conj(a) c) = n(alpha), full left
 ideal and 0 < n(c) <= s.  Orbits are enumerated through their unique
 canonical representatives: for each c the alpha-part runs over the exact
 residue transversal {alpha : alpha c^-1 in cell4} and the a-part over the
-affine trace lattice cut to cell3.  Everything is integer arithmetic;
-numpy int64 carries the bulk enumeration (desk-scale coordinates stay far
-below overflow, guarded by _S_LIMIT).
+affine trace lattice cut to cell3: one residue table per c, which Im O
+makes periodic mod the cell, shifted per alpha.  Everything is integer
+arithmetic; numpy int64 carries the bulk enumeration (desk-scale
+coordinates stay far below overflow, guarded by _S_LIMIT).
 
 Right multiplication by a unit v of O^x, (a, alpha, c) -> (av, alpha v,
 cv), keeps tr(conj(a) c) = n(alpha), the left ideal Oa + O alpha + Oc and
@@ -74,31 +75,22 @@ _S_LIMIT = 10 ** 4
 # vectorised lattice-box enumeration
 
 
-def _box_points(H: np.ndarray, B: int, offsets: np.ndarray, lo_bound: int = 0):
-    """All w = offsets[r] + t . H inside [lo_bound, B)^k, H upper-triangular.
-
-    Returns (source_row, t, w); deterministic order (levels ascending,
-    t ascending within a level).
-    """
+def _box_points(H: np.ndarray, lo: int, hi: int):
+    """(T, W): all w = t . H in [lo, hi)^k, H upper-triangular; levels
+    ascending, t ascending within a level.  Each pivot p must divide
+    hi - lo, so every prefix has (hi - lo) / p continuations."""
     k = H.shape[0]
-    n = offsets.shape[0]
-    orig = np.arange(n, dtype=np.int64)
-    W = offsets.astype(np.int64, copy=True)
-    T = np.zeros((n, 0), np.int64)
+    T = np.zeros((1, 0), np.int64)
+    W = np.zeros((1, k), np.int64)
     for lvl in range(k):
         p = int(H[lvl, lvl])
-        w = W[:, lvl]
-        lo = -((w - lo_bound) // p)
-        hi = (B - 1 - w) // p
-        cnt = np.maximum(hi - lo + 1, 0)
-        total = int(cnt.sum())
-        idx = np.repeat(np.arange(W.shape[0], dtype=np.int64), cnt)
-        base = np.repeat(np.cumsum(cnt) - cnt, cnt)
-        t = np.repeat(lo, cnt) + (np.arange(total, dtype=np.int64) - base)
-        W = W[idx] + t[:, None] * H[lvl][None, :]
-        T = np.concatenate([T[idx], t[:, None]], axis=1)
-        orig = orig[idx]
-    return orig, T, W
+        if (hi - lo) % p:
+            raise AssertionError("box side is not a multiple of a pivot")
+        m = (hi - lo) // p
+        t = (-((W[:, lvl] - lo) // p))[:, None] + np.arange(m, dtype=np.int64)
+        W = (W[:, None, :] + t[..., None] * H[lvl]).reshape(-1, k)
+        T = np.concatenate([np.repeat(T, m, axis=0), t.reshape(-1, 1)], axis=1)
+    return T, W
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +139,17 @@ class _CContext:
     So t_0 = q = n(alpha) / g and a = q xg + t' . VK, with xg = U[0] and
     VK = U[1:] a basis of the trace kernel, at q w0vec + t' . T3 (w0vec =
     H[0, 1:], T3 = H[1:, 1:]).
+
+    Every a-box is one residue table shifted.  For r in Im O (trace 0,
+    coordinates f in im_basis), a -> a + r c adds n(c) tr(conj(r)) = 0 to
+    tr(conj(a) c) and f to the cell3 coordinates, as (r c) c^-1 = r; so r c
+    is in the trace kernel with numerators Pden f, and Pden Z^3 lies in
+    the lattice of T3.  Likewise D Z^4 lies in that of H4, as R . adjR =
+    D I.  A triangular basis of a lattice holding N Z^k has pivots that
+    divide N, so they divide the sides of [0, D)^4, [-D, 2D)^4, [0, Pden)^3.
+    WR holds the points of [0, Pden)^3, AR their a, and B3R = im_basis . R
+    the coordinates of the r_i c; _a_box reduces q w0vec + WR mod Pden and
+    subtracts the floors times B3R from q xg + AR.
     """
 
     def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
@@ -179,26 +182,20 @@ class _CContext:
         self.g = int(H[0, 0])
         self.w0vec, self.T3 = H[0, 1:], H[1:, 1:]
         self.xg, self.VK = U[0], U[1:]
+        TR, self.WR = _box_points(self.T3, 0, self.Pden)
+        self.AR = TR @ self.VK
+        self.B3R = np.array(order.im_basis, np.int64) @ self.R
 
 
 def _a_box(ctx: _CContext, q: np.ndarray):
-    """_box_points(ctx.T3, ctx.Pden, q[:, None] * ctx.w0vec), enumerating
-    the box once per distinct value of q.
-
-    The box of an offset depends only on q, and _box_points emits the
-    points of each source row as one contiguous run, source rows in
-    order; so the runs of the distinct values are gathered back per row,
-    in the same order.
-    """
-    uq, inv = np.unique(q, return_inverse=True)
-    ulocal, uT, uW = _box_points(ctx.T3, ctx.Pden, uq[:, None] * ctx.w0vec[None, :])
-    ucnt = np.bincount(ulocal, minlength=uq.shape[0])
-    cnt = ucnt[inv]
-    local = np.repeat(np.arange(q.shape[0], dtype=np.int64), cnt)
-    # output row k is point k - (start of its own run) of its q's box
-    sel = np.arange(int(cnt.sum()), dtype=np.int64) \
-        + np.repeat((np.cumsum(ucnt) - ucnt)[inv] - (np.cumsum(cnt) - cnt), cnt)
-    return local, uT[sel], uW[sel]
+    """(row, A, W): for each q[row], the a with trace pairing q g and
+    cell3 numerators W = A . Pnum in [0, Pden)^3, in the order of the
+    residue table (see _CContext); one run of rows per q."""
+    S = q[:, None, None] * ctx.w0vec + ctx.WR
+    F = S // ctx.Pden
+    A = q[:, None, None] * ctx.xg + ctx.AR - F @ ctx.B3R
+    row = np.repeat(np.arange(q.shape[0], dtype=np.int64), ctx.WR.shape[0])
+    return row, A.reshape(-1, 4), (S - ctx.Pden * F).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +220,7 @@ class CRecord:
 def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     order = fd.order
     ctx = _CContext(fd, c)
-    zero = np.zeros((1, 4), np.int64)
-    _, T4, V4 = _box_points(ctx.H4, ctx.D, zero)
+    T4, V4 = _box_points(ctx.H4, 0, ctx.D)
     if V4.shape[0] != ctx.D:
         raise AssertionError("alpha transversal has wrong size")
     X = T4 @ ctx.U4
@@ -234,13 +230,8 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     NAL = order.norms(X)
 
     ok_idx = np.nonzero(NAL % ctx.g == 0)[0]
-    if ok_idx.size == 0:
-        empty = np.zeros((0, 4), np.int64)
-        return CRecord(ctx.c, ctx.nc, empty, empty, np.zeros(0, np.uint8))
-    q = NAL[ok_idx] // ctx.g
-    local, T, W3 = _a_box(ctx, q)
+    local, A, W3 = _a_box(ctx, NAL[ok_idx] // ctx.g)
     rows = ok_idx[local]
-    A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
     AL = X[rows]
     V4r = V4[rows]
 
@@ -609,25 +600,17 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     order = fd.order
     ctx = _CContext(fd, c)
     hR = np.array(order.mul(order.trace_one.coords, ctx.c), np.int64)
-    B3R = np.array([order.mul(r, ctx.c) for r in order.im_basis], np.int64)
     # alpha window: cell coordinates in [-1, 2)
-    zero = np.zeros((1, 4), np.int64)
-    _, _, V4 = _box_points(ctx.H4, 2 * ctx.D, zero, lo_bound=-ctx.D)
+    _, V4 = _box_points(ctx.H4, -ctx.D, 2 * ctx.D)
     prod = V4 @ ctx.R
     ALPH = prod // ctx.D
     if (ALPH * ctx.D != prod).any():
         raise AssertionError("oracle alpha window not integral")
     NAL = order.norms(ALPH)
-    ok = np.nonzero(NAL % ctx.g == 0)[0]
-    if ok.size == 0:
-        return 0
-    ALPH, NAL = ALPH[ok], NAL[ok]
+    ok = NAL % ctx.g == 0
+    ALPH = ALPH[ok]
     # vertical window: cell coordinates in [0, 1)
-    q = NAL // ctx.g
-    local, T, _ = _a_box(ctx, q)
-    A = q[local, None] * ctx.xg[None, :] + T @ ctx.VK
-    if A.shape[0] == 0:
-        return 0
+    local, A, _ = _a_box(ctx, NAL[ok] // ctx.g)
 
     # spot re-verification of the defining predicates on about 64 rows
     step = max(1, A.shape[0] // 64)
@@ -649,7 +632,7 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     # per triple: the vertical step
     A1 = A + shift[local]
     FL3 = (A1 @ ctx.Pnum) // ctx.Pden
-    A_can = A1 - FL3 @ B3R
+    A_can = A1 - FL3 @ ctx.B3R
     indom = indom4[local] & (FL3 == 0).all(axis=1)
 
     keys = np.stack([alpha_key[local], _pack_coords(A_can)], axis=1)
@@ -692,14 +675,13 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     canonical alpha, the shift conj(w) alpha + n(w) h that it adds to a,
     the in-domain test of the four horizontal coordinates and the alpha
     half of the key.  Per triple remain a, the shifted a, the vertical
-    floor, the canonical a, the a half of the key and the grouping.  The
-    a-box depends only on q = n(alpha) / g and is enumerated once per
-    distinct q (_a_box).
+    floor, the canonical a, the a half of the key and the grouping; the
+    a-points are the residue table of c shifted per alpha (_a_box).
 
     The window and canonicalisation are independent of the transversal
     scan, and alpha = V4 . R / D is derived here, not read off U4; the rest
-    of the per-c data (_CContext) and the box enumeration (_box_points,
-    _a_box) are shared with it.
+    of the per-c data (_CContext, with its residue table) and the box
+    enumeration (_box_points, _a_box) are shared with it.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}

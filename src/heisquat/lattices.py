@@ -8,13 +8,15 @@ HNFs are identical.
 
 The module is pure Python (no numpy), so it also holds prime_factors,
 the integer factoring that heisquat.constants needs without loading the
-order and scan modules; heisquat.orders re-exports it.
+order and scan modules; heisquat.orders re-exports it.  It factors exactly
+below MILLER_RABIN_BOUND and raises ValueError at or above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
@@ -207,20 +209,73 @@ def mat_frac_inverse(mat: Sequence[Sequence]) -> List[List[Fraction]]:
     return [row[n:] for row in a]
 
 
+# Miller-Rabin on these 13 bases is exact below MILLER_RABIN_BOUND
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES, for odd n > 41 below the bound."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard rho, Floyd cycle)."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def prime_factors(n: int) -> List[int]:
-    """The distinct primes dividing n, ascending, by trial division."""
+    """The distinct primes dividing n, ascending (none for 0 and +-1).
+
+    Trial division below 1000, then Miller-Rabin and Pollard rho on what
+    is left; ValueError if a part left is at or above MILLER_RABIN_BOUND,
+    where the primality test is no longer exact.
+    """
     n = abs(int(n))
     out = []
     d = 2
-    while d * d <= n:
+    while d < 1000 and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if d * d > n:
+        return out + [n] if n > 1 else out
+    # every prime factor of n is now above 1000
+    big, parts = set(), [n]
+    while parts:
+        m = parts.pop()
+        if m >= MILLER_RABIN_BOUND:
+            raise ValueError(f"cannot factor {m}: at or above {MILLER_RABIN_BOUND}")
+        if _is_prime(m):
+            big.add(m)
+        else:
+            d = _split(m)
+            parts += [d, m // d]
+    return out + sorted(big)
 
 
 def mat_mul(A, B):

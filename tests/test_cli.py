@@ -21,8 +21,13 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(Path(heisquat.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(args, **kw):
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=ENV, **kw)
+# seconds; a subprocess that stalls fails its test instead of the suite
+TIMEOUT = 300
+
+
+def run_cli(args, timeout=TIMEOUT, **kw):
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=ENV,
+                          timeout=timeout, **kw)
 
 
 def test_count_basic(tmp_path):
@@ -65,7 +70,7 @@ def test_import_leaves_scipy_unloaded():
 
 def _run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=ENV)
+                          text=True, env=ENV, timeout=TIMEOUT)
 
 
 def test_import_loads_no_numpy_and_no_scan_or_geometry_module():
@@ -382,6 +387,31 @@ def test_malformed_order_spec_exits_2(spec, tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "invalid order" in err
+
+
+MERSENNE_61 = 2 ** 61 - 1  # prime: trial division would run to 1.5e9
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["constants", "--da", str(MERSENNE_61), "--units", "2", "--no-quadrature"], None),
+    (["count", "--order", "BIG", "--s-grid", "2"], "not maximal"),
+    (["constants", "--da", str((2 ** 31 - 1) * MERSENNE_61), "--units", "2"], "at or above"),
+])
+def test_a_large_prime_is_factored_at_once(argv, error, tmp_path):
+    # BIG is the Lipschitz basis over (-1, -(2^61 - 1)), which is not
+    # maximal; a D_A at or above the Miller-Rabin bound is refused
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"name": "big", "a": -1, "b": -MERSENNE_61,
+                               "basis": LIPSCHITZ_BASIS}))
+    proc = run_cli([str(big) if a == "BIG" else a for a in argv], timeout=60)
+    if error is None:
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["D_A"] == MERSENNE_61
+    else:
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert error in proc.stderr
 
 
 def test_order_spec_via_file(tmp_path):

@@ -145,42 +145,63 @@ def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
     assert pool_runs
 
 
+class _Stop(Exception):
+    pass
+
+
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_a_box_equals_the_box_of_each_offset(name, monkeypatch):
+def test_a_box_is_the_box_of_each_q(name, monkeypatch):
     # every q that the scan (scale 1 and 2) and the oracle form for
-    # n(c) <= 8; the oracle is stopped after its a-box
+    # n(c) <= 8, each stopped at its a-box.  The box of q is {a in O :
+    # tr(conj(a) c) = q g, a . Pnum in [0, Pden)^3}, of m = Pden^3 / det T3
+    # points, so m distinct rows per q that satisfy the predicates are it
     fd = FundamentalDomain(builtin_order(name))
     a_box = counting._a_box
-    repeated = []
+    by_c = {}
 
-    class Stop(Exception):
-        pass
+    def recorded(ctx, q):
+        by_c.setdefault(ctx.c, (ctx, []))[1].append(q)
+        raise _Stop
 
-    def checked(ctx, q, stop=False):
-        got = a_box(ctx, q)
-        want = _box_points(ctx.T3, ctx.Pden, q[:, None] * ctx.w0vec[None, :])
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
-        repeated.append(np.unique(q).size < q.size)
-        if stop:
-            raise Stop
-        return got
+    monkeypatch.setattr(counting, "_a_box", recorded)
+    runs = [(_scan_c, c, scale) for scale in (1, 2) for c in _c_list(fd.order, 8, scale)]
+    runs += [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
+    for f, *args in runs:
+        with pytest.raises(_Stop):
+            f(fd, *args)
+    assert sum(len(qs) for _, qs in by_c.values()) == len(runs)
+    keys = []
+    for n, (ctx, qs) in enumerate(by_c.values()):
+        q = np.sort(np.concatenate(qs))
+        q = q[np.diff(q, prepend=-1) != 0]
+        row, A, W = a_box(ctx, q)
+        m = ctx.Pden ** 3 // int(np.prod(np.diag(ctx.T3)))
+        assert (np.bincount(row, minlength=q.size) == m).all() and row.size == m * q.size
+        assert (A @ fd.order.trace_pairing(np.array(ctx.c, np.int64)) == q[row] * ctx.g).all()
+        assert (A @ ctx.Pnum == W).all()
+        assert ((0 <= W) & (W < ctx.Pden)).all()
+        keys.append(np.column_stack([np.full(row.size, n), row, A]))
+    # no (c, row, A) twice: the rows packed into int64 keys, sorted once
+    # (np.sort, as np.unique hashes int64 many times slower)
+    keys = np.concatenate(keys)
+    keys -= keys.min(axis=0)
+    spans = [int(x) + 1 for x in keys.max(axis=0)]
+    assert math.prod(spans) < 2 ** 63
+    packed = np.zeros(keys.shape[0], np.int64)
+    for col, span in zip(keys.T, spans):
+        packed = packed * span + col
+    assert np.diff(np.sort(packed)).all()
 
-    monkeypatch.setattr(counting, "_a_box", checked)
-    for c in _c_list(fd.order, 8):
-        _scan_c(fd, c)
-    for c in _c_list(fd.order, 8, 2):
-        _scan_c(fd, c, 2)
-    calls = len(repeated)
-    monkeypatch.setattr(counting, "_a_box", lambda ctx, q: checked(ctx, q, stop=True))
-    for c in _c_list(fd.order, 8):
-        try:
-            _brute_force_c(fd, c)
-        except Stop:
-            pass
-    assert calls > 0 and len(repeated) > calls
-    # the gather of a shared box is exercised by the scan and the oracle
-    assert any(repeated[:calls]) and any(repeated[calls:])
+
+def test_box_points_needs_pivots_that_divide_the_side():
+    T, W = _box_points(np.array([[2, 1], [0, 3]]), -6, 6)
+    assert (T @ np.array([[2, 1], [0, 3]]) == W).all()
+    want = sorted((w1, w2) for w1 in range(-6, 6) for w2 in range(-6, 6)
+                  if w1 % 2 == 0 and (w2 - w1 // 2) % 3 == 0)
+    assert sorted(map(tuple, W.tolist())) == want
+    assert T.tolist() == sorted(T.tolist())
+    with pytest.raises(AssertionError, match="pivot"):
+        _box_points(np.array([[3]]), 0, 4)
 
 
 def test_emitted_triples_satisfy_predicates(hur, fd):
@@ -348,10 +369,9 @@ def test_alpha_transversal_equals_the_oracle_formula(name):
     # oracle derives alpha = V4 . R / D, which must be integral
     order = builtin_order(name)
     fd = FundamentalDomain(order)
-    zero = np.zeros((1, 4), np.int64)
     for c in _right_coset_representatives(order, _c_list(order, 16)):
         ctx = _CContext(fd, c)
-        _, T4, V4 = _box_points(ctx.H4, ctx.D, zero)
+        T4, V4 = _box_points(ctx.H4, 0, ctx.D)
         prod = V4 @ ctx.R
         assert not (prod % ctx.D).any()
         assert (T4 @ ctx.U4 == prod // ctx.D).all()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisquat.lattices import (RatLattice, adjugate, det_int, hnf,
+from heisquat.lattices import (MILLER_RABIN_BOUND, RatLattice, adjugate, det_int, hnf,
                                hnf_in_span, hnf_transform, kernel_basis,
-                               mat_frac_inverse, solve_integer)
+                               mat_frac_inverse, prime_factors, solve_integer)
 
 
 def test_hnf_identity():
@@ -214,3 +215,39 @@ def test_solve_integer_exactly_when_target_in_span(system):
         assert x is not None and _times(x, mat) == target
     else:
         assert x is None
+
+
+def _trial_division(n):
+    """The distinct primes dividing n, by trial division: the reference."""
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_equal_trial_division():
+    assert prime_factors(0) == []
+    for n in range(-10, 10 ** 4 + 1):
+        assert prime_factors(n) == _trial_division(n), n
+
+
+# primes on both sides of the trial-division limit 1000, and far above it
+@pytest.mark.parametrize("ps", [
+    [1009, 1009], [1009, 1013, 1019], [65537, 65537, 65537], [1000003, 2 ** 31 - 1],
+    [997, 1000003, 1000003], [2, 3, 10 ** 14 + 31], [2 ** 61 - 1], [1009, 2 ** 61 - 1],
+    [1000003, 10 ** 14 + 31],
+])
+def test_prime_factors_of_products_of_known_primes(ps):
+    assert prime_factors(math.prod(ps)) == sorted(set(ps))
+
+
+def test_prime_factors_stop_at_the_miller_rabin_bound():
+    # 2^89 - 1 is prime and above the bound, where the test is not exact
+    assert 2 ** 89 - 1 >= MILLER_RABIN_BOUND
+    for n in (2 ** 89 - 1, (2 ** 31 - 1) * (2 ** 61 - 1), 1009 * (2 ** 89 - 1)):
+        with pytest.raises(ValueError, match="at or above"):
+            prime_factors(n)
