@@ -10,6 +10,12 @@ Each subcommand imports only the modules it runs: `constants` loads
 heisquat.constants, heisquat.lattices and heisquat.quadrature and no
 numpy; `geom-selftest` adds heisquat.hyperbolic; the scan commands
 (count, equidist, oracle) load the orders and heisquat.counting.
+
+The process pool (--threads, and the oracle's per-c pool) is the only
+parallelism: main pins numpy's BLAS to one thread before a subcommand
+imports numpy, since the scan is integer work that never calls BLAS and
+an idle BLAS worker thread only takes CPU from the scan and the pool.
+An OPENBLAS_NUM_THREADS already set in the environment is kept.
 """
 
 from __future__ import annotations
@@ -246,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # read once, when numpy first loads OpenBLAS; pool workers inherit it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         return _usage_error("threads must be >= 1")

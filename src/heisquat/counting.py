@@ -404,7 +404,8 @@ def _pool_map(chunk_fn, items: list, workers: int):
     than 8 items, a process pool of that many workers maps workers * 8
     interleaved slices, else each item is one call in process.  chunk_fn
     is pickled to the workers, so it must be a module-level function or a
-    partial of one."""
+    partial of one.  The workers inherit the caller's environment, so the
+    one BLAS thread that cli.main sets holds in them too."""
     workers = min(workers, _usable_cpus())
     if workers > 1 and len(items) > 8:
         from concurrent.futures import ProcessPoolExecutor

@@ -230,12 +230,12 @@ def local_orbit_count(order: Order, c, p: int) -> int:
         mask |= table.astype(np.int64) << bit
     tr_a = (_residues(p) @ tau) % pm           # a0 = residue r has mask[r]
     mask_al, n_al = mask[_code(_residues(pm), p)], _residue_norms(order, pm)
+    hists_al = [(v, np.bincount(n_al[mask_al == v], minlength=pm))
+                for v in np.unique(mask_al)]
     pairs = 0
     for u in np.unique(mask):
         hist_a = np.bincount(tr_a[mask == u], minlength=pm)
-        for v in np.unique(mask_al):
-            if not u & v:
-                pairs += int(hist_a @ np.bincount(n_al[mask_al == v], minlength=pm))
+        pairs += sum(int(hist_a @ h) for v, h in hists_al if not u & v)
     total = pairs * p ** (4 * (k - m)) * p ** (4 * (k - 1)) // p ** max(k - 1 - e, 0)
     f, rem = divmod(total, p ** (4 * k))
     if rem:

@@ -49,38 +49,65 @@ def test_count_smax_below_one(tmp_path):
     assert data["rows"] == [{"s": "1/2", "count": 0}]
 
 
+def _run_python(code, env=ENV):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=TIMEOUT)
+
+
 def test_import_leaves_scipy_unloaded():
     # importing the CLI loads neither scipy nor the quadrature module,
     # which only the constants checks use
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, heisquat.cli; print('scipy' in sys.modules, "
-                           "'heisquat.quadrature' in sys.modules)"],
-                          capture_output=True, text=True, env=ENV)
+    proc = _run_python("import sys, heisquat.cli; print('scipy' in sys.modules, "
+                       "'heisquat.quadrature' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\n"
     # the quadrature checks of constants run with scipy blocked
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys; sys.modules['scipy'] = None\n"
-                           "from heisquat.cli import main\n"
-                           "sys.exit(main(['constants', '--da', '2', '--units', '24']))"],
-                          capture_output=True, text=True, env=ENV)
+    proc = _run_python("import sys; sys.modules['scipy'] = None\n"
+                       "from heisquat.cli import main\n"
+                       "sys.exit(main(['constants', '--da', '2', '--units', '24']))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (REFERENCE / "constants_da2_u24.json").read_text()
 
 
-def _run_python(code):
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=ENV, timeout=TIMEOUT)
-
-
 def test_import_loads_no_numpy_and_no_scan_or_geometry_module():
     proc = _run_python(
-        "import sys, heisquat.cli\n"
+        "import os, sys\n"
+        "env = dict(os.environ)\n"
+        "import heisquat.cli\n"
         "print(sorted(m for m in ('numpy', 'heisquat.counting', 'heisquat.hyperbolic',\n"
         "    'heisquat.orders', 'heisquat.heisenberg', 'heisquat.orbitlaw')\n"
-        "    if m in sys.modules))")
+        "    if m in sys.modules), dict(os.environ) == env)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] True\n"
+
+
+# a count in a child, then the child's OS threads and BLAS setting
+_COUNT_THEN_THREADS = (
+    "import os\n"
+    "from heisquat.cli import main\n"
+    "rc = main(['count', '--order', 'hurwitz', '--s-grid', '4', '--out', os.devnull])\n"
+    "print(rc, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and at least 2 usable CPUs")
+def test_count_runs_on_one_os_thread():
+    # with more than one CPU, OpenBLAS would start a worker thread per
+    # extra CPU when numpy loads; the CLI pins it to one
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = _run_python(_COUNT_THEN_THREADS, env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 1\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_count_keeps_a_preset_blas_thread_count():
+    proc = _run_python(_COUNT_THEN_THREADS, dict(ENV, OPENBLAS_NUM_THREADS="3"))
+    assert proc.returncode == 0, proc.stderr
+    rc, _, blas_threads = proc.stdout.split()
+    assert (rc, blas_threads) == ("0", "3")
 
 
 @pytest.mark.parametrize("args, reference", [
