@@ -38,9 +38,9 @@ full per-c enumerations; the tests compare the reductions against them.
 
 brute_force_counts (and brute_force_psi, its one-level form) is the
 oracle: it enumerates *all* admissible triples in a padded window of
-cells, buckets them by canonical orbit key and counts distinct keys,
-asserting that each bucket holds exactly one in-domain triple.  It scans
-every c, in one pass for a whole grid of s.
+cells, buckets them by a dense index of their canonical representative
+with np.bincount, asserting that each bucket holds exactly one in-domain
+triple, and counts the buckets.  It scans every c, in one pass for a grid.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's work items with
@@ -555,32 +555,24 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
 # independent oracle
 
 
-def _pack_coords(X: np.ndarray) -> np.ndarray:
-    """Pack each row of an (N, 4) coordinate array into one int64 key."""
-    if X.size and np.abs(X).max() >= (1 << 14):
-        raise AssertionError("key coordinates exceed packing range")
-    shift = np.int64(1 << 14)
-    return ((X[:, 0] + shift) << 45) | ((X[:, 1] + shift) << 30) \
-        | ((X[:, 2] + shift) << 15) | (X[:, 3] + shift)
+def _cell_index(W: np.ndarray, H: np.ndarray, side: int) -> np.ndarray:
+    """Mixed radix of W // diag(H), radices side / diag(H), for rows W in
+    [0, side)^k of one coset of the lattice of the upper-triangular H.
+    Each pivot p must divide side.  Then W_0 .. W_{i-1} fix W_i mod p_i,
+    so W_i // p_i determines W_i and runs over [0, side / p_i): the index
+    maps the coset's points in the box onto [0, side^k / det H)."""
+    p = np.diag(H)
+    if (side % p).any():
+        raise AssertionError("box side is not a multiple of a pivot")
+    radix = side // p
+    return (W // p) @ np.cumprod(np.append(1, radix[:0:-1]))[::-1]
 
 
-def _group_keys(keys: np.ndarray, indom: np.ndarray):
-    """Bucket the rows of an (N, 2) int64 key array by equal key.
-
-    Returns (first, hits, size): for each distinct key (in ascending
-    order) the index of its first row, how many of its rows have indom
-    set, and how many rows it has.
-    """
-    if keys.shape[0] == 0:
-        empty = np.zeros(0, np.int64)
-        return empty, empty, empty
-    perm = np.lexsort((keys[:, 1], keys[:, 0]))
-    sk = keys[perm]
-    new = np.ones(sk.shape[0], bool)
-    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    size = np.diff(np.append(starts, sk.shape[0]))
-    return perm[starts], np.add.reduceat(indom[perm].astype(np.int64), starts), size
+def _bucket_counts(key: np.ndarray, indom: np.ndarray):
+    """(size, hits): for each bucket index in [0, max(key)], how many rows
+    have that key and how many of them have indom set."""
+    size = np.bincount(key)
+    return size, np.bincount(key[indom], minlength=size.size)
 
 
 def _brute_force_c(fd: FundamentalDomain, c) -> int:
@@ -597,6 +589,17 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     with cell3 coordinates in [0, 1)^3.  The trace relation holds on the
     whole orbit, so the enumeration holds these 81 triples of it and no
     other, and only the one of the middle cell is in the domain.
+
+    The bucket of a triple is a dense index of its canonical
+    representative.  Its alpha has V = alpha . adjR mod D, a point of the
+    lattice of H4 in [0, D)^4, whose pivots divide D (see _CContext):
+    _cell_index maps the D of them onto [0, D).  Its a has cell3
+    numerators Wc = (W + shift . Pnum) mod Pden, which the trace relation,
+    asserted per alpha, puts in the a-box of q = n(alpha) / g of that
+    alpha; _cell_index maps the m points of the box onto [0, m), as it
+    maps any coset of the lattice of T3.  (a . tau, a . Pnum) = (q g, Wc)
+    determines a, as [tau | Pnum] is nonsingular (H[3, 3] != 0), so alpha
+    index * m + a index is one integer per orbit.
     """
     order = fd.order
     ctx = _CContext(fd, c)
@@ -609,41 +612,38 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
         raise AssertionError("oracle alpha window not integral")
     NAL = order.norms(ALPH)
     ok = NAL % ctx.g == 0
-    ALPH = ALPH[ok]
+    ALPH, V4, NAL = ALPH[ok], V4[ok], NAL[ok]
     # vertical window: cell coordinates in [0, 1)
-    local, A, _ = _a_box(ctx, NAL[ok] // ctx.g)
+    local, A, W = _a_box(ctx, NAL // ctx.g)
 
-    # spot re-verification of the defining predicates on about 64 rows
+    # spot re-verification of the trace relation on about 64 rows, as
+    # tr(conj(a) c) = sum a_i tr(conj(e_i) c) in exact scalar arithmetic
+    tau = [order.trace(order.mul(order.conj(e), ctx.c)) for e in np.eye(4, dtype=int).tolist()]
     step = max(1, A.shape[0] // 64)
     spot = np.arange((12345 + ctx.nc) % step, A.shape[0], step)
     for ac, alc in zip(A[spot].tolist(), ALPH[local[spot]].tolist()):
-        if order.trace(order.mul(order.conj(ac), ctx.c)) != order.norm(alc):
+        if sum(x * t for x, t in zip(ac, tau)) != order.norm(alc):
             raise AssertionError("oracle emitted an inadmissible triple")
 
-    # canonicalise: horizontal translation first, then vertical.  The
-    # horizontal step depends on alpha alone: per alpha, the translate
-    # WT, the canonical alpha and the shift it adds to a
-    FL4 = (ALPH @ ctx.adjR) // ctx.D
-    WT = -FL4
-    AL_can = ALPH + WT @ ctx.R
+    # canonicalise: per alpha, the translate w to the middle cell and the
+    # shift conj(w) alpha + n(w) h c it adds to a; per triple, the index.
+    # An in-domain triple is its own representative.
+    WT = -(V4 // ctx.D)
     shift = order.mul_rows(order.conjugates(WT), ALPH) \
         + order.norms(WT)[:, None] * hR[None, :]
-    indom4 = (FL4 == 0).all(axis=1)
-    alpha_key = _pack_coords(AL_can)
-    # per triple: the vertical step
-    A1 = A + shift[local]
-    FL3 = (A1 @ ctx.Pnum) // ctx.Pden
-    A_can = A1 - FL3 @ ctx.B3R
-    indom = indom4[local] & (FL3 == 0).all(axis=1)
+    if (NAL + shift @ tau != order.norms(ALPH + WT @ ctx.R)).any():
+        raise AssertionError("oracle shift breaks the trace relation")
+    alpha_idx = _cell_index(V4 + ctx.D * WT, ctx.H4, ctx.D)
+    a_idx = _cell_index((W + (shift @ ctx.Pnum)[local]) % ctx.Pden, ctx.T3, ctx.Pden)
+    indom = ~WT.any(axis=1)[local]
 
-    keys = np.stack([alpha_key[local], _pack_coords(A_can)], axis=1)
-    first, hits, size = _group_keys(keys, indom)
-    if not (hits == 1).all():
+    size, hits = _bucket_counts(alpha_idx[local] * ctx.WR.shape[0] + a_idx, indom)
+    if (hits != (size > 0)).any():
         raise AssertionError("oracle bucket without a unique in-domain triple")
-    if not (size == 81).all():
+    if ((size > 0) & (size != 81)).any():
         raise AssertionError("oracle bucket without one triple per window cell (81)")
     # primitivity is orbit-invariant: test only the canonical reps
-    return int(_primitive_mask(order, A_can[first], AL_can[local[first]], ctx.c).sum())
+    return int(_primitive_mask(order, A[indom], ALPH[local[indom]], ctx.c).sum())
 
 
 def _brute_force_chunk(fd: FundamentalDomain, cs) -> List[Tuple[int, int]]:
@@ -663,21 +663,18 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
     cell and one cell on every side) and whose vertical cell coordinates
     lie in [0, 1)^3; the alpha translates sweep the vertical floors through
-    the whole lattice during canonicalisation.  Each triple is moved to
-    its canonical orbit representative, the triples are bucketed by that
-    representative, every bucket is asserted to hold exactly one in-domain
-    triple and 81 triples in all (one per window cell, see _brute_force_c),
-    and the buckets with a primitive representative are counted.  About 64
-    enumerated triples per c are re-verified against the exact trace
-    predicate with the scalar Order arithmetic.
+    the whole lattice during canonicalisation.  Each triple gets the dense
+    index of its canonical orbit representative (_cell_index, see
+    _brute_force_c), two bincounts size the buckets, every bucket is
+    asserted to hold exactly one in-domain triple and 81 triples in all
+    (one per window cell), and the primitive in-domain triples are
+    counted.  About 64 triples per c are re-verified against the trace
+    relation in scalar Order arithmetic, through tr(conj(e_i) c).
 
     The horizontal step of the canonicalisation depends on alpha alone, so
-    it runs once per alpha: the floor of the alpha cell coordinates, the
-    canonical alpha, the shift conj(w) alpha + n(w) h that it adds to a,
-    the in-domain test of the four horizontal coordinates and the alpha
-    half of the key.  Per triple remain a, the shifted a, the vertical
-    floor, the canonical a, the a half of the key and the grouping; the
-    a-points are the residue table of c shifted per alpha (_a_box).
+    it runs once per alpha: the translate, the alpha index, the in-domain
+    test and the shift it adds to a; per triple remain the a index and
+    the a-points, the residue table of c shifted per alpha (_a_box).
 
     The window and canonicalisation are independent of the transversal
     scan, and alpha = V4 . R / D is derived here, not read off U4; the rest

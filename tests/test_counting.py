@@ -13,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (_box_points, _brute_force_c, _c_list,
-                               _CContext, _group_keys, _loglog_fit, _primitive_mask,
+from heisquat.counting import (_box_points, _brute_force_c, _bucket_counts, _c_list,
+                               _CContext, _cell_index, _loglog_fit, _primitive_mask,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -74,6 +74,13 @@ def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_run
     assert brute_force_counts(order, [Fraction(1, 2), 0]) == {0: 0, Fraction(1, 2): 0}
 
 
+@pytest.mark.parametrize("name,s", [("hurwitz", 4), ("d3", 3)])
+def test_oracle_agrees_with_the_scan_for_each_c(name, s):
+    fd = FundamentalDomain(builtin_order(name))
+    for c in _c_list(fd.order, s):
+        assert _brute_force_c(fd, c) == _scan_c(fd, c).count, c
+
+
 def test_oracle_pool_follows_the_affinity_mask(hur, monkeypatch, pool_runs):
     # two CPUs in the machine, one of them usable: no pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -103,31 +110,30 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert counting._usable_cpus() == 1
 
 
-def test_group_keys_buckets_by_both_columns():
-    keys = np.array([[3, 1], [1, 2], [3, 1], [1, 1], [1, 2], [3, 0]], np.int64)
+def test_bucket_counts_sizes_each_bucket_and_its_in_domain_rows():
+    key = np.array([3, 1, 3, 0, 1, 3], np.int64)
     indom = np.array([False, True, True, True, False, False])
-    first, hits, size = _group_keys(keys, indom)
-    # buckets in key order: (1, 1), (1, 2), (3, 0), (3, 1)
-    assert first.tolist() == [3, 1, 5, 0]
+    size, hits = _bucket_counts(key, indom)
+    # bucket 0: row 3; bucket 1: rows 1, 4; bucket 2: none; bucket 3: rows 0, 2, 5
+    assert size.tolist() == [1, 2, 0, 3]
     assert hits.tolist() == [1, 1, 0, 1]
-    assert size.tolist() == [1, 2, 1, 2]
-    first, hits, size = _group_keys(keys[:0], indom[:0])
-    assert first.size == hits.size == size.size == 0
+    size, hits = _bucket_counts(key[:0], indom[:0])
+    assert size.size == hits.size == 0
 
 
-@pytest.mark.parametrize("bad_keys", [
+@pytest.mark.parametrize("bad_key", [
     # one bucket per row: the rows outside the domain have no in-domain triple
-    lambda keys: np.stack([keys[:, 0], np.arange(keys.shape[0])], axis=1),
-    # one bucket for all rows: it holds every in-domain triple
-    lambda keys: np.zeros_like(keys),
+    lambda key: np.arange(key.size),
+    # all rows in one bucket: it holds every in-domain triple
+    np.zeros_like,
 ], ids=["zero_in_domain", "several_in_domain"])
 def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, pool_runs,
-                                                             bad_keys):
+                                                             bad_key):
     # raised in a pool worker, the assertion reaches the caller
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
-    group = counting._group_keys
-    monkeypatch.setattr(counting, "_group_keys",
-                        lambda keys, indom: group(bad_keys(keys), indom))
+    bucket_counts = counting._bucket_counts
+    monkeypatch.setattr(counting, "_bucket_counts",
+                        lambda key, indom: bucket_counts(bad_key(key), indom))
     with pytest.raises(AssertionError, match="unique in-domain"):
         brute_force_psi(hur, 3)
     assert pool_runs
@@ -145,36 +151,54 @@ def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
     assert pool_runs
 
 
+def test_oracle_rejects_a_shift_that_breaks_the_trace_relation(hur, fd, monkeypatch):
+    # a shift without its conj(w) alpha term: the bucket sizes would not
+    # show it, as the a index maps every coset of the lattice of T3 onto
+    # [0, m), but the shifted a of a translated alpha breaks the relation
+    mul_rows = hur.mul_rows
+    monkeypatch.setattr(hur, "mul_rows", lambda X, Y: 0 * mul_rows(X, Y))
+    with pytest.raises(AssertionError, match="trace relation"):
+        _brute_force_c(fd, _c_list(hur, 2)[-1])
+
+
 class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_a_box_is_the_box_of_each_q(name, monkeypatch):
-    # every q that the scan (scale 1 and 2) and the oracle form for
-    # n(c) <= 8, each stopped at its a-box.  The box of q is {a in O :
-    # tr(conj(a) c) = q g, a . Pnum in [0, Pden)^3}, of m = Pden^3 / det T3
-    # points, so m distinct rows per q that satisfy the predicates are it
-    fd = FundamentalDomain(builtin_order(name))
-    a_box = counting._a_box
+def _formed_qs(fd, runs, monkeypatch):
+    """{c: (its _CContext, the distinct q of its a-boxes)} over the calls
+    f(fd, *args) in runs, each stopped at its a-box."""
     by_c = {}
 
     def recorded(ctx, q):
         by_c.setdefault(ctx.c, (ctx, []))[1].append(q)
         raise _Stop
 
-    monkeypatch.setattr(counting, "_a_box", recorded)
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_a_box", recorded)
+        for f, *args in runs:
+            with pytest.raises(_Stop):
+                f(fd, *args)
+    assert sum(len(qs) for _, qs in by_c.values()) == len(runs)
+    out = {}
+    for c, (ctx, qs) in by_c.items():
+        q = np.sort(np.concatenate(qs))
+        out[c] = ctx, q[np.diff(q, prepend=-1) != 0]
+    return out
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_a_box_is_the_box_of_each_q(name, monkeypatch):
+    # every q that the scan (scale 1 and 2) and the oracle form for
+    # n(c) <= 8.  The box of q is {a in O : tr(conj(a) c) = q g, a . Pnum
+    # in [0, Pden)^3}, of m = Pden^3 / det T3 points, so m distinct rows
+    # per q that satisfy the predicates are it
+    fd = FundamentalDomain(builtin_order(name))
     runs = [(_scan_c, c, scale) for scale in (1, 2) for c in _c_list(fd.order, 8, scale)]
     runs += [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
-    for f, *args in runs:
-        with pytest.raises(_Stop):
-            f(fd, *args)
-    assert sum(len(qs) for _, qs in by_c.values()) == len(runs)
     keys = []
-    for n, (ctx, qs) in enumerate(by_c.values()):
-        q = np.sort(np.concatenate(qs))
-        q = q[np.diff(q, prepend=-1) != 0]
-        row, A, W = a_box(ctx, q)
+    for n, (ctx, q) in enumerate(_formed_qs(fd, runs, monkeypatch).values()):
+        row, A, W = counting._a_box(ctx, q)
         m = ctx.Pden ** 3 // int(np.prod(np.diag(ctx.T3)))
         assert (np.bincount(row, minlength=q.size) == m).all() and row.size == m * q.size
         assert (A @ fd.order.trace_pairing(np.array(ctx.c, np.int64)) == q[row] * ctx.g).all()
@@ -191,6 +215,30 @@ def test_a_box_is_the_box_of_each_q(name, monkeypatch):
     for col, span in zip(keys.T, spans):
         packed = packed * span + col
     assert np.diff(np.sort(packed)).all()
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_oracle_bucket_index_is_a_bijection(name, monkeypatch):
+    # for n(c) <= 8: the alpha index maps the transversal onto [0, D), and
+    # the a index maps the a-box of every q that the oracle forms onto
+    # [0, m); the boxes hold the canonical alphas and a's of the oracle
+    fd = FundamentalDomain(builtin_order(name))
+    runs = [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
+    for ctx, q in _formed_qs(fd, runs, monkeypatch).values():
+        _, V4 = _box_points(ctx.H4, 0, ctx.D)
+        assert np.sort(_cell_index(V4, ctx.H4, ctx.D)).tolist() == list(range(ctx.D))
+        _, _, W = counting._a_box(ctx, q)
+        m = ctx.WR.shape[0]
+        idx = np.sort(_cell_index(W, ctx.T3, ctx.Pden).reshape(q.size, m), axis=1)
+        assert (idx == np.arange(m)).all()
+
+
+def test_cell_index_needs_pivots_that_divide_the_side():
+    H = np.array([[2, 1], [0, 3]])
+    _, W = _box_points(H, 0, 6)
+    assert sorted(_cell_index(W, H, 6).tolist()) == list(range(6))
+    with pytest.raises(AssertionError, match="pivot"):
+        _cell_index(W, H, 4)
 
 
 def test_box_points_needs_pivots_that_divide_the_side():
