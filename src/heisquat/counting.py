@@ -6,9 +6,9 @@ ideal and 0 < n(c) <= s.  Orbits are enumerated through their unique
 canonical representatives: for each c the alpha-part runs over the exact
 residue transversal {alpha : alpha c^-1 in cell4} and the a-part over the
 affine trace lattice cut to cell3: one residue table per c, which Im O
-makes periodic mod the cell, shifted per alpha.  Everything is integer
-arithmetic; numpy int64 carries the bulk enumeration (desk-scale
-coordinates stay far below overflow, guarded by _S_LIMIT).
+makes periodic mod the cell, shifted per alpha.  Per-alpha data is held
+one row per alpha, and a candidate triple holds the index of its alpha's
+row.  All of it is exact int64 arithmetic, far from overflow (_S_LIMIT).
 
 Right multiplication by a unit v of O^x, (a, alpha, c) -> (av, alpha v,
 cv), keeps tr(conj(a) c) = n(alpha), the left ideal Oa + O alpha + Oc and
@@ -97,8 +97,9 @@ def _box_points(H: np.ndarray, lo: int, hi: int):
 # per-c integer data
 
 
-def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c) -> np.ndarray:
-    """Exact primitivity of the triples (A[r], AL[r], c), vectorised.
+def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.ndarray:
+    """Exact primitivity of the triples (A[r], X[row[r]], c), vectorised:
+    X holds one row per alpha and row gives each triple's alpha.
 
     Oa + O alpha + Oc = O iff gcd(n(a), n(alpha), n(c), cont(a conj(alpha)),
     cont(a conj(c)), cont(alpha conj(c))) = 1, cont(x) being the gcd of
@@ -113,18 +114,19 @@ def _primitive_mask(order: Order, A: np.ndarray, AL: np.ndarray, c) -> np.ndarra
     ideal {x : x ker(y) = 0}.  As x conj(y) = conj(y conj(x)) and conj
     keeps the content, three unordered pairs suffice.
 
-    The norm gcd certifies most rows; pair products are formed only for
-    the rest.  Their coordinates and intermediates are at most
-    sqrt(n(x) n(y)) <= max(n(x), n(y)) times a constant of the order: the
-    int64 range that order.norms already uses.
+    The terms without a are taken once per alpha; with n(a) they certify
+    most triples, and the products with a are formed only for the rest.
+    Their coordinates and intermediates are at most sqrt(n(x) n(y)) <=
+    max(n(x), n(y)) times a constant of the order: the int64 range of norms.
     """
     c = np.array(c, np.int64)
-    g = np.gcd(np.gcd(order.norms(A), order.norms(AL)), order.norms(c))
+    Rcbar = order.right_mul(order.conjugates(c))
+    g = np.gcd(order.norms(X), np.gcd.reduce(X @ Rcbar, axis=1, initial=order.norms(c)))
+    g = np.gcd(order.norms(A), g[row])
     rest = np.nonzero(g > 1)[0]
     if rest.size:
-        X, Y = A[rest], AL[rest]
-        Rcbar = order.right_mul(order.conjugates(c))
-        for P in (order.mul_rows(X, order.conjugates(Y)), X @ Rcbar, Y @ Rcbar):
+        Ar = A[rest]
+        for P in (order.mul_rows(Ar, order.conjugates(X)[row[rest]]), Ar @ Rcbar):
             g[rest] = np.gcd(g[rest], np.gcd.reduce(P, axis=1))
     return g == 1
 
@@ -217,33 +219,29 @@ class CRecord:
         return int(self.a.shape[0])
 
 
+def _half_cell_bits(V: np.ndarray, side: int) -> np.ndarray:
+    """One uint8 per row of V (at most 8 columns): bit b is 2 V[:, b] >= side."""
+    return np.packbits(2 * V >= side, axis=1, bitorder="little")[:, 0]
+
+
 def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
+    """Per alpha (rows of X, V4): the transversal, one filter (g | n(alpha),
+    alpha in scale * O) and the horizontal bits.  Per candidate triple: the
+    a-box, whose rows index their alpha, primitivity and the vertical bits."""
     order = fd.order
     ctx = _CContext(fd, c)
     T4, V4 = _box_points(ctx.H4, 0, ctx.D)
     if V4.shape[0] != ctx.D:
         raise AssertionError("alpha transversal has wrong size")
     X = T4 @ ctx.U4
-    if scale != 1:
-        keep = ~(X % scale).any(axis=1)
-        X, V4 = X[keep], V4[keep]
     NAL = order.norms(X)
-
-    ok_idx = np.nonzero(NAL % ctx.g == 0)[0]
-    local, A, W3 = _a_box(ctx, NAL[ok_idx] // ctx.g)
-    rows = ok_idx[local]
-    AL = X[rows]
-    V4r = V4[rows]
-
-    mask = _primitive_mask(order, A, AL, ctx.c)
-    A, AL, V4r, W3 = A[mask], AL[mask], V4r[mask], W3[mask]
-
-    bucket = np.zeros(A.shape[0], np.uint8)
-    for b in range(4):
-        bucket |= ((2 * V4r[:, b] >= ctx.D).astype(np.uint8) << b)
-    for b in range(3):
-        bucket |= ((2 * W3[:, b] >= ctx.Pden).astype(np.uint8) << (4 + b))
-    return CRecord(ctx.c, ctx.nc, A, AL, bucket)
+    ok = (NAL % ctx.g == 0) & ~(X % scale).any(axis=1)
+    X, V4 = X[ok], V4[ok]
+    rows, A, W3 = _a_box(ctx, NAL[ok] // ctx.g)
+    keep = _primitive_mask(order, A, X, rows, ctx.c)
+    rows = rows[keep]
+    bucket = _half_cell_bits(V4, ctx.D)[rows] | _half_cell_bits(W3[keep], ctx.Pden) << 4
+    return CRecord(ctx.c, ctx.nc, A[keep], X[rows], bucket)
 
 
 def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
@@ -635,7 +633,8 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
         raise AssertionError("oracle shift breaks the trace relation")
     alpha_idx = _cell_index(V4 + ctx.D * WT, ctx.H4, ctx.D)
     a_idx = _cell_index((W + (shift @ ctx.Pnum)[local]) % ctx.Pden, ctx.T3, ctx.Pden)
-    indom = ~WT.any(axis=1)[local]
+    inside = ~WT.any(axis=1)
+    indom = inside[local]
 
     size, hits = _bucket_counts(alpha_idx[local] * ctx.WR.shape[0] + a_idx, indom)
     if (hits != (size > 0)).any():
@@ -643,7 +642,8 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     if ((size > 0) & (size != 81)).any():
         raise AssertionError("oracle bucket without one triple per window cell (81)")
     # primitivity is orbit-invariant: test only the canonical reps
-    return int(_primitive_mask(order, A[indom], ALPH[local[indom]], ctx.c).sum())
+    rank = np.cumsum(inside) - 1  # the row of each alpha in ALPH[inside]
+    return int(_primitive_mask(order, A[indom], ALPH[inside], rank[local[indom]], ctx.c).sum())
 
 
 def _brute_force_chunk(fd: FundamentalDomain, cs) -> List[Tuple[int, int]]:

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -265,6 +266,41 @@ def test_emitted_triples_satisfy_predicates(hur, fd):
     assert len({t.coords() for t in triples}) == len(triples)
 
 
+@pytest.mark.parametrize("name, triples", [("hurwitz", 1548), ("d3", 1692)])
+def test_each_representative_lies_in_the_cell_its_bucket_names(name, triples):
+    # bits 0-3 halve cell4(alpha c^-1), bits 4-6 halve cell3(2 Im(a c^-1)),
+    # recomputed here in Fractions from the exact point
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    checked = 0
+    for scale, s in ((1, 4), (2, 16)):
+        for c in _right_coset_representatives(order, _c_list(order, s, scale)):
+            rec = _scan_c(fd, c, scale)
+            cinv = order.to_quaternion(c).inv()
+            for a, alpha, bucket in zip(rec.a.tolist(), rec.alpha.tolist(),
+                                        rec.bucket.tolist()):
+                x = (fd.cell4_coords(order.to_quaternion(alpha) * cinv)
+                     + fd.cell3_coords(2 * (order.to_quaternion(a) * cinv).imag()))
+                assert all(0 <= v < 1 for v in x)
+                assert bucket == sum(1 << b for b, v in enumerate(x) if 2 * v >= 1)
+                checked += 1
+    assert checked == triples
+
+
+@pytest.mark.parametrize("name, c", [("hurwitz", (-16, 0, 8, 8)), ("d3", (-9, -2, 1, 4))])
+def test_scan_c_peak_memory_is_a_few_times_its_record(name, c):
+    # the scan holds alpha data one row per alpha, so its traced peak stays
+    # within a small multiple of the record it returns
+    fd = FundamentalDomain(builtin_order(name))
+    tracemalloc.start()
+    try:
+        rec = _scan_c(fd, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * (rec.a.nbytes + rec.alpha.nbytes + rec.bucket.nbytes)
+
+
 # -- primitivity by the gcd identity against the HNF of the left ideal
 
 # per builtin order: the ramified prime and two split primes
@@ -309,10 +345,13 @@ def test_primitive_mask_equals_the_left_ideal_hnf(case):
     name, (a, alpha, c) = case
     order = builtin_order(name)
     full = left_ideal_is_full(order, [a, alpha, c])
-    # a batch: the triple, its swap, and (1, 0, c), which the norm gcd certifies
-    A = np.array([a, alpha, order.one_coords], np.int64)
-    AL = np.array([alpha, a, (0, 0, 0, 0)], np.int64)
-    assert _primitive_mask(order, A, AL, c).tolist() == [full, full, True]
+    # a batch of four triples over three alphas, with alpha = a shared by
+    # two rows: the triple, its swap, and (1, 0, c) and (1, a, c), which the
+    # norm gcd certifies
+    A = np.array([a, alpha, order.one_coords, order.one_coords], np.int64)
+    X = np.array([(0, 0, 0, 0), alpha, a], np.int64)
+    row = np.array([1, 2, 0, 2])
+    assert _primitive_mask(order, A, X, row, c).tolist() == [full, full, True, True]
 
 
 def test_monotone_in_s(hur):
