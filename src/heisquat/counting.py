@@ -248,11 +248,8 @@ def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
     s = Fraction(s)
     if s > _S_LIMIT:
         raise ValueError(f"s > {_S_LIMIT} is beyond the supported desk scale")
-    if scale == 1:
-        cs = enumerate_by_norm(order, s)
-    else:
-        inner = enumerate_by_norm(order, s / (scale * scale))
-        cs = [tuple(scale * v for v in c) for c in inner]
+    inner = enumerate_by_norm(order, s / (scale * scale))
+    cs = [tuple(scale * v for v in c) for c in inner]
     # cs is lexicographic, so a stable sort by norm orders by (n(c), c)
     by_norm = np.argsort(order.norms(np.array(cs, np.int64).reshape(-1, 4)),
                          kind="stable")

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import floor
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .lattices import clear_denominators, mat_frac_inverse
+from .lattices import clear_denominators, det_int, mat_frac_inverse, mat_mul
 from .orders import Order, OrderElement
 from .quaternion import Quaternion
 
@@ -153,30 +154,20 @@ class FundamentalDomain:
     cell4 is the half-open parallelepiped of O-coordinates [0,1)^4 for the
     w-part; cell3 is the half-open cell of the lattice 2 Im(O) for the
     vertical coordinate u = 2 Im(w0).  Vertex maxima of the norm over the
-    closed cells give the enumeration bounds R4 and R3.
+    closed cells, read off the order's integer norm form, give the
+    enumeration bounds R4 and R3.
     """
 
     def __init__(self, order: Order):
         self.order = order
-        alg = order.algebra
-        # vertices of the closed cell4 are subset sums of the basis
-        r4 = Fraction(0)
-        for mask in range(16):
-            v = alg.quat(0, 0, 0, 0)
-            for b in range(4):
-                if mask >> b & 1:
-                    v = v + order.basis_quats[b]
-            r4 = max(r4, Fraction(v.norm()))
-        self.R4 = r4
-        im_quats = [order.to_quaternion(r) for r in order.im_basis]
-        r3 = Fraction(0)
-        for mask in range(8):
-            v = alg.quat(0, 0, 0, 0)
-            for b in range(3):
-                if mask >> b & 1:
-                    v = v + 2 * im_quats[b]
-            r3 = max(r3, Fraction(v.norm()))
-        self.R3 = r3
+        # the vertices of the closed cells: the 0/1 vectors in order
+        # coordinates for cell4, the subset sums of 2 Im(O) for cell3
+        self.R4 = max(Fraction(order.norm(v)) for v in product((0, 1), repeat=4))
+        im = order.im_basis
+        self.R3 = max(Fraction(order.norm([2 * sum(m * r[pos] for m, r in zip(mask, im))
+                                           for pos in range(4)]))
+                      for mask in product((0, 1), repeat=3))
+        im_quats = [order.to_quaternion(r) for r in im]
         # invert the imaginary-coordinate map: u = y . (2 * im basis), u in Im H
         rows = [[2 * Fraction(q.coeffs[pos]) for pos in (1, 2, 3)] for q in im_quats]
         self._im_inv = mat_frac_inverse(rows)
@@ -260,17 +251,14 @@ def haar_mass_check(order: Order) -> Fraction:
     """Total mass D_A^2/4 of the measure induced on N(O)\\Heis_7.
 
     Computed as 2 covol(Im O in Im H) covol(O in H) and asserted equal to
-    4 covol(O)^2 = D_A^2/4.
+    4 covol(O)^2 = D_A^2/4.  covol(Im O) comes from gram2 and covol(O) from
+    the basis determinant, so the two assertions compare independent routes.
     """
     covol_o_sq = order.covolume_sq
-    # Gram of the imaginary sublattice under the same Euclidean structure
-    from .quaternion import inner
-    imq = [order.to_quaternion(r) for r in order.im_basis]
-    g = [[inner(imq[r], imq[c]) for c in range(3)] for r in range(3)]
-    det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-           - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-           + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-    covol_im_sq = Fraction(det)
+    # gram2 is twice the Gram matrix, so the Gram determinant of the
+    # imaginary sublattice is det(im_basis . gram2 . im_basis^T) / 8
+    im = order.im_basis
+    covol_im_sq = Fraction(det_int(mat_mul(mat_mul(im, order.gram2), list(zip(*im)))), 8)
     mass_sq = 4 * covol_im_sq * covol_o_sq
     expected_sq = (Fraction(order.D_A, 2) ** 2) ** 2
     if mass_sq != expected_sq:

@@ -143,14 +143,11 @@ class Order:
             tvec.append(int(t))
         self.trace_vec = tuple(tvec)
 
-        # trace form trd(e_i e_j) and the reduced discriminant
-        M = [[(basis_quats[i] * basis_quats[j]).trace() for j in range(4)]
+        # trace form tr(e_i e_j) = sum_k c_ijk tr(e_k), integral with no check
+        # since c_ijk and tr(e_k) are; its determinant gives the discriminant
+        M = [[sum(c * t for c, t in zip(struct[i][j], tvec)) for j in range(4)]
              for i in range(4)]
-        for row in M:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise OrderError("not a ring: non-integral trace form")
-        d = det_int([[int(x) for x in row] for row in M])
+        d = det_int(M)
         r = math.isqrt(abs(d))
         if r * r != abs(d):
             raise OrderError("invalid order: trace form determinant is not a square")
@@ -161,11 +158,10 @@ class Order:
             raise OrderError(
                 f"not maximal: reduced discriminant {r} != algebra discriminant {self.D_A}")
 
-        # Gram of the Euclidean structure <x,y> = tr(conj(x) y)/2; n(x) = <x,x>
-        G = [[(basis_quats[i].conj() * basis_quats[j]).trace() / 2 for j in range(4)]
-             for i in range(4)]
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in G)
-        self.gram2 = tuple(tuple(int(2 * x) for x in row) for row in self.gram)
+        # gram2[i][j] = tr(conj(e_i) e_j) = tr(e_i) tr(e_j) - tr(e_i e_j), twice the
+        # Gram matrix of <x,y> = tr(conj(x) y)/2: the one Gram table, n(x) = <x,x>
+        self.gram2 = tuple(tuple(tvec[i] * tvec[j] - M[i][j] for j in range(4))
+                           for i in range(4))
 
         # U . trace_vec = H: U[0] has trace H[0], U[1:] spans the trace kernel
         H, U = hnf_transform([[t] for t in self.trace_vec])
@@ -187,8 +183,7 @@ class Order:
 
     def coords_of(self, q: Quaternion) -> Optional[Coords]:
         """Integer order coordinates of q, or None if q is not in the order."""
-        v = [Fraction(x) for x in q.coeffs]
-        sol = [sum(v[t] * self._basis_inv[t][c] for t in range(4)) for c in range(4)]
+        sol = self.frac_coords_of(q)
         if any(x.denominator != 1 for x in sol):
             return None
         return tuple(int(x) for x in sol)
@@ -337,19 +332,19 @@ def units(order: Order) -> List[OrderElement]:
 def enumerate_by_norm(order: Order, bound) -> List[Coords]:
     """All x in O with 0 < n(x) <= bound, sorted lexicographically on coords.
 
-    With G the Gram matrix of the norm form, x_i = <x, v_i> for the dual
-    basis vector v_i, and n(v_i) = (G^-1)_ii, so Cauchy-Schwarz confines
-    every such x to the box |x_i| <= sqrt(bound (G^-1)_ii).  The box radii
-    are exact integer square roots and each box point is kept by its exact
-    int64 norm: no step uses floating point.
+    With G = gram2 / 2 the Gram matrix of the norm form, x_i = <x, v_i> for
+    the dual basis vector v_i, and n(v_i) = (G^-1)_ii = 2 (gram2^-1)_ii, so
+    Cauchy-Schwarz confines every such x to |x_i| <= sqrt(bound (G^-1)_ii).
+    The box radii are exact integer square roots and each box point is kept
+    by its exact int64 norm: no step uses floating point.
     """
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    Ginv = mat_frac_inverse(order.gram)
+    Ginv2 = mat_frac_inverse(order.gram2)
     radii = []
     for i in range(4):
-        r2 = bound * Ginv[i][i]
+        r2 = 2 * bound * Ginv2[i][i]
         radii.append(math.isqrt(r2.numerator * r2.denominator) // r2.denominator)
     axes = np.ix_(*(np.arange(-r, r + 1, dtype=np.int64) for r in radii[1:]))
     out: List[Coords] = []

@@ -781,6 +781,11 @@ def test_checkpoint_shared_with_a_run_still_writing(hur, tmp_path):
 
 
 def test_scale_parameter(hur):
+    # the c-list at scale m is m times the one at s / m^2, ordered by (n(c), c);
+    # at scale 1 it is the norm enumeration itself
+    assert _c_list(hur, 16, 1) == sorted(enumerate_by_norm(hur, 16),
+                                         key=lambda c: (hur.norm(c), c))
+    assert _c_list(hur, 16, 2) == [tuple(2 * v for v in c) for c in _c_list(hur, 4, 1)]
     # alpha, c in 2O: fewer orbits than the unrestricted count at the same s
     full = psi_count(hur, 4, with_triples=False)[0]
     scaled, triples = psi_count(hur, 4, scale=2)

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package is used somewhere.
+"""Every module-level function and class of the package, and every method
+of such a class other than a dunder, is used somewhere.
 
 A name counts as used when it occurs as a word on any line of a Python
 file under src/, tests/, demos/ or perfbench/ other than its own `def` or
@@ -16,12 +17,18 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def _definitions():
-    """(module path, name, line of its def/class) for each module-level one."""
+    """(module path, name, line of its def/class) for each module-level one
+    and each non-dunder method of a module-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, funcs + (ast.ClassDef,)):
                 yield path, node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, funcs) and not item.name.startswith("__"):
+                        yield path, item.name, item.lineno
 
 
 def _lines():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from heisquat.heisenberg import FundamentalDomain
+from heisquat.heisenberg import FundamentalDomain, haar_mass_check
 from heisquat.lattices import RatLattice, kernel_basis
 from heisquat.orders import (Algebra, OrderElement, OrderError,
                              algebra_discriminant, builtin_order, covolume,
@@ -83,6 +83,36 @@ def test_d3_builtin(d3):
     assert d3.reduced_discriminant == 3
     assert covolume(d3)[1] == Fraction(3, 4)
     assert len(units(d3)) == 12
+
+
+H, Q = Fraction(1, 2), Fraction(1, 4)
+
+
+@pytest.mark.parametrize("D, algebra, basis, gram2, n_units, R4, R3, mass", [
+    (2, (-1, -1), [[H, H, H, H], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     ((2, 1, 1, 1), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2)), 24, 7, 12, 1),
+    (3, (-1, -3), [[1, 0, 0, 0], [0, 1, 0, 0], [0, H, H, 0], [H, 0, 0, H]],
+     ((2, 0, 0, 1), (0, 2, 1, 0), (0, 1, 2, 0), (1, 0, 0, 2)), 12, 6, 24, Fraction(9, 4)),
+    (7, (-1, -7), [[1, 0, 0, 0], [0, 1, 0, 0], [H, 0, H, 0], [0, H, 0, H]],
+     ((2, 0, 1, 0), (0, 2, 0, 1), (1, 0, 4, 0), (0, 1, 0, 4)), 4, 8, 44, Fraction(49, 4)),
+    (11, (-1, -11), [[1, 0, 0, 0], [0, 1, 0, 0], [H, 0, H, 0], [0, H, 0, H]],
+     ((2, 0, 1, 0), (0, 2, 0, 1), (1, 0, 6, 0), (0, 1, 0, 6)), 4, 10, 64, Fraction(121, 4)),
+    (5, (-2, -5), [[H, 0, H, H], [0, Q, H, Q], [0, 0, 1, 0], [0, 0, 0, 1]],
+     ((8, 5, 5, 10), (5, 4, 5, 5), (5, 5, 10, 0), (10, 5, 0, 20)), 6, 51, 108, Fraction(25, 4)),
+    (13, (-2, -13), [[H, 0, H, H], [0, Q, H, Q], [0, 0, 1, 0], [0, 0, 0, 1]],
+     ((20, 13, 13, 26), (13, 10, 13, 13), (13, 13, 26, 0), (26, 13, 0, 52)),
+     2, 132, 280, Fraction(169, 4)),
+], ids=["hurwitz", "d3", "D7", "D11", "D5", "D13"])
+def test_order_tables_pinned(D, algebra, basis, gram2, n_units, R4, R3, mass):
+    # Hurwitz, d3 and Pizer's maximal orders for D = 7, 11 ((-1,-p): 1, i,
+    # (1+j)/2, (i+k)/2) and D = 5, 13 ((-2,-p): (1+j+k)/2, (i+2j+k)/4, j, k)
+    order = make_order(Algebra(*algebra), basis)
+    fd = FundamentalDomain(order)
+    assert order.reduced_discriminant == order.D_A == D
+    assert order.gram2 == gram2
+    assert len(units(order)) == n_units
+    assert (fd.R4, fd.R3) == (R4, R3)
+    assert haar_mass_check(order) == mass
 
 
 def test_covolume_scaling(hur):
