@@ -43,7 +43,7 @@ with np.bincount, asserting that each bucket holds exactly one in-domain
 triple, and counts the buckets.  It scans every c, in one pass for a grid.
 
 The per-c work of both is independent and exact, so one helper,
-_pool_map, spreads it over a process pool: scan_summary's work items with
+_pool_map, spreads it over a process pool: scan_summary's values of c with
 threads > 1, the oracle's list of c always, with one worker per CPU
 that the process may use (_usable_cpus, its affinity mask).
 Per-c results are added in the parent, so no output depends on the
@@ -329,8 +329,8 @@ def psi_count(order: Order, s, scale: int = 1,
     """Orbit count for 0 < n(c) <= s, plus the canonical triples.
 
     With with_triples=False the second component is an empty list and the
-    count comes from scan_summary, which scans one c per right unit coset;
-    with triples every c is scanned.
+    count comes from scan_summary, which scans one c per double unit coset
+    O^x c O^x; with triples every c is scanned.
     """
     if not with_triples:
         return scan_summary(order, [s], scale=scale).counts[Fraction(s)], []
@@ -350,9 +350,10 @@ def psi_count(order: Order, s, scale: int = 1,
 # summaries: tables, histograms, checkpoints, worker pools
 
 
-# Version of the checkpoint record; part of every key.  Version 2 records
-# hold the count and histogram of a whole right coset c O^x.
-_CKPT_VERSION = 2
+# Version of the checkpoint record; part of every key.  Version 3 records
+# hold the count and histogram of a whole right coset c O^x, one record per
+# scanned c.
+_CKPT_VERSION = 3
 
 
 def checkpoint_key(order: Order, scale: int = 1) -> str:
@@ -367,21 +368,15 @@ def checkpoint_key(order: Order, scale: int = 1) -> str:
 
 
 def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict]:
-    """Checkpoint records for the work items (c, cosets) in chunk: c is
-    scanned once, and each right coset r O^x, r in cosets, gets a record
-    with the count of c weighted by |O^x|.  That is exact for every r in
-    O^x c O^x, as the orbit count is invariant under left and right unit
-    multiplication (module docstring).  The histogram is only right
-    invariant, so only the record of c itself carries it."""
+    """One checkpoint record per c in chunk: the count and 128-cell
+    histogram of its right coset c O^x, those of c weighted by |O^x|."""
     weight = len(fd.order.units)
     out = []
-    for c, cosets in chunk:
+    for c in chunk:
         rec = _scan_c(fd, c, scale)
-        for r in cosets:
-            out.append({"key": key, "c": list(r), "nc": rec.nc, "count": rec.count * weight})
-            if r == rec.c:
-                hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
-                out[-1]["hist"] = hist.tolist()
+        hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
+        out.append({"key": key, "c": list(c), "nc": rec.nc, "count": rec.count * weight,
+                    "hist": hist.tolist()})
     return out
 
 
@@ -416,18 +411,17 @@ def _is_count(x) -> bool:
 
 
 def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], dict]:
-    """The records that carry key and whose c is in cs, from a JSONL
+    """{c: its first valid record}, over the records that carry key and
+    whose c is in cs, the values of c this run scans, from a JSONL
     checkpoint open in "a+b" mode.
 
-    A record is kept only if its nc is n(c), its count a non-negative int
-    divisible by |O^x| and its hist, if it has one, 128 non-negative ints
-    that sum to the count; any other record is ignored, like a foreign one,
-    and its coset is scanned again.  Of several records of one coset, one
-    with a hist is kept over any without.  A torn last line, left by a
-    killed run, is cut off the file so that new records start on a line of
-    their own.  The file is read under the lock that every append takes,
-    so a record another run is still writing is never taken for a torn
-    one.
+    A record is valid only if its nc is n(c), its count a non-negative int
+    divisible by |O^x| and its hist 128 non-negative ints that sum to the
+    count; any other record is ignored, like a foreign one, and its c is
+    scanned again.  A torn last line, left by a killed run, is cut off the
+    file so that new records start on a line of their own.  The file is
+    read under the lock that every append takes, so a record another run
+    is still writing is never taken for a torn one.
     """
     import fcntl
     fcntl.flock(fh, fcntl.LOCK_EX)
@@ -446,16 +440,11 @@ def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], di
         try:
             rec = json.loads(line)
             c = tuple(rec["c"])
-            if rec["key"] != key or c not in wanted:
+            if rec["key"] != key or c not in wanted or c in done:
                 continue
-            count = rec["count"]
-            if not (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0):
-                continue
-            if "hist" not in rec:
-                done.setdefault(c, rec)
-                continue
-            hist = rec["hist"]
-            if (type(hist) is list and len(hist) == 128
+            count, hist = rec["count"], rec["hist"]
+            if (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0
+                    and type(hist) is list and len(hist) == 128
                     and all(_is_count(h) for h in hist) and sum(hist) == count):
                 done[c] = rec
         except (ValueError, KeyError, TypeError):
@@ -493,21 +482,22 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     histogram on its right coset c O^x (see the module docstring).  So a
     right coset with n(c) <= max(hist_levels) is scanned once, at its
     least member, weighted by |O^x|; above that level one c per double
-    coset is scanned, its least member, and its weighted count is recorded
-    for every right coset of the class, the histogram only for its own.
-    Results are per-coset additive, so the output does not depend on the
-    thread partition.  An optional JSONL checkpoint stores one record per
-    right coset, keyed by checkpoint_key(order, scale); on resume, records
-    with another key, a c outside the current list or a count and
-    histogram that do not check out are ignored, and so is a record
-    without a histogram where one is needed.  Runs that share a checkpoint
-    take turns reading and appending it, so neither loses the other's
-    records; a coset both runs scan is stored twice and counted once.
-    With threads > 1 the work items (c to scan, right cosets to record) go
-    to a process pool (_pool_map) that receives the fundamental domain
-    pickled, with its order's validated tables and units.
-    progress(done, total) is called after each batch, with the number of
-    right cosets recorded so far and to record in all.
+    coset is scanned, its least member, and its weighted count is added
+    once for each right coset of the class (_scan_classes).  Results are
+    per-c additive, so the output does not depend on the thread partition.
+    An optional JSONL checkpoint stores one record per scanned c, with the
+    count and histogram of its right coset, keyed by checkpoint_key(order,
+    scale).  Every scanned c is the least member of its right coset, so a
+    record serves any later run that scans that c, whatever its histogram
+    levels.  On resume, records with another key, a c this run does not
+    scan or a count and histogram that do not check out are ignored.  Runs
+    that share a checkpoint take turns reading and appending it, so
+    neither loses the other's records; a c both runs scan is stored twice
+    and counted once.  With threads > 1 the values of c go to a process
+    pool (_pool_map) that receives the fundamental domain pickled, with
+    its order's validated tables and units.  progress(done, total) is
+    called after each batch, with the number of values of c scanned so far
+    and to scan in all.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
@@ -516,21 +506,18 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     reps = _right_coset_representatives(order, _c_list(order, smax, scale))
     key = checkpoint_key(order, scale)
     scan_chunk = functools.partial(_scan_chunk, FundamentalDomain(order), key, scale)
+    classes = _scan_classes(order, reps, hist_max)
     ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
-        done = _load_checkpoint(ckpt, key, order, reps) if ckpt else {}
-        done = {c: rec for c, rec in done.items() if "hist" in rec or rec["nc"] > hist_max}
+        done = _load_checkpoint(ckpt, key, order, classes) if ckpt else {}
         records = list(done.values())
-        todo = [(c, [r for r in cosets if r not in done])
-                for c, cosets in _scan_classes(order, reps, hist_max).items()]
-        todo = [item for item in todo if item[1]]
-        total = sum(len(cosets) for _, cosets in todo)
+        todo = [c for c in classes if c not in done]
         for batch in _pool_map(scan_chunk, todo, threads):
             records.extend(batch)
             if ckpt:
                 _append_checkpoint(ckpt, batch)
             if progress:
-                progress(len(records) - len(done), total)
+                progress(len(records) - len(done), len(todo))
     finally:
         if ckpt:
             ckpt.close()
@@ -539,7 +526,7 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     for rec in records:
         for g in grid:
             if rec["nc"] <= g:
-                counts[g] += rec["count"]
+                counts[g] += rec["count"] * len(classes[tuple(rec["c"])])
         for g in hlev:
             if rec["nc"] <= g:
                 hists[g] += np.array(rec["hist"], np.int64)

@@ -170,9 +170,3 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.alg.a},{self.alg.b}; {self.x0}, {self.x1}, {self.x2}, {self.x3})"
-
-
-def inner(x: Quaternion, y: Quaternion):
-    """Euclidean pairing <x,y> = tr(conj(x) y)/2; <x,x> = n(x)."""
-    return Fraction((x.conj() * y).trace(), 2)
-

@@ -442,12 +442,13 @@ def test_fundamental_domain_survives_pickling(name):
     assert (copy.cell3_num == fd.cell3_num).all()
     with pytest.raises(AttributeError):
         copy.order.basis_quats[0].x0 = 5
-    # work items of both kinds: one right coset each up to n(c) = 3, one
-    # double coset each above
+    # values of c of both kinds: one per right coset up to n(c) = 3, one
+    # per double coset above
     reps = _right_coset_representatives(fd.order, _c_list(fd.order, 6))
-    items = list(_scan_classes(fd.order, reps, 3).items())
-    assert any(len(cosets) > 1 for _, cosets in items)
-    assert _scan_chunk(copy, "k", 1, items) == _scan_chunk(fd, "k", 1, items)
+    classes = _scan_classes(fd.order, reps, 3)
+    assert any(len(cosets) > 1 for cosets in classes.values())
+    cs = list(classes)
+    assert _scan_chunk(copy, "k", 1, cs) == _scan_chunk(fd, "k", 1, cs)
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -466,7 +467,7 @@ def test_alpha_transversal_equals_the_oracle_formula(name):
 
 def test_scan_summary_progress(tmp_path, pool_runs):
     # 44 right coset representatives up to s = 8 on d3, in 13 double cosets:
-    # one call per double coset, counting the right cosets recorded
+    # one call per double coset, counting the values of c scanned
     d3 = builtin_order("d3")
     calls = []
 
@@ -474,12 +475,12 @@ def test_scan_summary_progress(tmp_path, pool_runs):
         calls.append((done, total))
 
     scan_summary(d3, [8], progress=progress)
-    assert calls == [(k, 44) for k in (1, 4, 5, 11, 12, 15, 18, 21, 23, 29, 35, 41, 44)]
+    assert calls == [(k, 13) for k in range(1, 14)]
     ck = str(tmp_path / "chk.jsonl")
     calls.clear()
     scan_summary(d3, [8], checkpoint_path=ck, threads=2, progress=progress)
     assert pool_runs == [2]
-    assert calls == sorted(calls) and calls[-1] == (44, 44)
+    assert calls == sorted(calls) and calls[-1] == (13, 13)
     calls.clear()
     scan_summary(d3, [8], checkpoint_path=ck, threads=2, progress=progress)
     assert calls == []
@@ -620,54 +621,46 @@ def test_checkpoint_with_histograms_everywhere_resumes_with_no_new_lines(hur, tm
 
 
 def test_histogram_run_rescans_exactly_the_cosets_without_a_histogram(tmp_path):
+    # a counts-only run records one line per double coset, each with the
+    # histogram of its least member's right coset; a histogram run then
+    # scans only the right cosets that are not class keys
     d3 = builtin_order("d3")
     ck = tmp_path / "chk.jsonl"
     counts_only = scan_summary(d3, (4, 8), checkpoint_path=str(ck))
     lines = ck.read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    assert len(records) == len(_right_coset_representatives(d3, _c_list(d3, 8)))
-    # records without a histogram are accepted by a run that needs none
-    assert any("hist" not in rec for rec in records)
+    reps = _right_coset_representatives(d3, _c_list(d3, 8))
+    keys = _scan_classes(d3, reps, 0)
+    assert sorted(tuple(rec["c"]) for rec in records) == sorted(keys)
+    assert len(records) == 13 and all(len(rec["hist"]) == 128 for rec in records)
     assert scan_summary(d3, (4, 8), checkpoint_path=str(ck)).counts == counts_only.counts
     assert ck.read_text().splitlines() == lines
-    # a run with histograms up to 4 rescans the cosets with n(c) <= 4
-    # whose record has none, and only those
-    missing = sorted(tuple(rec["c"]) for rec in records
-                     if rec["nc"] <= 4 and "hist" not in rec)
-    assert missing
     got = scan_summary(d3, (4, 8), hist_levels=[4], checkpoint_path=str(ck))
     fresh = scan_summary(d3, (4, 8), hist_levels=[4])
-    assert got.counts == fresh.counts
+    assert got.counts == fresh.counts == counts_only.counts
     assert (got.hists[Fraction(4)] == fresh.hists[Fraction(4)]).all()
     after = ck.read_text().splitlines()
     assert after[:len(lines)] == lines
-    added = [json.loads(line) for line in after[len(lines):]]
-    assert sorted(tuple(rec["c"]) for rec in added) == missing
-    assert all("hist" in rec for rec in added)
+    added = sorted(tuple(json.loads(line)["c"]) for line in after[len(lines):])
+    assert added == sorted(c for c in reps if d3.norm(c) <= 4 and c not in keys)
+    assert len(added) == 7
     scan_summary(d3, (4, 8), hist_levels=[4], checkpoint_path=str(ck))
     assert ck.read_text().splitlines() == after
 
 
-@pytest.mark.parametrize("without_first", [True, False])
-def test_a_record_with_a_histogram_wins_over_one_without(hur, tmp_path, without_first):
-    # every coset also gets a valid record without a histogram whose count
-    # is off by one unit multiple; the record with the histogram must win
+def test_larger_grid_resumes_from_the_smaller_grid_checkpoint(tmp_path):
+    # the classes with n(c) <= 8 are the same at s = 16, so their lines are
+    # reused and only the 25 classes with 8 < n(c) <= 16 are scanned
+    d3 = builtin_order("d3")
     ck = tmp_path / "chk.jsonl"
-    fresh = scan_summary(hur, (2, 4), hist_levels=[4], checkpoint_path=str(ck))
-    with_hist = ck.read_text().splitlines()
-    without = []
-    for line in with_hist:
-        rec = json.loads(line)
-        del rec["hist"]
-        rec["count"] += len(hur.units)
-        without.append(json.dumps(rec))
-    lines = without + with_hist if without_first else with_hist + without
-    ck.write_text("\n".join(lines) + "\n")
-    for hist_levels in ((), (4,)):
-        got = scan_summary(hur, (2, 4), hist_levels=hist_levels, checkpoint_path=str(ck))
-        assert got.counts == fresh.counts
-        assert ck.read_text().splitlines() == lines
-    assert (got.hists[Fraction(4)] == fresh.hists[Fraction(4)]).all()
+    scan_summary(d3, (4, 8), checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    assert len(lines) == 13
+    got = scan_summary(d3, (4, 8, 12, 16), checkpoint_path=str(ck))
+    assert got.counts == scan_summary(d3, (4, 8, 12, 16)).counts
+    after = ck.read_text().splitlines()
+    assert after[:13] == lines and len(after) == 38
+    assert all(8 < json.loads(line)["nc"] <= 16 for line in after[13:])
 
 
 @pytest.mark.parametrize("name, grid", [("hurwitz", (4, 8)), ("d3", (4, 8, 12))])

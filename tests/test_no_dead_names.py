@@ -1,10 +1,10 @@
-"""Every module-level function and class of the package, and every method
-of such a class other than a dunder, is used somewhere.
+"""Every module-level function, class and constant of the package, and
+every method of such a class, is used somewhere; dunder names are exempt.
 
 A name counts as used when it occurs as a word on any line of a Python
-file under src/, tests/, demos/ or perfbench/ other than its own `def` or
-`class` line; the strings of perfbench/spans.py's WRAP_SITES count too.
-The check reads files only.
+file under src/, tests/, demos/ or perfbench/ other than its own `def`,
+`class` or assignment line; the strings of perfbench/spans.py's
+WRAP_SITES count too.  The check reads files only.
 """
 
 import ast
@@ -17,14 +17,21 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def _definitions():
-    """(module path, name, line of its def/class) for each module-level one
-    and each non-dunder method of a module-level class."""
+    """(module path, name, line of its def/class/assignment) for each
+    module-level one and each method of a module-level class, dunders
+    aside."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, funcs + (ast.ClassDef,)):
                 yield path, node.name, node.lineno
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                            yield path, name.id, name.lineno
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, funcs) and not item.name.startswith("__"):

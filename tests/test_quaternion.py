@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisquat.quaternion import Algebra, inner
+from heisquat.quaternion import Algebra
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +59,6 @@ def test_random_algebra_identities(a, b):
         assert p.norm() >= 0
         assert (p.norm() == 0) == p.is_zero()
         assert p.imag() + Fraction(p.trace(), 2) * alg.one == p
-
-
-def test_inner_product_polarizes_norm(hamilton):
-    rng = random.Random(5)
-    for _ in range(30):
-        x = hamilton.quat(*[Fraction(rng.randint(-5, 5)) for _ in range(4)])
-        y = hamilton.quat(*[Fraction(rng.randint(-5, 5)) for _ in range(4)])
-        assert inner(x, x) == x.norm()
-        assert inner(x, y) == inner(y, x)
-        assert (x + y).norm() == x.norm() + 2 * inner(x, y) + y.norm()
 
 
 def test_zero_inverse_raises(hamilton):
