@@ -101,12 +101,14 @@ def _checkpoint_path(args, tag: str):
     base = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     if not base:
         return None
+    path = os.path.join(base, tag + ".jsonl")
     try:
         os.makedirs(base, exist_ok=True)
+        # opened (and created) before the work, as --out is
+        open(path, "a+b").close()
     except OSError as exc:
-        raise SystemExit(_usage_error(f"cache {base} is not a usable directory: "
-                                      f"{exc.strerror}"))
-    return os.path.join(base, tag + ".jsonl")
+        raise SystemExit(_usage_error(f"cache {exc.filename} is not usable: {exc.strerror}"))
+    return path
 
 
 def cmd_count(args) -> int:

@@ -364,10 +364,16 @@ def test_unwritable_out_exits_2_before_the_work(argv, tmp_path, capsys):
 
 
 def test_cache_that_is_not_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    from heisquat.counting import checkpoint_key
+    from heisquat.orders import builtin_order
     blocker = tmp_path / "file"
     blocker.write_text("")
+    # a cache directory whose checkpoint file is a directory: not openable
+    cache = tmp_path / "cache"
+    (cache / f"count_{checkpoint_key(builtin_order('hurwitz'))}.jsonl").mkdir(parents=True)
     argv = ["count", "--s-max", "2", "--out", str(tmp_path / "c.json")]
-    for env, extra in ((None, ["--cache", str(blocker)]), (str(blocker), [])):
+    for env, extra in ((None, ["--cache", str(blocker)]), (str(blocker), []),
+                       (None, ["--cache", str(cache)])):
         if env:
             monkeypatch.setenv("HEIS_MERTENS_CACHE", env)
         rc, stdout, err = _exit_code_and_output(argv + extra, capsys)

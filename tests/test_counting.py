@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from heisquat import counting
 from heisquat.counting import (_box_points, _brute_force_c, _bucket_counts, _c_list,
-                               _CContext, _cell_index, _loglog_fit, _primitive_mask,
+                               _CContext, _cell_index, _exact_rows, _loglog_fit,
+                               _primitive_mask,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -199,7 +200,8 @@ def test_a_box_is_the_box_of_each_q(name, monkeypatch):
     runs += [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
     keys = []
     for n, (ctx, q) in enumerate(_formed_qs(fd, runs, monkeypatch).values()):
-        row, A, W = counting._a_box(ctx, q)
+        row, W = counting._a_box(ctx, q)
+        A = _exact_rows(np.column_stack([q[row] * ctx.g, W]), ctx.adjM, ctx.detM)
         m = ctx.Pden ** 3 // int(np.prod(np.diag(ctx.T3)))
         assert (np.bincount(row, minlength=q.size) == m).all() and row.size == m * q.size
         assert (A @ fd.order.trace_pairing(np.array(ctx.c, np.int64)) == q[row] * ctx.g).all()
@@ -226,9 +228,9 @@ def test_oracle_bucket_index_is_a_bijection(name, monkeypatch):
     fd = FundamentalDomain(builtin_order(name))
     runs = [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
     for ctx, q in _formed_qs(fd, runs, monkeypatch).values():
-        _, V4 = _box_points(ctx.H4, 0, ctx.D)
+        V4 = _box_points(ctx.H4, 0, ctx.D)
         assert np.sort(_cell_index(V4, ctx.H4, ctx.D)).tolist() == list(range(ctx.D))
-        _, _, W = counting._a_box(ctx, q)
+        _, W = counting._a_box(ctx, q)
         m = ctx.WR.shape[0]
         idx = np.sort(_cell_index(W, ctx.T3, ctx.Pden).reshape(q.size, m), axis=1)
         assert (idx == np.arange(m)).all()
@@ -236,19 +238,18 @@ def test_oracle_bucket_index_is_a_bijection(name, monkeypatch):
 
 def test_cell_index_needs_pivots_that_divide_the_side():
     H = np.array([[2, 1], [0, 3]])
-    _, W = _box_points(H, 0, 6)
+    W = _box_points(H, 0, 6)
     assert sorted(_cell_index(W, H, 6).tolist()) == list(range(6))
     with pytest.raises(AssertionError, match="pivot"):
         _cell_index(W, H, 4)
 
 
 def test_box_points_needs_pivots_that_divide_the_side():
-    T, W = _box_points(np.array([[2, 1], [0, 3]]), -6, 6)
-    assert (T @ np.array([[2, 1], [0, 3]]) == W).all()
+    W = _box_points(np.array([[2, 1], [0, 3]]), -6, 6)
     want = sorted((w1, w2) for w1 in range(-6, 6) for w2 in range(-6, 6)
                   if w1 % 2 == 0 and (w2 - w1 // 2) % 3 == 0)
-    assert sorted(map(tuple, W.tolist())) == want
-    assert T.tolist() == sorted(T.tolist())
+    # t ascending within each level, with positive pivots, is W ascending
+    assert W.tolist() == [list(w) for w in want]
     with pytest.raises(AssertionError, match="pivot"):
         _box_points(np.array([[3]]), 0, 4)
 
@@ -452,17 +453,86 @@ def test_fundamental_domain_survives_pickling(name):
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_alpha_transversal_equals_the_oracle_formula(name):
-    # the scan reads alpha = t . U4 off the HNF transform of adjR; the
-    # oracle derives alpha = V4 . R / D, which must be integral
+def test_exact_map_rejects_a_numerator_moved_by_one(name):
+    # alpha = V . R / D and a = (q g, W) . adjM / detM are integral exactly
+    # on the lattices of H4 and of [tau | Pnum].  For n(c) > 1 that of H4
+    # lies in n(c) Z^4, so any entry of V moved by 1 leaves it; entry j of
+    # W moved by 1 leaves the lattice of T3 where its pivot j exceeds 1
     order = builtin_order(name)
     fd = FundamentalDomain(order)
+    moved = [0, 0]
     for c in _right_coset_representatives(order, _c_list(order, 16)):
         ctx = _CContext(fd, c)
-        T4, V4 = _box_points(ctx.H4, 0, ctx.D)
-        prod = V4 @ ctx.R
-        assert not (prod % ctx.D).any()
-        assert (T4 @ ctx.U4 == prod // ctx.D).all()
+        q = np.array([1, 5])
+        row, W = counting._a_box(ctx, q)
+        sides = [(_box_points(ctx.H4, 0, ctx.D), ctx.R, ctx.D, range(4 if ctx.nc > 1 else 0)),
+                 (np.column_stack([q[row] * ctx.g, W]), ctx.adjM, ctx.detM,
+                  1 + np.nonzero(np.diag(ctx.T3) > 1)[0])]
+        for side, (Y, M, d, cols) in enumerate(sides):
+            _exact_rows(Y, M, d)
+            for j in cols:
+                bad = Y.copy()
+                bad[Y.shape[0] // 2, j] += 1
+                with pytest.raises(AssertionError, match="exact map"):
+                    _exact_rows(bad, M, d)
+                moved[side] += 1
+    assert min(moved) >= 300
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_kernels_reject_a_numerator_moved_by_one(name, monkeypatch):
+    # one entry of V moved by 1 stops the scan and the oracle, one of W the
+    # scan, which forms a on every row (the oracle only on a few)
+    fd = FundamentalDomain(builtin_order(name))
+    c = _right_coset_representatives(fd.order, _c_list(fd.order, 8))[-1]
+    pivots = np.diag(_CContext(fd, c).T3)
+    j = int(np.argmax(pivots > 1))
+    assert pivots[j] > 1
+    box_points, a_box = counting._box_points, counting._a_box
+
+    def moved_v(H, lo, hi):
+        V = box_points(H, lo, hi)
+        if H.shape[0] == 4:  # the alpha side, not the residue table
+            V[V.shape[0] // 2, 0] += 1
+        return V
+
+    def moved_w(ctx, q):
+        row, W = a_box(ctx, q)
+        W[W.shape[0] // 2, j] += 1
+        return row, W
+
+    for site, fake, kernels in (("_box_points", moved_v, (_scan_c, _brute_force_c)),
+                                ("_a_box", moved_w, (_scan_c,))):
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, site, fake)
+            for kernel in kernels:
+                with pytest.raises(AssertionError, match="exact map"):
+                    kernel(fd, c)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_oracle_peak_memory_per_a_box_row(name, monkeypatch):
+    # the oracle forms a only on its spot and in-domain rows: a traced peak
+    # of 94-97 B per a-box row, against 148-172 B with a formed on every row
+    fd = FundamentalDomain(builtin_order(name))
+    c = _right_coset_representatives(fd.order, _c_list(fd.order, 8))[-1]
+    rows = []
+    a_box = counting._a_box
+
+    def counted(ctx, q):
+        row, W = a_box(ctx, q)
+        rows.append(row.size)
+        return row, W
+
+    monkeypatch.setattr(counting, "_a_box", counted)
+    _brute_force_c(fd, c)
+    tracemalloc.start()
+    try:
+        _brute_force_c(fd, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * rows[-1]
 
 
 def test_scan_summary_progress(tmp_path, pool_runs):
