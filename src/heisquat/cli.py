@@ -114,7 +114,7 @@ def _checkpoint_path(args, tag: str):
 def cmd_count(args) -> int:
     from . import counting as C
     order = _load_order(args.order)
-    grid = _parse_grid(args.s_grid) if args.s_max is None else [_parse_s(args.s_max)]
+    grid = _parse_grid(args.s_grid)
     if any(a >= b for a, b in zip(grid, grid[1:])):
         return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
@@ -162,8 +162,13 @@ def cmd_constants(args) -> int:
     try:
         payload = K.constants_report(d, n=args.n,
                                      with_quadrature=not args.no_quadrature)
-    except (ValueError, OverflowError) as exc:
-        # a quadrature off its closed form or overflowing: a failed check
+    except OverflowError:
+        # a float integrand out of range says nothing of the closed forms
+        return _usage_error(
+            f"the quadrature checks overflow a float at n = {args.n}; "
+            "--no-quadrature prints the exact report")
+    except ValueError as exc:
+        # a quadrature off its closed form: a failed check
         print(f"error: constants check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     _emit(payload, args.out, "json")
@@ -218,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting run over an s grid")
     common(p)
     scan_options(p)
-    levels = p.add_mutually_exclusive_group(required=True)
-    levels.add_argument("--s-grid", help="comma separated strictly ascending s values")
-    levels.add_argument("--s-max", help="single s value")
+    p.add_argument("--s-grid", required=True,
+                   help="comma separated strictly ascending s values")
     p.add_argument("--scale", type=int, default=1,
                    help="congruence scale: alpha, c restricted to scale*O")
     p.add_argument("--cache", help=f"checkpoint dir (or ${CACHE_ENV})")

@@ -69,6 +69,7 @@ from .heisenberg import FundamentalDomain, Triple
 from .lattices import adjugate, det_int, hnf
 # not called here: perfbench/spans.py wraps these names in this module
 from .lattices import kernel_basis, mat_mul, solve_integer  # noqa: F401
+from .orbitlaw import orbit_law
 from .orders import Order, OrderElement, enumerate_by_norm, order_spec_dict
 
 _S_LIMIT = 10 ** 4
@@ -408,18 +409,22 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], dict]:
+def _load_checkpoint(fh, key: str, order: Order, cs, scale: int) -> Dict[Tuple[int, ...], dict]:
     """{c: its first valid record}, over the records that carry key and
     whose c is in cs, the values of c this run scans, from a JSONL
     checkpoint open in "a+b" mode.
 
     A record is valid only if its nc is n(c), its count a non-negative int
     divisible by |O^x| and its hist 128 non-negative ints that sum to the
-    count; any other record is ignored, like a foreign one, and its c is
-    scanned again.  A torn last line, left by a killed run, is cut off the
-    file so that new records start on a line of their own.  The file is
-    read under the lock that every append takes, so a record another run
-    is still writing is never taken for a torn one.
+    count, and at scale 1 only if its count is |O^x| orbit_law(order, c),
+    the proven count of the right coset c O^x.  At scale > 1 the law has no
+    level-m form yet (alpha and c in scale * O change the local factors at
+    p | scale), so only the form is checked there.  Any other record is
+    ignored, like a foreign one, and its c is scanned again.  A torn last
+    line, left by a killed run, is cut off the file so that new records
+    start on a line of their own.  The file is read under the lock that
+    every append takes, so a record another run is still writing is never
+    taken for a torn one.
     """
     import fcntl
     fcntl.flock(fh, fcntl.LOCK_EX)
@@ -443,7 +448,8 @@ def _load_checkpoint(fh, key: str, order: Order, cs) -> Dict[Tuple[int, ...], di
             count, hist = rec["count"], rec["hist"]
             if (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0
                     and type(hist) is list and len(hist) == 128
-                    and all(_is_count(h) for h in hist) and sum(hist) == count):
+                    and all(_is_count(h) for h in hist) and sum(hist) == count
+                    and (scale > 1 or count == weight * orbit_law(order, c))):
                 done[c] = rec
         except (ValueError, KeyError, TypeError):
             continue
@@ -507,7 +513,7 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     classes = _scan_classes(order, reps, hist_max)
     ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
-        done = _load_checkpoint(ckpt, key, order, classes) if ckpt else {}
+        done = _load_checkpoint(ckpt, key, order, classes, scale) if ckpt else {}
         records = list(done.values())
         todo = [c for c in classes if c not in done]
         for batch in _pool_map(scan_chunk, todo, threads):

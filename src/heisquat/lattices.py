@@ -6,6 +6,12 @@ pivots, and entries above each pivot reduced into [0, pivot).  This makes
 the HNF a canonical form: two row sets span the same Z-module iff their
 HNFs are identical.
 
+Two eliminations do all the work, one per kind of arithmetic:
+- over Z, the gcd pass _eliminate (with _reduce) is behind hnf,
+  hnf_transform, kernel_basis, solve_integer and hnf_in_span;
+- over Q, the fraction-free Gauss-Jordan pass _bareiss is behind det_int,
+  adjugate and mat_frac_inverse, in integers throughout.
+
 The module is pure Python (no numpy), so it also holds prime_factors,
 the integer factoring that heisquat.constants needs without loading the
 order and scan modules; heisquat.orders re-exports it.  It factors exactly
@@ -18,26 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Row = Tuple[int, ...]
 
 
-def _eliminate(aug: List[List[int]], n: int) -> Tuple[List[List[int]], List[List[int]]]:
-    """Gcd row reduction of the first n columns of aug, in place.
+def _eliminate(work: List[List[int]]) -> List[List[int]]:
+    """Gcd row reduction of every column of work, in place.
 
-    Returns (pivots, rest): one row per pivot, pivot columns strictly
-    increasing and each pivot positive, and the remaining rows, which
-    vanish on the first n columns.  Columns past n are carried along, so
-    for [mat | I] they record the row operations (Cohen, GTM 138, 2.4).
+    Returns one row per pivot, pivot columns strictly increasing and each
+    pivot positive; the rows left out are zero.  For [mat | I] the columns
+    past mat record the row operations (Cohen, GTM 138, 2.4).
     """
     pivots: List[List[int]] = []
-    work = aug
-    col = 0
-    while col < n and work:
+    for col in range(len(work[0]) if work else 0):
         live = [r for r in work if r[col] != 0]
         if not live:
-            col += 1
             continue
         while True:
             live.sort(key=lambda r: abs(r[col]))
@@ -55,8 +57,7 @@ def _eliminate(aug: List[List[int]], n: int) -> Tuple[List[List[int]], List[List
                 pivot[t] = -pivot[t]
         pivots.append(pivot)
         work = [r for r in work if r is not pivot]
-        col += 1
-    return pivots, work
+    return pivots
 
 
 def _augment(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
@@ -67,22 +68,21 @@ def _augment(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
             for r in range(m)], n
 
 
-def _reduce(rows: Sequence[Sequence[int]], v: Sequence[int], n: int) -> List[int]:
+def _reduce(rows: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     """v reduced by echelon rows: each pivot entry of v taken mod its pivot.
 
-    Pivots are sought in the first n columns; later columns are carried
-    along.  Pivot columns strictly increase, so a later row never changes
-    an entry already reduced, and v is in the span of rows (on the first
-    n columns) iff those columns of the result are zero.
+    Pivot columns strictly increase, so a later row never changes an entry
+    already reduced, and v is in the span of rows iff the result is zero.
     """
     v = list(map(int, v))
     for row in rows:
-        c = next((t for t in range(n) if row[t] != 0), None)
+        c = next((t for t, x in enumerate(row) if x), None)
         if c is None:
             continue
         q = v[c] // row[c]
-        for t in range(len(v)):
-            v[t] -= q * row[t]
+        if q:
+            for t in range(len(v)):
+                v[t] -= q * row[t]
     return v
 
 
@@ -93,25 +93,11 @@ def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     and span-preserving.
     """
     work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    out, _ = _eliminate(work, ncols)
-    # reduce entries above each pivot into [0, pivot); left-to-right so a
-    # reduction never reintroduces an unreduced entry in an earlier column
-    for idx in range(1, len(out)):
-        row = out[idx]
-        c = next(t for t in range(ncols) if row[t] != 0)
-        p = row[c]
-        for above in out[:idx]:
-            q = above[c] // p
-            if q:
-                for t in range(ncols):
-                    above[t] -= q * row[t]
-    return out
+    if any(len(r) != len(work[0]) for r in work):
+        raise ValueError("ragged matrix")
+    out = _eliminate(work)
+    # each row reduced by the rows below it, whose pivots lie to its right
+    return [_reduce(out[idx + 1:], row) for idx, row in enumerate(out)]
 
 
 def hnf_transform(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
@@ -126,15 +112,13 @@ def hnf_transform(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[L
 
 def hnf_in_span(hrows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     """Membership of integer vector v in the row span of an HNF basis."""
-    return not any(_reduce(hrows, v, len(v)))
+    return not any(_reduce(hrows, v))
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis (HNF) of {x in Z^m : x . mat = 0} for an integer m x n matrix."""
-    aug, n = _augment(mat)
-    # the rows of [mat | I] left after the pivots have a zero mat-part
-    _, rest = _eliminate(aug, n)
-    return hnf([r[n:] for r in rest])
+    H, U = hnf_transform(mat)
+    return [u for h, u in zip(H, U) if not any(h)]
 
 
 def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]):
@@ -143,11 +127,10 @@ def solve_integer(mat: Sequence[Sequence[int]], target: Sequence[int]):
     mat is m x n; the solution space is a coset of the kernel lattice.
     """
     aug, n = _augment(mat)
-    pivots, _ = _eliminate(aug, n)
-    # reducing (target | 0) leaves (0 | -x) exactly when x . mat = target
-    k = len(target)
-    rest = _reduce(pivots, list(target) + [0] * len(aug), n)
-    return None if any(rest[:k]) else [-y for y in rest[k:]]
+    # every row of hnf([mat | I]) is (u . mat | u), so reducing (target | 0)
+    # by them leaves (target - y . mat | -y): x = y when the first part is 0
+    rest = _reduce(hnf(aug), list(target) + [0] * len(aug))
+    return None if any(rest[:n]) else [-y for y in rest[n:]]
 
 
 def clear_denominators(rows) -> Tuple[List[List[int]], int]:
@@ -157,56 +140,57 @@ def clear_denominators(rows) -> Tuple[List[List[int]], int]:
     return [[int(x * den) for x in r] for r in fr], den
 
 
-def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, exactly (Bareiss)."""
-    n = len(mat)
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+def _bareiss(aug: List[List[int]], n: int) -> Tuple[int, Optional[List[List[int]]]]:
+    """(det(mat), adj(mat) . B) for aug = [mat | B] with mat n x n, or
+    (0, None) when mat is singular; aug is consumed.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968): step k clears column k off
+    the pivot row with a_rc <- (a_kk a_rc - a_rk a_kc) / a_prev, an exact
+    division, so every entry stays an integer minor of aug.  After step
+    n - 1 the matrix is [d I | d mat^-1 B], d = det(mat) up to the sign of
+    the row swaps.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if aug[r][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            aug[k], aug[p] = aug[p], aug[k]
             sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        pivot = aug[k]
+        d = pivot[k]
+        for r in range(n):
+            if r != k:
+                row = aug[r]
+                f = row[k]
+                aug[r] = [(d * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = d
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+
+
+def det_int(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, exactly."""
+    return _bareiss([list(map(int, r)) for r in mat], len(mat))[0]
 
 
 def adjugate(mat: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Adjugate of a square integer matrix: mat . adj = det . I."""
-    n = len(mat)
-    adj = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [[mat[rr][cc] for cc in range(n) if cc != c]
-                     for rr in range(n) if rr != r]
-            adj[c][r] = (-1) ** (r + c) * det_int(minor)
+    """Adjugate of a nonsingular square integer matrix: mat . adj = det . I.
+    ValueError if mat is singular."""
+    _, adj = _bareiss(*_augment(mat))
+    if adj is None:
+        raise ValueError("singular matrix")
     return adj
 
 
 def mat_frac_inverse(mat: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a square matrix with rational entries."""
-    n = len(mat)
-    a = [[Fraction(mat[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-         for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    """Exact inverse of a square matrix with rational entries:
+    den adj(den mat) / det(den mat)."""
+    rows, den = clear_denominators(mat)
+    det, adj = _bareiss(*_augment(rows))
+    if adj is None:
+        raise ValueError("singular matrix")
+    return [[Fraction(den * x, det) for x in row] for row in adj]
 
 
 # Miller-Rabin on these 13 bases is exact below MILLER_RABIN_BOUND

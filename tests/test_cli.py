@@ -43,7 +43,7 @@ def test_count_basic(tmp_path):
 
 def test_count_smax_below_one(tmp_path):
     out = tmp_path / "c.json"
-    rc = main(["count", "--order", "hurwitz", "--s-max", "1/2", "--out", str(out)])
+    rc = main(["count", "--order", "hurwitz", "--s-grid", "1/2", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["rows"] == [{"s": "1/2", "count": 0}]
@@ -145,7 +145,7 @@ def test_every_trace_site_resolves_after_importing_the_cli():
 
 
 def test_count_missing_order_file_exit2():
-    proc = run_cli(["count", "--order", "/nonexistent/order.json", "--s-max", "1"])
+    proc = run_cli(["count", "--order", "/nonexistent/order.json", "--s-grid", "1"])
     assert proc.returncode == 2
     assert "invalid order" in proc.stderr
 
@@ -214,6 +214,26 @@ def test_checkpoint_not_shared_by_orders_with_one_name(tmp_path):
     assert len(list(cache.glob("*.jsonl"))) == 2
 
 
+@pytest.mark.parametrize("shift", [24 * (2 ** 70 - 1), 24], ids=["to-24x2^70", "by-24"])
+def test_checkpoint_line_off_the_orbit_law_is_rescanned(shift, tmp_path):
+    # a line whose count and hist[0] are moved together passes the form
+    # checks; the law |O^x| f(c) rejects it and its c is scanned again
+    cache = tmp_path / "cache"
+    args = ["count", "--order", "hurwitz", "--s-grid", "1", "--cache", str(cache)]
+    fresh, resumed = tmp_path / "fresh.json", tmp_path / "resumed.json"
+    assert main(args + ["--out", str(fresh)]) == 0
+    (ckpt,) = cache.glob("*.jsonl")
+    rec = json.loads(ckpt.read_text())
+    assert rec["count"] == 24
+    rec["count"] += shift
+    rec["hist"][0] += shift
+    ckpt.write_text(json.dumps(rec) + "\n")
+    assert main(args + ["--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert [json.loads(line)["count"] for line in ckpt.read_text().splitlines()] == [
+        24 + shift, 24]
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HEIS_MERTENS_CACHE", str(cache))
@@ -242,15 +262,33 @@ def test_constants_table(tmp_path):
     assert json.loads(text)["assembly_identity_holds"] is True
 
 
-def test_failed_quadrature_exits_1_without_traceback():
-    # the quadrature integrands overflow a float from n = 14 on
-    proc = run_cli(["constants", "--da", "2", "--units", "24", "--n", "14"])
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "error" in proc.stderr and "Traceback" not in proc.stderr
-    proc = run_cli(["constants", "--da", "2", "--units", "24", "--n", "14",
-                    "--no-quadrature"])
-    assert proc.returncode == 0
+def test_failed_quadrature_exits_1_without_traceback(monkeypatch, capsys):
+    # a quadrature that misses its closed form is a failed check
+    monkeypatch.setattr("heisquat.quadrature.quad", lambda *args: (0.5, 0.0))
+    rc, out, err = _exit_code_and_output(["constants", "--da", "2", "--units", "24"],
+                                         capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: constants check failed: residue_integral")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 14, 50, 200, 654])
+def test_constants_n_checks_its_integrals_or_exits_2(n, capsys):
+    # from n = 14 on a float integrand overflows: a usage error, not a failed check
+    argv = ["constants", "--da", "2", "--units", "24", "--n", str(n)]
+    rc, out, err = _exit_code_and_output(argv, capsys)
+    if rc == 0:
+        # 1e-4 is the default rel_tol of zeta_and_integrals
+        residuals = [e["residual"] for e in json.loads(out)["integrals"].values()]
+        assert max(residuals) < 1e-4
+    else:
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--no-quadrature" in err
+    rc, out, _ = _exit_code_and_output(argv + ["--no-quadrature"], capsys)
+    assert rc == 0 and json.loads(out)["assembly_identity_holds"] is True
 
 
 def test_constants_bad_da():
@@ -307,8 +345,8 @@ def test_builtin_order_names_ignore_case_and_a3_is_d3(alias, name, capsys):
     ["count", "--s-grid", "1", "--threads", "0"],
     ["count", "--s-grid", "0,2"],
     ["count", "--s-grid", ","],
-    ["count", "--s-max", "abc"],
-    ["count", "--s-max", "20000"],
+    ["count", "--s-grid", "abc"],
+    ["count", "--s-grid", "20000"],
     ["oracle", "--s", "1", "--format", "csv"],
     ["constants", "--da", "2", "--units", "24", "--threads", "3"],
     ["geom-selftest", "--format", "csv"],
@@ -320,7 +358,7 @@ def test_builtin_order_names_ignore_case_and_a3_is_d3(alias, name, capsys):
     ["constants", "--da", "2", "--units", "24", "--ha", "-2"],
     ["count", "--s-grid", "2,2"],
     ["count", "--s-grid", "2,4,4,8"],
-    ["count", "--s-grid", "1,2", "--s-max", "16"],
+    ["count", "--s-max", "16"],  # the flag is gone: --s-grid is the one way in
     ["geom-selftest", "--tol-limit", "-1"],
     ["geom-selftest", "--tol-limit", "nan"],
     ["count", "--s-grid", "1,,2"],
@@ -348,7 +386,7 @@ def _exit_code_and_output(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["count", "--s-max", "16"],
+    ["count", "--s-grid", "16"],
     ["equidist", "--s", "16"],
     ["oracle", "--s", "5"],
     ["constants", "--da", "2", "--units", "24"],
@@ -371,7 +409,7 @@ def test_cache_that_is_not_a_directory_exits_2(tmp_path, monkeypatch, capsys):
     # a cache directory whose checkpoint file is a directory: not openable
     cache = tmp_path / "cache"
     (cache / f"count_{checkpoint_key(builtin_order('hurwitz'))}.jsonl").mkdir(parents=True)
-    argv = ["count", "--s-max", "2", "--out", str(tmp_path / "c.json")]
+    argv = ["count", "--s-grid", "2", "--out", str(tmp_path / "c.json")]
     for env, extra in ((None, ["--cache", str(blocker)]), (str(blocker), []),
                        (None, ["--cache", str(cache)])):
         if env:
@@ -413,7 +451,7 @@ def test_malformed_order_spec_exits_2(spec, tmp_path, capsys):
     else:
         path.write_text(json.dumps(spec))
     try:
-        rc = main(["count", "--order", str(path), "--s-max", "2"])
+        rc = main(["count", "--order", str(path), "--s-grid", "2"])
     except SystemExit as exc:
         rc = exc.code
     out, err = capsys.readouterr()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from heisquat.lattices import (MILLER_RABIN_BOUND, RatLattice, adjugate, det_int, hnf,
                                hnf_in_span, hnf_transform, kernel_basis,
-                               mat_frac_inverse, prime_factors, solve_integer)
+                               clear_denominators, mat_frac_inverse, mat_mul,
+                               prime_factors, solve_integer)
 
 
 def test_hnf_identity():
@@ -96,6 +97,70 @@ def test_frac_inverse():
     assert inv == [[Fraction(2), Fraction(-2, 3)], [0, Fraction(1, 3)]]
     with pytest.raises(ValueError):
         mat_frac_inverse([[1, 2], [2, 4]])
+
+
+# -- the fraction-free Gauss-Jordan pass: det_int, adjugate, mat_frac_inverse
+
+
+def _leibniz(mat):
+    """det(mat) as the sum over permutations: the reference."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_int_equals_the_leibniz_sum():
+    rng = random.Random(4)
+    dets = []
+    for n in range(6):
+        for _ in range(40):
+            mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            dets.append(det_int(mat))
+            assert dets[-1] == _leibniz(mat), mat
+    assert 0 in dets and len(set(dets)) > 10  # singular ones drawn too
+
+
+def test_adjugate_of_random_integer_matrices():
+    rng = random.Random(5)
+    singular = 0
+    for n in range(1, 6):
+        for _ in range(40):
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            d = det_int(mat)
+            if d == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    adjugate(mat)
+                continue
+            assert mat_mul(mat, adjugate(mat)) == [[d * (r == c) for c in range(n)]
+                                                   for r in range(n)]
+    assert singular > 0
+
+
+def test_adjugate_edge_cases():
+    assert adjugate([[7]]) == [[1]]
+    assert adjugate([[0, 2], [3, 1]]) == [[1, -2], [-3, 0]]  # a row swap
+    for singular in ([[0]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError):
+            adjugate(singular)
+
+
+def test_frac_inverse_of_random_rational_matrices():
+    rng = random.Random(6)
+    for n in range(1, 6):
+        ident = [[int(r == c) for c in range(n)] for r in range(n)]
+        for _ in range(30):
+            mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(n)]
+            try:
+                inv = mat_frac_inverse(mat)
+            except ValueError:
+                assert det_int(clear_denominators(mat)[0]) == 0
+                continue
+            assert mat_mul(inv, mat) == mat_mul(mat, inv) == ident
 
 
 def test_int_lattice_membership():
@@ -215,6 +280,21 @@ def test_solve_integer_exactly_when_target_in_span(system):
         assert x is not None and _times(x, mat) == target
     else:
         assert x is None
+
+
+def test_kernel_and_solve_on_random_matrices():
+    rng = random.Random(7)
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 4)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        ker = kernel_basis(mat)
+        assert hnf(ker) == ker
+        assert len(ker) == m - len(hnf(mat))
+        for row in ker:
+            assert not any(_times(row, mat))
+        target = _times([rng.randint(-4, 4) for _ in range(m)], mat)
+        x = solve_integer(mat, target)
+        assert x is not None and _times(x, mat) == target
 
 
 def _trial_division(n):
