@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -177,9 +176,7 @@ def cmd_constants(args) -> int:
 
 def cmd_geom_selftest(args) -> int:
     from . import hyperbolic as G
-    if not 0 < args.tol_limit < math.inf:
-        return _usage_error("tol-limit must be finite and > 0")
-    rep = G.geom_selftest(tol_limit=args.tol_limit)
+    rep = G.geom_selftest()
     payload = {k: (bool(v) if isinstance(v, bool) else float(v))
                for k, v in rep.items()}
     _emit(payload, args.out, "json")
@@ -213,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, order=True):
         if order:
             p.add_argument("--order", default="hurwitz",
-                           help="builtin name (hurwitz, d3) or order-spec JSON path")
+                           help="builtin name (hurwitz, d3 or a3, d5, d7, d11, d13) "
+                                "or order-spec JSON path")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
     def scan_options(p):
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geom-selftest", help="geometry kernel residual report")
     common(p, order=False)
-    p.add_argument("--tol-limit", type=float, default=1e-6)
     p.set_defaults(func=cmd_geom_selftest)
 
     p = sub.add_parser("oracle", help="psi_count vs brute-force oracle")

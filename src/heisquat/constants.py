@@ -235,14 +235,13 @@ def sphere_volume(dim: int) -> SymbolicConstant:
     raise ValueError("even sphere dimensions other than 2 are not needed here")
 
 
-def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
+def zeta_and_integrals(n: int = 2) -> Dict[str, dict]:
     """Closed forms of the special constants, each cross-checked numerically.
 
     The integrals run through heisquat.quadrature: qagse with the qk21 rule
     on finite ranges, qagie with the qk15i rule on infinite ones, and the
     Patterson mass as qagie nested in qagie.  Raises ValueError when a
-    numerical check misses its closed form by more than rel_tol (default
-    1e-4 relative).
+    numerical check misses its closed form by more than 1e-4 relative.
     """
     # imported here: every subcommand imports this module, and only these
     # checks use the quadrature
@@ -255,7 +254,7 @@ def zeta_and_integrals(n: int = 2, rel_tol: float = 1e-4) -> Dict[str, dict]:
     def entry(name, symbolic, numeric):
         val = symbolic.value() if isinstance(symbolic, SymbolicConstant) else float(symbolic)
         rel = abs(numeric - val) / abs(val)
-        if rel > rel_tol:
+        if rel > 1e-4:
             raise ValueError(f"{name}: quadrature {numeric} vs closed form {val}")
         out[name] = {"symbolic": str(symbolic), "value": val,
                      "check": numeric, "residual": rel}

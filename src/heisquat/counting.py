@@ -10,8 +10,9 @@ makes periodic mod the cell, shifted per alpha.  Both run over cell
 numerators (V, W); one exact map, _exact_rows, gives their coordinates,
 for a only on the rows read.  Per-alpha data is held one row per alpha;
 a triple holds the index of its alpha's row.  All of it is exact int64
-arithmetic: at n(c) = _S_LIMIT, |Y| |M| 4 of the maps measured at most
-8.5e12 (a) and 1.6e11 (alpha) over 300 sampled c per order, of 9.2e18.
+arithmetic: with 0.9e4 < n(c) <= _S_LIMIT, over 300 sampled c for each
+builtin order, |Y| |M| 4 of the maps measured at most 2.8e14 (a) and
+5.4e11 (alpha), both on d13, of 9.2e18.
 
 Right multiplication by a unit v of O^x, (a, alpha, c) -> (av, alpha v,
 cv), keeps tr(conj(a) c) = n(alpha), the left ideal Oa + O alpha + Oc and
@@ -409,6 +410,14 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
+def _lawful(order: Order, scale: int, c, count: int) -> bool:
+    """Whether count, as the count of the right coset c O^x, agrees with
+    the proven law: at scale 1 it must be |O^x| orbit_law(order, c).  At
+    scale > 1 the law has no level-m form yet (alpha and c in scale * O
+    change the local factors at p | scale), so every count passes there."""
+    return scale > 1 or count == len(order.units) * orbit_law(order, c)
+
+
 def _load_checkpoint(fh, key: str, order: Order, cs, scale: int) -> Dict[Tuple[int, ...], dict]:
     """{c: its first valid record}, over the records that carry key and
     whose c is in cs, the values of c this run scans, from a JSONL
@@ -416,13 +425,10 @@ def _load_checkpoint(fh, key: str, order: Order, cs, scale: int) -> Dict[Tuple[i
 
     A record is valid only if its nc is n(c), its count a non-negative int
     divisible by |O^x| and its hist 128 non-negative ints that sum to the
-    count, and at scale 1 only if its count is |O^x| orbit_law(order, c),
-    the proven count of the right coset c O^x.  At scale > 1 the law has no
-    level-m form yet (alpha and c in scale * O change the local factors at
-    p | scale), so only the form is checked there.  Any other record is
-    ignored, like a foreign one, and its c is scanned again.  A torn last
-    line, left by a killed run, is cut off the file so that new records
-    start on a line of their own.  The file is read under the lock that
+    count, and if its count is _lawful.  Any other record is ignored, like
+    a foreign one, and its c is scanned again.  A torn last line, left by a
+    killed run, is cut off the file so that new records start on a line of
+    their own.  The file is read under the lock that
     every append takes, so a record another run is still writing is never
     taken for a torn one.
     """
@@ -449,7 +455,7 @@ def _load_checkpoint(fh, key: str, order: Order, cs, scale: int) -> Dict[Tuple[i
             if (rec["nc"] == order.norm(c) and _is_count(count) and count % weight == 0
                     and type(hist) is list and len(hist) == 128
                     and all(_is_count(h) for h in hist) and sum(hist) == count
-                    and (scale > 1 or count == weight * orbit_law(order, c))):
+                    and _lawful(order, scale, c, count)):
                 done[c] = rec
         except (ValueError, KeyError, TypeError):
             continue
@@ -493,15 +499,16 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     count and histogram of its right coset, keyed by checkpoint_key(order,
     scale).  Every scanned c is the least member of its right coset, so a
     record serves any later run that scans that c, whatever its histogram
-    levels.  On resume, records with another key, a c this run does not
-    scan or a count and histogram that do not check out are ignored.  Runs
-    that share a checkpoint take turns reading and appending it, so
-    neither loses the other's records; a c both runs scan is stored twice
-    and counted once.  With threads > 1 the values of c go to a process
-    pool (_pool_map) that receives the fundamental domain pickled, with
-    its order's validated tables and units.  progress(done, total) is
-    called after each batch, with the number of values of c scanned so far
-    and to scan in all.
+    levels.  Each fresh record's count must be _lawful, else an
+    AssertionError names its c before it is stored.  On resume, records
+    with another key, a c this run does not scan or a count and histogram
+    that do not check out are ignored.  Runs that share a checkpoint take
+    turns reading and appending it, so neither loses the other's records;
+    a c both runs scan is stored twice and counted once.  With threads > 1
+    the values of c go to a process pool (_pool_map) that receives the
+    fundamental domain pickled, with its order's validated tables and
+    units.  progress(done, total) is called after each batch, with the
+    number of values of c scanned so far and to scan in all.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
@@ -517,6 +524,10 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
         records = list(done.values())
         todo = [c for c in classes if c not in done]
         for batch in _pool_map(scan_chunk, todo, threads):
+            for rec in batch:
+                if not _lawful(order, scale, tuple(rec["c"]), rec["count"]):
+                    raise AssertionError(f"scan count {rec['count']} of c = "
+                                         f"{tuple(rec['c'])} is off the orbit law")
             records.extend(batch)
             if ckpt:
                 _append_checkpoint(ckpt, batch)

@@ -317,10 +317,10 @@ def qmat_inverse_unitary(g):
     return qmat_mul(qmat_mul(J3, qmat_star(g)), J3)
 
 
-def is_unitary(g, tol: float = DEFAULT_TOL):
-    """g* J g = J within tolerance."""
+def is_unitary(g):
+    """g* J g = J within DEFAULT_TOL."""
     res = qmat_mul(qmat_star(g), qmat_mul(J3, g)) - J3
-    return np.max(abs(res), axis=(-3, -2, -1)) <= tol
+    return np.max(abs(res), axis=(-3, -2, -1)) <= DEFAULT_TOL
 
 
 def six_equations(g):
@@ -470,7 +470,7 @@ def metric_matrix(p: HoroPoint):
 # self-test report
 
 
-def geom_selftest(seed: int = 20240801, tol_limit: float = 1e-6) -> dict:
+def geom_selftest(seed: int = 20240801) -> dict:
     """Numerical residual suite for the geometry kernel; returns a report
     dict with per-check maxima and pass flags.
 
@@ -582,10 +582,10 @@ def geom_selftest(seed: int = 20240801, tol_limit: float = 1e-6) -> dict:
         and report["distance_symmetry"] <= 1e-10
         and report["isometry_invariance"] <= 1e-9
         and report["busemann_cocycle"] <= 1e-9
-        and report["busemann_limit"] <= tol_limit
-        and report["geodesic_unit_speed"] <= tol_limit
+        and report["busemann_limit"] <= 1e-6
+        and report["geodesic_unit_speed"] <= 1e-6
         and report["unitarity_equivalence"] == 0.0
-        and report["horoball_distance"] <= tol_limit
+        and report["horoball_distance"] <= 1e-6
         and report["volume_density_consistency"] <= 1e-8
     )
     return report

@@ -395,17 +395,6 @@ def ideal_inverse(order: Order, gens: Sequence) -> RatLattice:
 # builtin orders and order-spec files
 
 
-def _hurwitz() -> Order:
-    alg = Algebra(-1, -1)
-    basis = [
-        [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
-    return make_order(alg, basis, name="hurwitz")
-
-
 def order_spec_dict(order: Order) -> dict:
     """The JSON order-spec of order, read back by order_spec_from_dict."""
     return {
@@ -459,25 +448,23 @@ def load_order_spec(path) -> Order:
     return order_spec_from_dict(spec)
 
 
-# the builtin order names, in lower case; "a3" is another name for "d3"
-BUILTIN_ORDERS = ("hurwitz", "d3", "a3")
+# every builtin name, in lower case, and the stem of its packaged order-spec
+# file data/order_<stem>.json; "a3" is another name for "d3".  d5, d7, d11
+# and d13 are Pizer's maximal orders of discriminant 5, 7, 11 and 13
+BUILTIN_ORDERS = {"hurwitz": "hurwitz", "d3": "d3", "a3": "d3", "d5": "d5",
+                  "d7": "d7", "d11": "d11", "d13": "d13"}
 
 _BUILTIN_CACHE: dict = {}
 
 
 def builtin_order(name: str) -> Order:
-    """Builtin orders: 'hurwitz' (in code) and 'd3' (packaged order-spec file),
-    by any name in BUILTIN_ORDERS, in any case."""
-    key = name.lower()
-    if key in _BUILTIN_CACHE:
-        return _BUILTIN_CACHE[key]
-    if key not in BUILTIN_ORDERS:
+    """The builtin order of any name in BUILTIN_ORDERS, in any case, read
+    from its packaged order-spec file by order_spec_from_dict, once per file."""
+    stem = BUILTIN_ORDERS.get(name.lower())
+    if stem is None:
         raise OrderError(f"unknown builtin order '{name}'")
-    if key == "hurwitz":
-        order = _hurwitz()
-    else:
+    if stem not in _BUILTIN_CACHE:
         from importlib.resources import files
-        spec = json.loads(files("heisquat.data").joinpath("order_d3.json").read_text())
-        order = order_spec_from_dict(spec)
-    _BUILTIN_CACHE[key] = order
-    return order
+        spec = files("heisquat.data").joinpath(f"order_{stem}.json")
+        _BUILTIN_CACHE[stem] = order_spec_from_dict(json.loads(spec.read_text()))
+    return _BUILTIN_CACHE[stem]

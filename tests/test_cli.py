@@ -234,6 +234,25 @@ def test_checkpoint_line_off_the_orbit_law_is_rescanned(shift, tmp_path):
         24 + shift, 24]
 
 
+def test_scan_count_off_the_orbit_law_exits_1():
+    # a fault in the primitivity test that keeps one imprimitive triple
+    # puts a scanned count off the law: the run stops and names the c
+    proc = _run_python(
+        "import sys\n"
+        "from heisquat import counting\n"
+        "real = counting._primitive_mask\n"
+        "def leaky(*args):\n"
+        "    keep = real(*args)\n"
+        "    keep[(~keep).nonzero()[0][:1]] = True\n"
+        "    return keep\n"
+        "counting._primitive_mask = leaky\n"
+        "from heisquat.cli import main\n"
+        "sys.exit(main(['count', '--s-grid', '4']))\n")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "c = (-2, 0, 1, 1) is off the orbit law" in proc.stderr
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HEIS_MERTENS_CACHE", str(cache))
@@ -279,7 +298,7 @@ def test_constants_n_checks_its_integrals_or_exits_2(n, capsys):
     argv = ["constants", "--da", "2", "--units", "24", "--n", str(n)]
     rc, out, err = _exit_code_and_output(argv, capsys)
     if rc == 0:
-        # 1e-4 is the default rel_tol of zeta_and_integrals
+        # 1e-4 is the relative tolerance of zeta_and_integrals
         residuals = [e["residual"] for e in json.loads(out)["integrals"].values()]
         assert max(residuals) < 1e-4
     else:
@@ -359,6 +378,7 @@ def test_builtin_order_names_ignore_case_and_a3_is_d3(alias, name, capsys):
     ["count", "--s-grid", "2,2"],
     ["count", "--s-grid", "2,4,4,8"],
     ["count", "--s-max", "16"],  # the flag is gone: --s-grid is the one way in
+    # the flag is gone: the self-test's thresholds are constants
     ["geom-selftest", "--tol-limit", "-1"],
     ["geom-selftest", "--tol-limit", "nan"],
     ["count", "--s-grid", "1,,2"],
@@ -497,3 +517,9 @@ def test_order_spec_via_file(tmp_path):
     rc = main(["count", "--order", str(path), "--s-grid", "1", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["rows"][0]["count"] == 24
+    # a builtin name and the path of its packaged spec go through one loader
+    packaged = Path(heisquat.__file__).parent / "data" / "order_hurwitz.json"
+    outs = [tmp_path / "by_name.json", tmp_path / "by_path.json"]
+    for order, dest in zip(("hurwitz", str(packaged)), outs):
+        assert main(["count", "--order", order, "--s-grid", "4,8", "--out", str(dest)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

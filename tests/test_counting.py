@@ -63,7 +63,9 @@ def test_oracle_equality_d3():
         assert psi_count(d3, s, with_triples=False)[0] == brute_force_psi(d3, s)
 
 
-@pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4]), ("d3", [1, 2, 3])])
+@pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4]), ("d3", [1, 2, 3]),
+                                       ("d5", [1, 2, 3]), ("d7", [1, 2, 3]),
+                                       ("d11", [1, 2, 3]), ("d13", [1, 2, 3])])
 def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_runs):
     order = builtin_order(name)
     want = scan_summary(order, grid).counts
@@ -567,9 +569,27 @@ def test_scan_summary_checkpoint_resume(hur, tmp_path):
     assert a.counts == b.counts
 
 
+def _leaky_primitive_mask(*args):
+    """_primitive_mask with the first imprimitive triple kept: a faulty scan."""
+    keep = _primitive_mask(*args)
+    keep[np.flatnonzero(~keep)[:1]] = True
+    return keep
+
+
+def test_scan_count_off_the_orbit_law_raises_and_is_not_checkpointed(hur, tmp_path,
+                                                                       monkeypatch):
+    monkeypatch.setattr(counting, "_primitive_mask", _leaky_primitive_mask)
+    ck = tmp_path / "ck.jsonl"
+    with pytest.raises(AssertionError, match=r"c = \(-2, 0, 1, 1\) is off the orbit law"):
+        scan_summary(hur, [4], checkpoint_path=str(ck))
+    stored = [tuple(json.loads(line)["c"]) for line in ck.read_text().splitlines()]
+    assert stored and (-2, 0, 1, 1) not in stored
+
+
 @pytest.mark.parametrize("name, scale, grid", [
     ("hurwitz", 1, (4, 8, 12)), ("d3", 1, (4, 8, 12)), ("hurwitz", 2, (8, 16)),
-    ("hurwitz", 3, (9, 18, 36))])
+    ("hurwitz", 3, (9, 18, 36)), ("d5", 1, (4, 8, 12)), ("d7", 1, (4, 8, 12)),
+    ("d11", 1, (4, 8, 12)), ("d13", 1, (4, 8, 12))])
 def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
     order = builtin_order(name)
     units = len(order.units)

@@ -13,17 +13,22 @@ from heisquat.orbitlaw import (_maximal_left_ideals, local_orbit_count,
 from heisquat.orders import OrderElement, builtin_order, prime_factors
 
 
-@pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_orbit_law_matches_scan_for_every_c_up_to_16(name):
+@pytest.mark.parametrize("name, s, count", [
+    ("hurwitz", 16, 2592), ("d3", 16, 1884),
+    # Pizer's orders (|O^x| = 6, 4, 4, 2; D = 11 has class number two), to
+    # n(c) = 8 only, to keep the test short
+    ("d5", 8, 306), ("d7", 8, 196), ("d11", 8, 136), ("d13", 8, 112),
+], ids=["hurwitz", "d3", "d5", "d7", "d11", "d13"])
+def test_orbit_law_matches_scan_for_every_c_up_to_16(name, s, count):
     order = builtin_order(name)
     checked = 0
-    for rec in scan(order, 16):
+    for rec in scan(order, s):
         local = 1
         for p in prime_factors(rec.nc):
             local *= local_orbit_count(order, rec.c, p)
         assert orbit_law(order, rec.c) == local == rec.count, (rec.c, rec.nc)
         checked += 1
-    assert checked == {"hurwitz": 2592, "d3": 1884}[name]
+    assert checked == count
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])

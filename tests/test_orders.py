@@ -2,15 +2,17 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from heisquat import orders
 from heisquat.heisenberg import FundamentalDomain, haar_mass_check
 from heisquat.lattices import RatLattice, kernel_basis
-from heisquat.orders import (Algebra, OrderElement, OrderError,
+from heisquat.orders import (BUILTIN_ORDERS, Algebra, OrderElement, OrderError,
                              algebra_discriminant, builtin_order, covolume,
                              enumerate_by_norm, hilbert_symbol, ideal_inverse,
                              lattice_covolume_sq, left_ideal_is_full,
@@ -85,34 +87,41 @@ def test_d3_builtin(d3):
     assert len(units(d3)) == 12
 
 
-H, Q = Fraction(1, 2), Fraction(1, 4)
-
-
-@pytest.mark.parametrize("D, algebra, basis, gram2, n_units, R4, R3, mass", [
-    (2, (-1, -1), [[H, H, H, H], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+@pytest.mark.parametrize("D, name, algebra, gram2, n_units, R4, R3, mass", [
+    (2, "hurwitz", (-1, -1),
      ((2, 1, 1, 1), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2)), 24, 7, 12, 1),
-    (3, (-1, -3), [[1, 0, 0, 0], [0, 1, 0, 0], [0, H, H, 0], [H, 0, 0, H]],
+    (3, "d3", (-1, -3),
      ((2, 0, 0, 1), (0, 2, 1, 0), (0, 1, 2, 0), (1, 0, 0, 2)), 12, 6, 24, Fraction(9, 4)),
-    (7, (-1, -7), [[1, 0, 0, 0], [0, 1, 0, 0], [H, 0, H, 0], [0, H, 0, H]],
+    (7, "d7", (-1, -7),
      ((2, 0, 1, 0), (0, 2, 0, 1), (1, 0, 4, 0), (0, 1, 0, 4)), 4, 8, 44, Fraction(49, 4)),
-    (11, (-1, -11), [[1, 0, 0, 0], [0, 1, 0, 0], [H, 0, H, 0], [0, H, 0, H]],
+    (11, "d11", (-1, -11),
      ((2, 0, 1, 0), (0, 2, 0, 1), (1, 0, 6, 0), (0, 1, 0, 6)), 4, 10, 64, Fraction(121, 4)),
-    (5, (-2, -5), [[H, 0, H, H], [0, Q, H, Q], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (5, "d5", (-2, -5),
      ((8, 5, 5, 10), (5, 4, 5, 5), (5, 5, 10, 0), (10, 5, 0, 20)), 6, 51, 108, Fraction(25, 4)),
-    (13, (-2, -13), [[H, 0, H, H], [0, Q, H, Q], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (13, "d13", (-2, -13),
      ((20, 13, 13, 26), (13, 10, 13, 13), (13, 13, 26, 0), (26, 13, 0, 52)),
      2, 132, 280, Fraction(169, 4)),
 ], ids=["hurwitz", "d3", "D7", "D11", "D5", "D13"])
-def test_order_tables_pinned(D, algebra, basis, gram2, n_units, R4, R3, mass):
-    # Hurwitz, d3 and Pizer's maximal orders for D = 7, 11 ((-1,-p): 1, i,
-    # (1+j)/2, (i+k)/2) and D = 5, 13 ((-2,-p): (1+j+k)/2, (i+2j+k)/4, j, k)
-    order = make_order(Algebra(*algebra), basis)
+def test_order_tables_pinned(D, name, algebra, gram2, n_units, R4, R3, mass):
+    # the packaged specs: Hurwitz, d3 and Pizer's maximal orders for D = 7,
+    # 11 ((-1,-p): 1, i, (1+j)/2, (i+k)/2) and D = 5, 13 ((-2,-p):
+    # (1+j+k)/2, (i+2j+k)/4, j, k)
+    order = builtin_order(name)
     fd = FundamentalDomain(order)
+    assert (order.algebra.a, order.algebra.b) == algebra
     assert order.reduced_discriminant == order.D_A == D
     assert order.gram2 == gram2
     assert len(units(order)) == n_units
     assert (fd.R4, fd.R3) == (R4, R3)
     assert haar_mass_check(order) == mass
+
+
+def test_every_builtin_name_has_a_spec_file_and_every_spec_file_a_name():
+    # files only: no dangling name in BUILTIN_ORDERS, no orphan spec in data/
+    data = Path(orders.__file__).parent / "data"
+    assert all(name == name.lower() for name in BUILTIN_ORDERS)
+    assert {path.name for path in data.glob("order_*.json")} \
+        == {f"order_{stem}.json" for stem in BUILTIN_ORDERS.values()}
 
 
 def test_covolume_scaling(hur):
