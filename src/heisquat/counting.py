@@ -44,20 +44,24 @@ brute_force_counts (and brute_force_psi, its one-level form) is the
 oracle: it enumerates *all* admissible triples in a padded window of
 cells, buckets them by a dense index of their canonical representative
 with np.bincount, asserting that each bucket holds exactly one in-domain
-triple, and counts the buckets.  It scans every c, in one pass for a grid.
+triple, and counts the buckets.  It counts every c, in one pass for a
+grid; the members of a right coset share their lattice data, so they run
+as stacks of a few, each member with its own alphas, shifts and checks.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
-threads > 1, the oracle's list of c always, with one worker per CPU
-that the process may use (_usable_cpus, its affinity mask).
-Per-c results are added in the parent, so no output depends on the
-partition.
+threads > 1, the oracle's right cosets always (one item per coset), with
+one worker per CPU that the process may use (_usable_cpus, its affinity
+mask).  Per-c results are added in the parent, so no output depends on
+the partition.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,9 +71,9 @@ import numpy as np
 
 from . import constants
 from .heisenberg import FundamentalDomain, Triple
-from .lattices import adjugate, det_int, hnf
+from .lattices import det_adjugate, hnf
 # not called here: perfbench/spans.py wraps these names in this module
-from .lattices import kernel_basis, mat_mul, solve_integer  # noqa: F401
+from .lattices import adjugate, det_int, kernel_basis, mat_mul, solve_integer  # noqa: F401
 from .orbitlaw import orbit_law
 from .orders import Order, OrderElement, enumerate_by_norm, order_spec_dict
 
@@ -95,8 +99,9 @@ def _box_points(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return W
 
 
-def _exact_rows(Y: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
-    """Y . M / d, asserting that d divides every entry."""
+def _exact_rows(Y: np.ndarray, M: np.ndarray, d) -> np.ndarray:
+    """Y . M / d, asserting that d divides every entry.  M and d may carry
+    a leading member axis, d as shape (k, 1, 1)."""
     P = Y @ M
     if (P // d * d != P).any():
         raise AssertionError("exact map not integral: numerators off their lattice")
@@ -110,7 +115,9 @@ def _exact_rows(Y: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
 
 def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.ndarray:
     """Exact primitivity of the triples (A[r], X[row[r]], c), vectorised:
-    X holds one row per alpha and row gives each triple's alpha.
+    X holds one row per alpha and row gives each triple's alpha.  A, X and
+    c may carry a leading member axis, one c per member, with one row
+    index for all members.
 
     Oa + O alpha + Oc = O iff gcd(n(a), n(alpha), n(c), cont(a conj(alpha)),
     cont(a conj(c)), cont(alpha conj(c))) = 1, cont(x) being the gcd of
@@ -132,14 +139,23 @@ def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.nd
     """
     c = np.array(c, np.int64)
     Rcbar = order.right_mul(order.conjugates(c))
-    g = np.gcd(order.norms(X), np.gcd.reduce(X @ Rcbar, axis=1, initial=order.norms(c)))
-    g = np.gcd(order.norms(A), g[row])
-    rest = np.nonzero(g > 1)[0]
-    if rest.size:
+    g = np.gcd(np.gcd.reduce(X @ Rcbar, axis=-1), order.norms(c)[..., None])
+    g = np.gcd(order.norms(A), np.gcd(order.norms(X), g)[..., row])
+    rest = np.nonzero(g > 1)
+    if rest[0].size:
+        *member, r = rest
         Ar = A[rest]
-        for P in (order.mul_rows(Ar, order.conjugates(X)[row[rest]]), Ar @ Rcbar):
+        for P in (order.mul_rows(Ar, order.conjugates(X[(*member, row[r])])),
+                  (Ar[:, None] @ Rcbar[tuple(member)])[:, 0]):
             g[rest] = np.gcd(g[rest], np.gcd.reduce(P, axis=1))
     return g == 1
+
+
+def _alpha_lattice(order: Order, c) -> List[List[int]]:
+    """H4 = hnf(adj(R_c)) = hnf(n(c) R_conj(c)), as R_c R_conj(c) = n(c) I:
+    the lattice of the numerators V = alpha . adj(R_c) (see _CContext)."""
+    cnp = np.array(c, np.int64)
+    return hnf((order.norms(cnp) * order.right_mul(order.conjugates(cnp))).tolist())
 
 
 class _CContext:
@@ -160,7 +176,9 @@ class _CContext:
     the lattice of T3.  Likewise D Z^4 lies in that of H4, as R . adjR =
     D I.  A triangular basis of a lattice holding N Z^k has pivots that
     divide N, so they divide the sides of [0, D)^4, [-D, 2D)^4, [0, Pden)^3.
-    WR holds the points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden.
+    WR holds the points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden,
+    and the oracle reads the a index of each reduced point from digit
+    tables (_residue_index).
     """
 
     def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
@@ -171,8 +189,7 @@ class _CContext:
         self.R = order.right_mul(cnp)
         Rbar = order.right_mul(order.conjugates(cnp))
         self.D = self.nc ** 2
-        # adjR = adj(R_c) = n(c) R_{conj(c)}, as R_c R_{conj(c)} = n(c) I
-        self.H4 = np.array(hnf((self.nc * Rbar).tolist()), np.int64)
+        self.H4 = np.array(_alpha_lattice(order, self.c), np.int64)
 
         # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
         # y = (a . Pnum) / Pden
@@ -181,14 +198,29 @@ class _CContext:
         cont = int(np.gcd.reduce(np.concatenate([Q.reshape(-1), [den]])))
         self.Pnum, self.Pden = Q // cont, int(den // cont)
 
-        M = np.column_stack([order.trace_pairing(cnp), self.Pnum]).tolist()
-        self.detM = det_int(M)
-        if self.detM == 0:
+        self.M = np.column_stack([order.trace_pairing(cnp), self.Pnum])
+        self.detM, adjM = det_adjugate(self.M.tolist())
+        if adjM is None:
             raise AssertionError("vertical map singular on the trace kernel")
-        self.adjM = np.array(adjugate(M), np.int64)
-        H = np.array(hnf(M), np.int64)
+        self.adjM = np.array(adjM, np.int64)
+        H = np.array(hnf(self.M.tolist()), np.int64)
         self.g, self.w0vec, self.T3 = int(H[0, 0]), H[0, 1:], H[1:, 1:]
-        self.WR = _box_points(self.T3, 0, self.Pden)
+
+    @functools.cached_property
+    def WR(self) -> np.ndarray:
+        """The residue table, built on first use: an oracle stack reads
+        only its first member's."""
+        return _box_points(self.T3, 0, self.Pden)
+
+    @property
+    def m(self) -> int:
+        """The number of points of each a-box: Pden^3 / det T3."""
+        return self.Pden ** 3 // int(np.prod(np.diag(self.T3)))
+
+    def lattice_data(self) -> tuple:
+        """What an oracle stack shares: (D, H4, g, w0vec, T3, Pden)."""
+        return (self.D, self.H4.tobytes(), self.g, self.w0vec.tobytes(),
+                self.T3.tobytes(), self.Pden)
 
 
 def _a_box(ctx: _CContext, q: np.ndarray):
@@ -552,17 +584,66 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
 # independent oracle
 
 
+def _radix(H: np.ndarray, side: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(p, weight): the pivots p = diag(H), each of which must divide side,
+    and the place values of the mixed radix with radices side / p."""
+    p = np.diag(H)
+    if (side % p).any():
+        raise AssertionError("box side is not a multiple of a pivot")
+    return p, np.cumprod(np.append(1, (side // p)[:0:-1]))[::-1]
+
+
 def _cell_index(W: np.ndarray, H: np.ndarray, side: int) -> np.ndarray:
     """Mixed radix of W // diag(H), radices side / diag(H), for rows W in
     [0, side)^k of one coset of the lattice of the upper-triangular H.
     Each pivot p must divide side.  Then W_0 .. W_{i-1} fix W_i mod p_i,
     so W_i // p_i determines W_i and runs over [0, side / p_i): the index
     maps the coset's points in the box onto [0, side^k / det H)."""
-    p = np.diag(H)
-    if (side % p).any():
-        raise AssertionError("box side is not a multiple of a pivot")
-    radix = side // p
-    return (W // p) @ np.cumprod(np.append(1, radix[:0:-1]))[::-1]
+    p, weight = _radix(H, side)
+    return (W // p) @ weight
+
+
+def _digit_table(H: np.ndarray, side: int, lo: int, hi: int) -> np.ndarray:
+    """One row per coordinate i: entry v - lo is ((v mod side) // p_i)
+    times the place value of digit i, for v in [lo, hi).  The entries of
+    row i read at W_i - lo add up to _cell_index(W mod side, H, side), with
+    no divide."""
+    p, weight = _radix(H, side)
+    return np.arange(lo, hi, dtype=np.int64) % side // p[:, None] * weight[:, None]
+
+
+def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(WT, L, off) over the 81 cells of the window [-1, 2)^4, for c of
+    shape (..., 4).  Cell n holds the V with -(V // D) = WT[n], its base-3
+    digits being 1 - WT[n]; L[n] is the matrix of y -> conj(WT[n]) y, one
+    einsum over the structure constants, and off[..., n, :] = n(WT[n]) h c,
+    h of trace one.  An alpha of cell n moves to the middle cell by WT[n] c
+    and adds the shift alpha . L[n] + off[n] to a (see _brute_force_c)."""
+    WT = np.array(list(itertools.product((1, 0, -1), repeat=4)), np.int64)
+    # row i of right_mul(e_j) is coords(e_i e_j), so row j of L[n] is coords(conj(w) e_j)
+    L = np.einsum("ni,jik->njk", order.conjugates(WT), order.right_mul(np.eye(4, dtype=np.int64)))
+    hc = np.array(order.trace_one.coords, np.int64) @ order.right_mul(np.array(c, np.int64))
+    return WT, L, order.norms(WT)[:, None] * hc[..., None, :]
+
+
+def _residue_index(lut: np.ndarray, t: np.ndarray, WR: np.ndarray) -> np.ndarray:
+    """The residue-table read of the oracle: entry [r, j] is the a index of
+    the cell3 numerators (t[r] + WR[j]) mod Pden, the sum over i of
+    lut[i, t[r, i] + WR[j, i]], with lut = _digit_table(T3, Pden, 0,
+    2 Pden) and t, WR in [0, Pden)^3.  Per coordinate, the broadcast over
+    WR is tabled once for every value of t_i, so each row r is three row
+    reads and two adds."""
+    x = np.arange(lut.shape[1] // 2)[:, None]
+    idx = lut[0, x + WR[:, 0]].take(t[:, 0], axis=0)
+    idx += lut[1, x + WR[:, 1]].take(t[:, 1], axis=0)
+    idx += lut[2, x + WR[:, 2]].take(t[:, 2], axis=0)
+    return idx
+
+
+def _a_rows(ctx: _CContext, q: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The cell3 numerators of residue res[j] in the a-box of q[..., j]:
+    row res[j] of _a_box(ctx, q[..., j])[1]."""
+    return (q[..., None] * ctx.w0vec % ctx.Pden + ctx.WR[res]) % ctx.Pden
 
 
 def _bucket_counts(key: np.ndarray, indom: np.ndarray):
@@ -572,8 +653,102 @@ def _bucket_counts(key: np.ndarray, indom: np.ndarray):
     return size, np.bincount(key[indom], minlength=size.size)
 
 
+# The most window triples (81 D m per c: window alphas times a-box points)
+# that one oracle stack holds; a c with more runs alone.
+_STACK_TRIPLES = 2 ** 16
+
+
+def _oracle_stack(fd: FundamentalDomain, ctxs: Sequence[_CContext]) -> List[int]:
+    """Oracle orbit counts of the members of one stack, in order: values of
+    c that share (D, H4, g, w0vec, T3, Pden) and so their window, its cells
+    and alpha indices and the a-box data, as the members of one right coset
+    c O^x do (see brute_force_counts).  Each member keeps its own alphas,
+    shifts, exact maps and checks on a leading member axis; one
+    _bucket_counts covers them all, member j's keys offset by j D m."""
+    order = fd.order
+    top = ctxs[0]
+    if any(ctx.lattice_data() != top.lattice_data() for ctx in ctxs):
+        raise AssertionError("oracle stack members disagree on lattice data")
+    D, g, Pden, WR, m, k = top.D, top.g, top.Pden, top.WR, top.m, len(ctxs)
+    cs = [ctx.c for ctx in ctxs]
+    R = np.stack([ctx.R for ctx in ctxs])
+    M = np.stack([ctx.M for ctx in ctxs])
+    # alpha window: cell coordinates in [-1, 2).  Per alpha, from one table
+    # per coordinate: its window cell n, whose translate WT[n] moves it to
+    # the middle cell, and the alpha index of that translate.  Digit i of n
+    # is v // D + 1 = 1 - WT[n, i], entered in base 3 above the index.  The
+    # window is then taken cell by cell.
+    V4 = _box_points(top.H4, -D, 2 * D)
+    digits = _digit_table(top.H4, D, -D, 2 * D)
+    digits += D * 3 ** np.arange(3, -1, -1)[:, None] * (np.arange(-D, 2 * D) // D + 1)
+    cell, alpha_idx = np.divmod(digits.ravel().take(V4 + np.arange(D, 12 * D, 3 * D)).sum(1), D)
+    by_cell = np.argsort(cell, kind="stable")
+    V4, cell, alpha_idx = V4[by_cell], cell[by_cell], alpha_idx[by_cell]
+    # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
+    # the same ones, and a translate keeps n(alpha) mod g, so every cell
+    # keeps as many
+    ALPH = _exact_rows(V4, R, D)
+    NAL = order.norms(ALPH)
+    ok = NAL % g == 0
+    if (ok != ok[0]).any():
+        raise AssertionError("oracle stack members keep different alphas")
+    if not ok.all():
+        cell, alpha_idx, ALPH, NAL = cell[ok[0]], alpha_idx[ok[0]], ALPH[:, ok[0]], NAL[:, ok[0]]
+    n = cell.size // 81
+    if (np.bincount(cell, minlength=81) != n).any():
+        raise AssertionError("oracle window cells keep different numbers of alphas")
+    q = NAL // g
+
+    # per alpha and member: the shift it adds to a, paired with [tau | Pnum],
+    # one matrix per cell; the translate alpha + WT c is the alpha of the
+    # middle cell (the in-domain alphas) with the same index
+    _, L, off = _cell_shifts(order, cs)
+    LM, offM = L @ M[:, None], (off @ M)[:, :, None]
+    shift = (ALPH.reshape(k, 81, n, 4) @ LM + offM).reshape(k, -1, 4)
+    mid = np.arange(40 * n, 41 * n)
+    n_mid = np.full((k, D), -1, np.int64)
+    n_mid[:, alpha_idx[mid]] = NAL[:, mid]
+    if (NAL + shift[..., 0] != n_mid[:, alpha_idx]).any():
+        raise AssertionError("oracle shift breaks the trace relation")
+    # per triple, alpha row by a-box residue: its key; the canonical a has
+    # numerators (t + WR) mod Pden.  An in-domain triple is its own
+    # representative.
+    t = (q[..., None] * top.w0vec + shift[..., 1:]) % Pden
+    key = _residue_index(_digit_table(top.T3, Pden, 0, 2 * Pden), t.reshape(-1, 3), WR)
+    key += ((np.arange(k)[:, None] * D + alpha_idx) * m).reshape(-1, 1)
+    indom = np.zeros((k, 81, n * m), bool)
+    indom[:, 40] = True
+    size, hits = _bucket_counts(key.ravel(), indom.ravel())
+    if (hits != (size > 0)).any():
+        raise AssertionError("oracle bucket without a unique in-domain triple")
+    if ((size > 0) & (size != 81)).any():
+        raise AssertionError("oracle bucket without one triple per window cell (81)")
+
+    # a on the spot rows (the same about 64 per member) and the in-domain rows
+    rows = q.shape[1] * m
+    step = max(1, rows // 64)
+    spot = np.arange((12345 + top.nc) % step, rows, step)
+    sel = np.concatenate([spot // m, np.repeat(mid, m)])
+    res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
+    qs = q[:, sel]
+    A = _exact_rows(np.concatenate([qs[..., None] * g, _a_rows(top, qs, res)], axis=-1),
+                    np.stack([ctx.adjM for ctx in ctxs]),
+                    np.array([ctx.detM for ctx in ctxs], np.int64)[:, None, None])
+    # spot re-verification of the trace relation, as tr(conj(a) c) =
+    # sum a_i tr(conj(e_i) c) in exact scalar arithmetic
+    for c, spot_a, spot_alpha in zip(cs, A[:, :spot.size].tolist(),
+                                     ALPH[:, sel[:spot.size]].tolist()):
+        tau = [order.trace(order.mul(order.conj(e), c)) for e in np.eye(4, dtype=int).tolist()]
+        for ac, alc in zip(spot_a, spot_alpha):
+            if sum(map(operator.mul, ac, tau)) != order.norm(alc):
+                raise AssertionError("oracle emitted an inadmissible triple")
+    # primitivity is orbit-invariant: test only the canonical reps
+    prim = _primitive_mask(order, A[:, spot.size:], ALPH[:, mid], np.repeat(np.arange(n), m), cs)
+    return prim.sum(axis=1).tolist()
+
+
 def _brute_force_c(fd: FundamentalDomain, c) -> int:
-    """Oracle orbit count of one c; see brute_force_counts.
+    """Oracle orbit count of one c: a stack of one; see brute_force_counts.
 
     Every bucket holds exactly 81 = 3^4 triples, one per cell of the
     window.  With c fixed, the shear (n(w) h + r, w), w in O and r in
@@ -589,103 +764,99 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
 
     The bucket of a triple is a dense index of its canonical
     representative.  Its alpha has V = alpha . adjR mod D, a point of the
-    lattice of H4 in [0, D)^4, whose pivots divide D (see _CContext):
-    _cell_index maps the D of them onto [0, D).  Its a has cell3
-    numerators Wc = (W + shift . Pnum) mod Pden, which the trace relation,
-    asserted per alpha, puts in the a-box of q = n(alpha) / g of that
-    alpha; _cell_index maps the m points of the box onto [0, m), as it
-    maps any coset of the lattice of T3.  (a . tau, a . Pnum) = (q g, Wc)
+    lattice of H4 in [0, D)^4, whose pivots divide D (see _CContext): the
+    mixed radix of _cell_index maps the D of them onto [0, D).  Its a has
+    cell3 numerators Wc = (W + shift . Pnum) mod Pden = (t + WR) mod Pden,
+    t = (q w0vec + shift . Pnum) mod Pden per alpha, which the trace
+    relation, asserted per alpha, puts in the a-box of q = n(alpha) / g;
+    the mixed radix maps the m points of the box onto [0, m), as it maps
+    any coset of the lattice of T3.  (a . tau, a . Pnum) = (q g, Wc)
     determines a, as [tau | Pnum] is nonsingular (detM != 0), so alpha
-    index * m + a index is one integer per orbit.
+    index * m + a index is one integer per orbit.  Both indices are read
+    from digit tables (_digit_table): per alpha on V in [-D, 2D), together
+    with the window cell, and per triple on t + WR in [0, 2 Pden), with no
+    divide.
     """
-    order = fd.order
-    ctx = _CContext(fd, c)
-    hR = np.array(order.mul(order.trace_one.coords, ctx.c), np.int64)
-    # alpha window: cell coordinates in [-1, 2)
-    V4 = _box_points(ctx.H4, -ctx.D, 2 * ctx.D)
-    ALPH = _exact_rows(V4, ctx.R, ctx.D)
-    NAL = order.norms(ALPH)
-    ok = NAL % ctx.g == 0
-    ALPH, V4, NAL = ALPH[ok], V4[ok], NAL[ok]
-    # vertical window: cell coordinates in [0, 1)
-    local, W = _a_box(ctx, NAL // ctx.g)
-
-    def a_rows(sel):
-        return _exact_rows(np.column_stack([NAL[local[sel]], W[sel]]), ctx.adjM, ctx.detM)
-
-    # spot re-verification of the trace relation on about 64 rows, as
-    # tr(conj(a) c) = sum a_i tr(conj(e_i) c) in exact scalar arithmetic
-    tau = [order.trace(order.mul(order.conj(e), ctx.c)) for e in np.eye(4, dtype=int).tolist()]
-    step = max(1, W.shape[0] // 64)
-    spot = np.arange((12345 + ctx.nc) % step, W.shape[0], step)
-    for ac, alc in zip(a_rows(spot).tolist(), ALPH[local[spot]].tolist()):
-        if sum(x * t for x, t in zip(ac, tau)) != order.norm(alc):
-            raise AssertionError("oracle emitted an inadmissible triple")
-
-    # canonicalise: per alpha, the translate w to the middle cell and the
-    # shift conj(w) alpha + n(w) h c it adds to a; per triple, the index.
-    # An in-domain triple is its own representative.
-    WT = -(V4 // ctx.D)
-    shift = order.mul_rows(order.conjugates(WT), ALPH) \
-        + order.norms(WT)[:, None] * hR[None, :]
-    if (NAL + shift @ tau != order.norms(ALPH + WT @ ctx.R)).any():
-        raise AssertionError("oracle shift breaks the trace relation")
-    alpha_idx = _cell_index(V4 + ctx.D * WT, ctx.H4, ctx.D)
-    a_idx = _cell_index((W + (shift @ ctx.Pnum)[local]) % ctx.Pden, ctx.T3, ctx.Pden)
-    inside = ~WT.any(axis=1)
-    indom = inside[local]
-
-    size, hits = _bucket_counts(alpha_idx[local] * ctx.WR.shape[0] + a_idx, indom)
-    if (hits != (size > 0)).any():
-        raise AssertionError("oracle bucket without a unique in-domain triple")
-    if ((size > 0) & (size != 81)).any():
-        raise AssertionError("oracle bucket without one triple per window cell (81)")
-    # primitivity is orbit-invariant: test only the canonical reps
-    rank = np.cumsum(inside) - 1  # the row of each alpha in ALPH[inside]
-    return int(_primitive_mask(order, a_rows(indom), ALPH[inside], rank[local[indom]],
-                               ctx.c).sum())
+    return _oracle_stack(fd, [_CContext(fd, c)])[0]
 
 
-def _brute_force_chunk(fd: FundamentalDomain, cs) -> List[Tuple[int, int]]:
-    """(n(c), oracle orbit count of c) for each c in cs."""
-    return [(fd.order.norm(c), _brute_force_c(fd, c)) for c in cs]
+def _oracle_stacks(ctxs: Sequence[_CContext]) -> List[List[_CContext]]:
+    """ctxs cut into consecutive stacks of equal lattice data, each of at
+    most _STACK_TRIPLES window triples, or of one member above it."""
+    stacks: List[List[_CContext]] = []
+    for ctx in ctxs:
+        if (stacks and stacks[-1][0].lattice_data() == ctx.lattice_data()
+                and (len(stacks[-1]) + 1) * 81 * ctx.D * ctx.m <= _STACK_TRIPLES):
+            stacks[-1].append(ctx)
+        else:
+            stacks.append([ctx])
+    return stacks
+
+
+def _brute_force_chunk(fd: FundamentalDomain, cosets) -> List[Tuple[int, int]]:
+    """(n(c), oracle orbit count of c) for each c of each coset in cosets,
+    each coset run as few stacks."""
+    out = []
+    for coset in cosets:
+        for stack in _oracle_stacks([_CContext(fd, c) for c in coset]):
+            out += [(ctx.nc, n) for ctx, n in zip(stack, _oracle_stack(fd, stack))]
+    return out
 
 
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """Oracle orbit counts at each s in s_grid, from one pass over every c
-    with 0 < n(c) <= max(s_grid); no unit-coset reduction.  The per-c
-    counts run on a process pool of one worker per usable CPU (_pool_map, as the
-    scan's --threads) and are added per level here, so the result does not
-    depend on the partition; the pool splits the list of c and shares
-    nothing else with the scan.
+    with 0 < n(c) <= max(s_grid); no unit-coset reduction of the counts.
+    The values of c are grouped by their lattice H4 = hnf(n(c) R_conj(c))
+    (_alpha_lattice), which groups them by right coset c O^x; each group is
+    one item of a process pool of one worker per usable CPU (_pool_map, as
+    the scan's --threads).  The per-c counts are added per level here, so
+    the result does not depend on the partition; the pool shares nothing
+    else with the scan.
 
     For each c the oracle enumerates the admissible triples whose alpha
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
     cell and one cell on every side) and whose vertical cell coordinates
     lie in [0, 1)^3; the alpha translates sweep the vertical floors through
     the whole lattice during canonicalisation.  Each triple gets the dense
-    index of its canonical orbit representative (_cell_index, see
-    _brute_force_c), two bincounts size the buckets, every bucket is
-    asserted to hold exactly one in-domain triple and 81 triples in all
-    (one per window cell), and the primitive in-domain triples are
-    counted.  About 64 triples per c are re-verified against the trace
-    relation in scalar Order arithmetic, through tr(conj(e_i) c).
+    index of its canonical orbit representative (see _brute_force_c), two
+    bincounts size the buckets, every bucket is asserted to hold exactly
+    one in-domain triple and 81 triples in all (one per window cell), and
+    the primitive in-domain triples are counted.  About 64 triples per c
+    are re-verified against the trace relation in scalar Order arithmetic,
+    through tr(conj(e_i) c).
 
     The horizontal step of the canonicalisation depends on alpha alone, so
-    it runs once per alpha: the translate, the alpha index, the in-domain
-    test and the shift it adds to a; per triple remain the a index and
-    the numerators W, the residue table of c shifted per alpha (_a_box).
+    it runs once per alpha: the window cell and alpha index, read from one
+    digit table per coordinate; the shift conj(WT) alpha + n(WT) h c it
+    adds to a, from the matrix of its cell (_cell_shifts) paired with
+    [tau | Pnum]; its trace relation; and t = (q w0vec + shift . Pnum) mod
+    Pden.  Per triple remain adds and table reads (_residue_index) over
+    the residue table WR, which is not shifted into an a-box: W and a are
+    formed only on the spot rows and the in-domain rows (_a_rows).
 
-    The window and canonicalisation are independent of the transversal
-    scan; the per-c data (_CContext, with its residue table), the box
-    enumeration (_box_points, _a_box) and the exact map (_exact_rows) are
-    shared with it.  It forms a only on the rows it reads: the spot rows
-    and the in-domain rows.
+    Why one stack per right coset.  Row i of n(c) R_conj(c) holds the
+    coordinates of n(c) e_i conj(c), so H4 is the basis of the lattice
+    n(c) O conj(c), of index n(c)^4 n(c)^2 in O.  For a unit v,
+    n(cv) O conj(v) conj(c) = n(c) O conj(c), as O conj(v) = O.
+    Conversely, equal lattices have equal index, so n(c') = n(c) and
+    O conj(c') = O conj(c): conj(c') = x conj(c) and conj(c) = y conj(c')
+    with x, y in O and yx = 1, so x is a unit and c' = c conj(x).  H4 is
+    constant exactly on c O^x.  On the coset R_cv = R_c R_v, so alpha =
+    V . R_cv / D = (V . R_c / D) v: the window alphas of cv are those of c
+    times v, of the same norms.  And M(cv) = R_v^-1 M(c): with n(v) = 1,
+    tr(conj(av) cv) = tr(conj(a) c) and 2 Im(av (cv)^-1) = 2 Im(a c^-1),
+    so Pnum(cv) = R_v^-1 Pnum(c), of the same content and Pden.  M and
+    R_v^-1 M span the same lattice, R_v being unimodular, so hnf(M), and
+    with it g, w0vec, T3 and WR, is the same on the coset.  Each stack
+    asserts that its members share these data and keep the same alphas.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
+    cosets: Dict[tuple, list] = {}
+    for c in _c_list(order, max(grid, default=0)):
+        cosets.setdefault(tuple(map(tuple, _alpha_lattice(order, c))), []).append(c)
     chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
-    for batch in _pool_map(chunk, _c_list(order, max(grid, default=0)), _usable_cpus()):
+    for batch in _pool_map(chunk, list(cosets.values()), _usable_cpus()):
         for nc, found in batch:
             for g in grid:
                 if nc <= g:

@@ -10,7 +10,7 @@ Two eliminations do all the work, one per kind of arithmetic:
 - over Z, the gcd pass _eliminate (with _reduce) is behind hnf,
   hnf_transform, kernel_basis, solve_integer and hnf_in_span;
 - over Q, the fraction-free Gauss-Jordan pass _bareiss is behind det_int,
-  adjugate and mat_frac_inverse, in integers throughout.
+  det_adjugate, adjugate and mat_frac_inverse, in integers throughout.
 
 The module is pure Python (no numpy), so it also holds prime_factors,
 the integer factoring that heisquat.constants needs without loading the
@@ -148,9 +148,11 @@ def _bareiss(aug: List[List[int]], n: int) -> Tuple[int, Optional[List[List[int]
     the pivot row with a_rc <- (a_kk a_rc - a_rk a_kc) / a_prev, an exact
     division, so every entry stays an integer minor of aug.  After step
     n - 1 the matrix is [d I | d mat^-1 B], d = det(mat) up to the sign of
-    the row swaps.
+    the row swaps.  With no B columns only the determinant is wanted, and
+    the pass clears below the pivot only: the last pivot is then d too.
     """
     sign, prev = 1, 1
+    back = bool(aug) and len(aug[0]) > n
     for k in range(n):
         p = next((r for r in range(k, n) if aug[r][k]), None)
         if p is None:
@@ -160,7 +162,7 @@ def _bareiss(aug: List[List[int]], n: int) -> Tuple[int, Optional[List[List[int]
             sign = -sign
         pivot = aug[k]
         d = pivot[k]
-        for r in range(n):
+        for r in (range(n) if back else range(k + 1, n)):
             if r != k:
                 row = aug[r]
                 f = row[k]
@@ -174,10 +176,16 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
     return _bareiss([list(map(int, r)) for r in mat], len(mat))[0]
 
 
+def det_adjugate(mat: Sequence[Sequence[int]]) -> Tuple[int, Optional[List[List[int]]]]:
+    """(det(mat), adj(mat)) of a square integer matrix from one pass, or
+    (0, None) if mat is singular."""
+    return _bareiss(*_augment(mat))
+
+
 def adjugate(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     """Adjugate of a nonsingular square integer matrix: mat . adj = det . I.
     ValueError if mat is singular."""
-    _, adj = _bareiss(*_augment(mat))
+    _, adj = det_adjugate(mat)
     if adj is None:
         raise ValueError("singular matrix")
     return adj
@@ -187,7 +195,7 @@ def mat_frac_inverse(mat: Sequence[Sequence]) -> List[List[Fraction]]:
     """Exact inverse of a square matrix with rational entries:
     den adj(den mat) / det(den mat)."""
     rows, den = clear_denominators(mat)
-    det, adj = _bareiss(*_augment(rows))
+    det, adj = det_adjugate(rows)
     if adj is None:
         raise ValueError("singular matrix")
     return [[Fraction(den * x, det) for x in row] for row in adj]

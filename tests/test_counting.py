@@ -14,9 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (_box_points, _brute_force_c, _bucket_counts, _c_list,
-                               _CContext, _cell_index, _exact_rows, _loglog_fit,
-                               _primitive_mask,
+from heisquat.counting import (_alpha_lattice, _box_points, _brute_force_c,
+                               _brute_force_chunk, _bucket_counts, _c_list,
+                               _CContext, _cell_index, _cell_shifts, _digit_table,
+                               _exact_rows, _loglog_fit, _oracle_stack, _primitive_mask,
+                               _residue_index,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -63,9 +65,11 @@ def test_oracle_equality_d3():
         assert psi_count(d3, s, with_triples=False)[0] == brute_force_psi(d3, s)
 
 
-@pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4]), ("d3", [1, 2, 3]),
-                                       ("d5", [1, 2, 3]), ("d7", [1, 2, 3]),
-                                       ("d11", [1, 2, 3]), ("d13", [1, 2, 3])])
+# a pool item is one right coset: each grid has more than 8 (13 on Hurwitz
+# s <= 5, 12 on d3, 15 on d5, d7 and d13, 9 on d11 s <= 4)
+@pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4, 5]), ("d3", [1, 2, 3, 4]),
+                                       ("d5", [1, 2, 3, 4]), ("d7", [1, 2, 3, 4]),
+                                       ("d11", [1, 2, 3, 4]), ("d13", [1, 2, 3, 4])])
 def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_runs):
     order = builtin_order(name)
     want = scan_summary(order, grid).counts
@@ -139,19 +143,26 @@ def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, 
     monkeypatch.setattr(counting, "_bucket_counts",
                         lambda key, indom: bucket_counts(bad_key(key), indom))
     with pytest.raises(AssertionError, match="unique in-domain"):
-        brute_force_psi(hur, 3)
+        brute_force_psi(hur, 5)
     assert pool_runs
 
 
 def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
-    # the first a-box row belongs to an alpha in cell -1 of the window, so
-    # its bucket keeps its in-domain triple and is left with 80 rows
+    # the first row of a stack's residue table read belongs to an alpha in
+    # cell 0 of the window, which is not the middle cell: its first triple
+    # is read into another bucket, so its own bucket keeps its in-domain
+    # triple and is left with 80 rows
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
-    a_box = counting._a_box
-    monkeypatch.setattr(counting, "_a_box",
-                        lambda ctx, q: tuple(x[1:] for x in a_box(ctx, q)))
+    residue_index = counting._residue_index
+
+    def missing(lut, t, WR):
+        idx = residue_index(lut, t, WR)
+        idx[0, 0] = idx.ravel()[np.argmax(idx.ravel() != idx[0, 0])]
+        return idx
+
+    monkeypatch.setattr(counting, "_residue_index", missing)
     with pytest.raises(AssertionError, match="one triple per window cell"):
-        brute_force_psi(hur, 2)
+        brute_force_psi(hur, 5)
     assert pool_runs
 
 
@@ -159,8 +170,13 @@ def test_oracle_rejects_a_shift_that_breaks_the_trace_relation(hur, fd, monkeypa
     # a shift without its conj(w) alpha term: the bucket sizes would not
     # show it, as the a index maps every coset of the lattice of T3 onto
     # [0, m), but the shifted a of a translated alpha breaks the relation
-    mul_rows = hur.mul_rows
-    monkeypatch.setattr(hur, "mul_rows", lambda X, Y: 0 * mul_rows(X, Y))
+    cell_shifts = counting._cell_shifts
+
+    def no_conj_w_alpha(order, c):
+        WT, L, off = cell_shifts(order, c)
+        return WT, 0 * L, off
+
+    monkeypatch.setattr(counting, "_cell_shifts", no_conj_w_alpha)
     with pytest.raises(AssertionError, match="trace relation"):
         _brute_force_c(fd, _c_list(hur, 2)[-1])
 
@@ -193,13 +209,12 @@ def _formed_qs(fd, runs, monkeypatch):
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
 def test_a_box_is_the_box_of_each_q(name, monkeypatch):
-    # every q that the scan (scale 1 and 2) and the oracle form for
-    # n(c) <= 8.  The box of q is {a in O : tr(conj(a) c) = q g, a . Pnum
-    # in [0, Pden)^3}, of m = Pden^3 / det T3 points, so m distinct rows
-    # per q that satisfy the predicates are it
+    # every q that the scan (scale 1 and 2) forms for n(c) <= 8.  The box
+    # of q is {a in O : tr(conj(a) c) = q g, a . Pnum in [0, Pden)^3}, of
+    # m = Pden^3 / det T3 points, so m distinct rows per q that satisfy the
+    # predicates are it
     fd = FundamentalDomain(builtin_order(name))
     runs = [(_scan_c, c, scale) for scale in (1, 2) for c in _c_list(fd.order, 8, scale)]
-    runs += [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
     keys = []
     for n, (ctx, q) in enumerate(_formed_qs(fd, runs, monkeypatch).values()):
         row, W = counting._a_box(ctx, q)
@@ -223,19 +238,129 @@ def test_a_box_is_the_box_of_each_q(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_oracle_bucket_index_is_a_bijection(name, monkeypatch):
-    # for n(c) <= 8: the alpha index maps the transversal onto [0, D), and
-    # the a index maps the a-box of every q that the oracle forms onto
-    # [0, m); the boxes hold the canonical alphas and a's of the oracle
+def test_oracle_a_rows_are_rows_of_the_a_box_of_their_q(name, monkeypatch):
+    # the oracle forms W, and a, only on its spot and in-domain rows: for
+    # n(c) <= 8 each of them is the row of its residue in the a-box of its q
     fd = FundamentalDomain(builtin_order(name))
-    runs = [(_brute_force_c, c) for c in _c_list(fd.order, 8)]
-    for ctx, q in _formed_qs(fd, runs, monkeypatch).values():
+    formed = []
+    a_rows = counting._a_rows
+
+    def recorded(ctx, q, res):
+        W = a_rows(ctx, q, res)
+        formed.append((ctx, q, res, W))
+        return W
+
+    monkeypatch.setattr(counting, "_a_rows", recorded)
+    cs = _c_list(fd.order, 8)
+    for c in cs:
+        _brute_force_c(fd, c)
+    assert [ctx.c for ctx, *_ in formed] == cs
+    for ctx, q, res, W in formed:
+        _, box = counting._a_box(ctx, q[0])
+        assert (W[0] == box.reshape(-1, ctx.m, 3)[np.arange(res.size), res]).all()
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_oracle_bucket_index_is_a_bijection(name):
+    # for n(c) <= 8: the alpha digit table maps the transversal onto
+    # [0, D), and the residue-table read maps the a-box of every q onto
+    # [0, m) from each point of the box; the boxes hold the canonical
+    # alphas and a's of the oracle
+    fd = FundamentalDomain(builtin_order(name))
+    for c in _right_coset_representatives(fd.order, _c_list(fd.order, 8)):
+        ctx = _CContext(fd, c)
         V4 = _box_points(ctx.H4, 0, ctx.D)
-        assert np.sort(_cell_index(V4, ctx.H4, ctx.D)).tolist() == list(range(ctx.D))
-        _, W = counting._a_box(ctx, q)
-        m = ctx.WR.shape[0]
-        idx = np.sort(_cell_index(W, ctx.T3, ctx.Pden).reshape(q.size, m), axis=1)
-        assert (idx == np.arange(m)).all()
+        digits = _digit_table(ctx.H4, ctx.D, 0, ctx.D)
+        assert np.sort(digits[np.arange(4), V4].sum(1)).tolist() == list(range(ctx.D))
+        _, W = counting._a_box(ctx, np.arange(ctx.Pden))
+        lut = _digit_table(ctx.T3, ctx.Pden, 0, 2 * ctx.Pden)
+        assert (np.sort(_residue_index(lut, W, ctx.WR), axis=1) == np.arange(ctx.m)).all()
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
+def test_digit_tables_equal_the_cell_index(name):
+    # for n(c) <= 4: on the window [-D, 2D)^4, whose middle is the full box
+    # [0, D)^4 of the alpha numerators, and on every a-box and its
+    # translate by Pden, the read tables equal _cell_index of the numerators
+    # reduced mod the side
+    fd = FundamentalDomain(builtin_order(name))
+    for c in _right_coset_representatives(fd.order, _c_list(fd.order, 4)):
+        ctx = _CContext(fd, c)
+        D, Pden = ctx.D, ctx.Pden
+        V = _box_points(ctx.H4, -D, 2 * D)
+        digits = _digit_table(ctx.H4, D, -D, 2 * D)
+        assert (digits[np.arange(4), V + D].sum(1) == _cell_index(V % D, ctx.H4, D)).all()
+        _, W = counting._a_box(ctx, np.arange(Pden))
+        lut = _digit_table(ctx.T3, Pden, 0, 2 * Pden)
+        want = _cell_index(W, ctx.T3, Pden)
+        for shift in (0, Pden):
+            assert (lut[np.arange(3), W + shift].sum(1) == want).all()
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
+def test_stacked_oracle_counts_equal_the_stack_of_one(name):
+    # every c with n(c) <= 8, grouped into right cosets as the oracle
+    # groups them and run as its stacks, against each c alone
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    cosets = {}
+    for c in _c_list(order, 8):
+        cosets.setdefault(tuple(map(tuple, _alpha_lattice(order, c))), []).append(c)
+    assert len(cosets) * len(order.units) == len(_c_list(order, 8))
+    stacked = _brute_force_chunk(fd, list(cosets.values()))
+    assert any(len(stack) > 1 for coset in cosets.values()
+               for stack in counting._oracle_stacks([_CContext(fd, c) for c in coset]))
+    assert stacked == [(order.norm(c), _brute_force_c(fd, c))
+                       for coset in cosets.values() for c in coset]
+
+
+@given(st.sampled_from(["hurwitz", "d3", "d13"]), st.tuples(*[st.integers(-60, 60)] * 4),
+       st.tuples(*[st.integers(-9, 9)] * 4).filter(any))
+def test_cell_shift_is_conj_w_alpha_plus_n_w_h_c(name, alpha, c):
+    # row n: the shift of alpha in cell n, against the batched product and
+    # the scalar one
+    order = builtin_order(name)
+    WT, L, off = _cell_shifts(order, c)
+    assert ((1 - WT) @ 3 ** np.arange(3, -1, -1)).tolist() == list(range(81))
+    hc = np.array(order.mul(order.trace_one.coords, c), np.int64)
+    want = (order.mul_rows(order.conjugates(WT), np.tile(np.array(alpha, np.int64), (81, 1)))
+            + order.norms(WT)[:, None] * hc)
+    assert (np.array(alpha) @ L + off == want).all()
+    assert want.tolist() == [[x + order.norm(w) * h for x, h in
+                              zip(order.mul(order.conj(w), alpha), hc.tolist())]
+                             for w in WT.tolist()]
+
+
+def test_a_stack_of_disagreeing_members_raises(hur, fd):
+    # members of two right cosets do not share their lattice data; on
+    # c = (-2, 0, 1, 1), of g = 2, a member whose alphas are doubled keeps
+    # every alpha, as 2 | n(2 alpha), where c keeps only those of even norm
+    reps = _right_coset_representatives(hur, _c_list(hur, 8))
+    with pytest.raises(AssertionError, match="disagree on lattice data"):
+        _oracle_stack(fd, [_CContext(fd, reps[-1]), _CContext(fd, reps[-2])])
+    ctx = _CContext(fd, (-2, 0, 1, 1))
+    assert ctx.g == 2
+    doubled = _CContext(fd, ctx.c)
+    doubled.R = 2 * ctx.R
+    with pytest.raises(AssertionError, match="keep different alphas"):
+        _oracle_stack(fd, [ctx, doubled])
+
+
+def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
+    # a Hurwitz coset with n(c) = 5 (24 members of 10,125 window triples)
+    # runs as stacks of at most _STACK_TRIPLES triples; its traced peak
+    # stays within a few int64 arrays of that many entries
+    coset = [c for c in _c_list(hur, 5) if hur.norm(c) == 5
+             and _alpha_lattice(hur, c) == _alpha_lattice(hur, _c_list(hur, 5)[-1])]
+    assert len(coset) == len(hur.units)
+    _brute_force_chunk(fd, [coset])
+    tracemalloc.start()
+    try:
+        _brute_force_chunk(fd, [coset])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * counting._STACK_TRIPLES
 
 
 def test_cell_index_needs_pivots_that_divide_the_side():
@@ -401,8 +526,9 @@ def test_scan_summary_threads_match(hur, pool_runs):
     # the scan takes any thread count down to one worker per CPU, so one
     # CPU starts no pool
     (lambda order, s: scan_summary(order, [s], hist_levels=[s], threads=10 ** 6), 8, []),
-    # the oracle asks for one worker per CPU, so one CPU starts no pool
-    (lambda order, s: ScanSummary(brute_force_counts(order, [s]), {}), 4, []),
+    # the oracle asks for one worker per CPU, so one CPU starts no pool; a
+    # pool item is one right coset, and s = 5 has 13 of them
+    (lambda order, s: ScanSummary(brute_force_counts(order, [s]), {}), 5, []),
 ], ids=["scan", "oracle"])
 def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch, run, s, one_cpu):
     # a stand-in executor that records its worker count and maps in process,
@@ -512,21 +638,23 @@ def test_kernels_reject_a_numerator_moved_by_one(name, monkeypatch):
                     kernel(fd, c)
 
 
-@pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_oracle_peak_memory_per_a_box_row(name, monkeypatch):
-    # the oracle forms a only on its spot and in-domain rows: a traced peak
-    # of 94-97 B per a-box row, against 148-172 B with a formed on every row
+@pytest.mark.parametrize("name, per_row", [("hurwitz", 90), ("d3", 40)], ids=["hurwitz", "d3"])
+def test_oracle_peak_memory_per_a_box_row(name, per_row, monkeypatch):
+    # the oracle forms W and a only on its spot and in-domain rows: a traced
+    # peak of 77 B (Hurwitz, whose window holds 16 alphas per kept one) and
+    # 29 B (d3) per row of the residue-table read, which W and a formed on
+    # every row would raise by 56 B
     fd = FundamentalDomain(builtin_order(name))
     c = _right_coset_representatives(fd.order, _c_list(fd.order, 8))[-1]
     rows = []
-    a_box = counting._a_box
+    residue_index = counting._residue_index
 
-    def counted(ctx, q):
-        row, W = a_box(ctx, q)
-        rows.append(row.size)
-        return row, W
+    def counted(lut, t, WR):
+        idx = residue_index(lut, t, WR)
+        rows.append(idx.size)
+        return idx
 
-    monkeypatch.setattr(counting, "_a_box", counted)
+    monkeypatch.setattr(counting, "_residue_index", counted)
     _brute_force_c(fd, c)
     tracemalloc.start()
     try:
@@ -534,7 +662,7 @@ def test_oracle_peak_memory_per_a_box_row(name, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 120 * rows[-1]
+    assert peak <= per_row * rows[-1]
 
 
 def test_scan_summary_progress(tmp_path, pool_runs):
