@@ -96,11 +96,15 @@ def _emit(payload: dict, out: str, fmt: str, csv_rows=None):
             fh.write(blob)
 
 
-def _checkpoint_path(args, tag: str):
+def _checkpoint_path(args, order: Order):
+    """The count checkpoint of order at args.scale under --cache (or
+    $HEIS_MERTENS_CACHE), or None without one; its key is computed only
+    here, since hashing it loads OpenSSL."""
     base = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     if not base:
         return None
-    path = os.path.join(base, tag + ".jsonl")
+    from .counting import checkpoint_key
+    path = os.path.join(base, f"count_{checkpoint_key(order, args.scale)}.jsonl")
     try:
         os.makedirs(base, exist_ok=True)
         # opened (and created) before the work, as --out is
@@ -118,7 +122,7 @@ def cmd_count(args) -> int:
         return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
         return _usage_error("scale must be >= 1")
-    ckpt = _checkpoint_path(args, f"count_{C.checkpoint_key(order, args.scale)}")
+    ckpt = _checkpoint_path(args, order)
     table = C.count_table(order, grid, scale=args.scale,
                           checkpoint_path=ckpt, threads=args.threads)
     payload = table.to_json_dict()

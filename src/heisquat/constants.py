@@ -80,7 +80,13 @@ class ArithmeticData:
 
     D_A must be squarefree with an odd number of prime factors; m_A obeys
     the parity rule (72 for even D_A, else 1); the class number h_A is a
-    configuration input used only for reporting the cusp count.
+    configuration input used for reporting the cusp count.
+
+    unit_count = |O^x| must pass the necessary conditions for a maximal
+    order: it is 24 exactly when D_A = 2 and 12 exactly when D_A = 3, else
+    2, 4 or 6; 4 needs Q(i) to embed, so every p | D_A is 2 or 3 mod 4; 6
+    needs Q(omega) to embed, so every p | D_A is 3 or 2 mod 3; and with
+    h_A = 1 Eichler's mass formula fixes |O^x| prod_{p | D_A} (p - 1) = 24.
     """
 
     D_A: int
@@ -93,10 +99,23 @@ class ArithmeticData:
             raise ValueError("D_A must be squarefree")
         if len(ps) % 2 == 0:
             raise ValueError("D_A must have an odd number of prime factors")
-        if self.unit_count <= 0:
-            raise ValueError("unit_count must be positive")
         if self.h_A is not None and self.h_A <= 0:
             raise ValueError("h_A must be positive")
+        u = self.unit_count
+        need = {2: (24,), 3: (12,)}.get(self.D_A, (2, 4, 6))
+        if u not in need:
+            raise ValueError(f"unit_count {u} is not the unit count of a maximal order "
+                             f"with D_A = {self.D_A}: it must be "
+                             + " or ".join(map(str, need)))
+        if u == 4 and any(p != 2 and p % 4 != 3 for p in ps):
+            raise ValueError("unit_count 4 needs Q(i) to embed: every prime of D_A "
+                             "must be 2 or 3 mod 4")
+        if u == 6 and any(p != 3 and p % 3 != 2 for p in ps):
+            raise ValueError("unit_count 6 needs Q(omega) to embed: every prime of D_A "
+                             "must be 3 or 2 mod 3")
+        if self.h_A == 1 and u * math.prod(p - 1 for p in ps) != 24:
+            raise ValueError("h_A = 1 needs unit_count * prod_{p | D_A} (p - 1) = 24 "
+                             "(Eichler's mass formula)")
 
     @property
     def m_A(self) -> int:

@@ -277,15 +277,22 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
 
 
 def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
+    """The c in scale * O with 0 < n(c) <= s, ordered by (n(c), c).
+
+    The norm enumeration, which is lexicographic, goes into one int64
+    array and is dropped before the result is built; a stable sort of the
+    scaled rows by norm orders them by (n(c), c).  The tuples are built
+    from the columns, so no list of per-row lists is held next to them.
+    """
     s = Fraction(s)
     if s > _S_LIMIT:
         raise ValueError(f"s > {_S_LIMIT} is beyond the supported desk scale")
     inner = enumerate_by_norm(order, s / (scale * scale))
-    cs = [tuple(scale * v for v in c) for c in inner]
-    # cs is lexicographic, so a stable sort by norm orders by (n(c), c)
-    by_norm = np.argsort(order.norms(np.array(cs, np.int64).reshape(-1, 4)),
-                         kind="stable")
-    return [cs[i] for i in by_norm]
+    C = np.array(inner, np.int64).reshape(-1, 4)
+    del inner
+    C *= scale
+    C = C[np.argsort(order.norms(C), kind="stable")]
+    return list(zip(*C.T.tolist()))
 
 
 def _lex_least(X: np.ndarray) -> np.ndarray:
@@ -304,16 +311,31 @@ def _unit_right_mul(order: Order) -> np.ndarray:
     return order.right_mul(np.array([u.coords for u in order.units], np.int64))
 
 
+def _lex_less(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Whether row n of X is lexicographically less than row n of Y, for
+    two (N, k) arrays."""
+    less = np.zeros(len(X), bool)
+    tied = np.ones(len(X), bool)
+    for j in range(X.shape[1]):
+        less |= tied & (X[:, j] < Y[:, j])
+        tied &= X[:, j] == Y[:, j]
+    return less
+
+
 def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
     """The lexicographically least member of each right coset c O^x in cs.
 
     cs must be a union of whole cosets, as every c list is: right
     multiplication by a unit keeps n(c) and keeps c in scale * O.  Units
-    act freely on c != 0, so each coset has exactly |O^x| members.
+    act freely on c != 0, so each coset has exactly |O^x| members.  One
+    pass per unit v keeps the c that no image c v undercuts, so beside the
+    (N, 4) array of cs only one (N, 4) product is held at a time.
     """
     C = np.array(cs, np.int64).reshape(-1, 4)
-    least = (_lex_least(C @ _unit_right_mul(order)) == C).all(axis=1)
-    reps = [c for c, keep in zip(cs, least) if keep]
+    least = np.ones(len(C), bool)
+    for R in _unit_right_mul(order):
+        least &= ~_lex_less(C @ R, C)
+    reps = [cs[i] for i in np.flatnonzero(least).tolist()]
     if len(reps) * len(order.units) != len(cs):
         raise AssertionError("c list is not a union of whole right unit cosets")
     return reps
@@ -390,7 +412,8 @@ _CKPT_VERSION = 3
 
 def checkpoint_key(order: Order, scale: int = 1) -> str:
     """Hash of what determines a checkpoint record: the order's algebra and
-    basis (not its name), the scale and the record version."""
+    basis (not its name), the scale and the record version.  hashlib is
+    imported here, as it loads OpenSSL, which only a checkpoint needs."""
     import hashlib
     spec = order_spec_dict(order)
     del spec["name"]
@@ -399,15 +422,16 @@ def checkpoint_key(order: Order, scale: int = 1) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _scan_chunk(fd: FundamentalDomain, key: str, scale: int, chunk) -> List[dict]:
-    """One checkpoint record per c in chunk: the count and 128-cell
-    histogram of its right coset c O^x, those of c weighted by |O^x|."""
+def _scan_chunk(fd: FundamentalDomain, scale: int, chunk) -> List[dict]:
+    """One record per c in chunk: the count and 128-cell histogram of its
+    right coset c O^x, those of c weighted by |O^x|.  A record holds no
+    checkpoint key; _append_checkpoint puts the key in front of it."""
     weight = len(fd.order.units)
     out = []
     for c in chunk:
         rec = _scan_c(fd, c, scale)
         hist = np.bincount(rec.bucket, minlength=128).astype(np.int64) * weight
-        out.append({"key": key, "c": list(c), "nc": rec.nc, "count": rec.count * weight,
+        out.append({"c": list(c), "nc": rec.nc, "count": rec.count * weight,
                     "hist": hist.tolist()})
     return out
 
@@ -494,12 +518,13 @@ def _load_checkpoint(fh, key: str, order: Order, cs, scale: int) -> Dict[Tuple[i
     return done
 
 
-def _append_checkpoint(fh, records: List[dict]) -> None:
+def _append_checkpoint(fh, key: str, records: List[dict]) -> None:
     """Append records to a checkpoint open in "a+b" mode, one line each,
-    under an exclusive lock, so that runs sharing the file do not
-    interleave or cut each other's lines."""
+    {"key": key, "c", "nc", "count", "hist"} in that order, under an
+    exclusive lock, so that runs sharing the file do not interleave or cut
+    each other's lines."""
     import fcntl
-    data = "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+    data = "".join(json.dumps({"key": key, **rec}) + "\n" for rec in records).encode("utf-8")
     fcntl.flock(fh, fcntl.LOCK_EX)
     try:
         fh.write(data)
@@ -529,10 +554,12 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     per-c additive, so the output does not depend on the thread partition.
     An optional JSONL checkpoint stores one record per scanned c, with the
     count and histogram of its right coset, keyed by checkpoint_key(order,
-    scale).  Every scanned c is the least member of its right coset, so a
-    record serves any later run that scans that c, whatever its histogram
-    levels.  Each fresh record's count must be _lawful, else an
-    AssertionError names its c before it is stored.  On resume, records
+    scale); the key, and with it hashlib, is computed only when there is a
+    checkpoint_path, so a run without one never loads OpenSSL.  Every
+    scanned c is the least member of its right coset, so a record serves
+    any later run that scans that c, whatever its histogram levels.  Each
+    fresh record's count must be _lawful, else an AssertionError names its
+    c before it is stored.  On resume, records
     with another key, a c this run does not scan or a count and histogram
     that do not check out are ignored.  Runs that share a checkpoint take
     turns reading and appending it, so neither loses the other's records;
@@ -547,11 +574,11 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     smax = max(grid + hlev) if (grid or hlev) else Fraction(0)
     hist_max = max(hlev, default=Fraction(0)) // 1
     reps = _right_coset_representatives(order, _c_list(order, smax, scale))
-    key = checkpoint_key(order, scale)
-    scan_chunk = functools.partial(_scan_chunk, FundamentalDomain(order), key, scale)
+    scan_chunk = functools.partial(_scan_chunk, FundamentalDomain(order), scale)
     classes = _scan_classes(order, reps, hist_max)
     ckpt = open(checkpoint_path, "a+b") if checkpoint_path else None
     try:
+        key = checkpoint_key(order, scale) if ckpt else None
         done = _load_checkpoint(ckpt, key, order, classes, scale) if ckpt else {}
         records = list(done.values())
         todo = [c for c in classes if c not in done]
@@ -562,7 +589,7 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
                                          f"{tuple(rec['c'])} is off the orbit law")
             records.extend(batch)
             if ckpt:
-                _append_checkpoint(ckpt, batch)
+                _append_checkpoint(ckpt, key, batch)
             if progress:
                 progress(len(records) - len(done), len(todo))
     finally:

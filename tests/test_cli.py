@@ -132,6 +132,37 @@ def test_geom_selftest_runs_with_the_scan_modules_blocked():
     assert json.loads(proc.stdout)["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--order", "hurwitz", "--s-grid", "4,8"],
+    ["equidist", "--s", "4"],
+    ["oracle", "--s", "2"],
+])
+def test_scan_commands_without_a_cache_run_with_hashlib_blocked(argv):
+    # hashlib loads OpenSSL; only a checkpoint's key needs it
+    proc = _run_python("import sys; sys.modules['hashlib'] = None\n"
+                       "from heisquat.cli import main\n"
+                       f"sys.exit(main({argv!r}))")
+    assert proc.returncode == 0, proc.stderr
+    usual = run_cli(argv)
+    assert usual.returncode == 0, usual.stderr
+    assert proc.stdout == usual.stdout
+
+
+def test_checkpoint_line_is_key_then_the_record(tmp_path):
+    from heisquat.counting import checkpoint_key
+    from heisquat.orders import builtin_order
+    cache = tmp_path / "cache"
+    assert main(["count", "--order", "d3", "--s-grid", "4", "--cache", str(cache),
+                 "--out", str(tmp_path / "c.json")]) == 0
+    key = checkpoint_key(builtin_order("d3"))
+    (ckpt,) = cache.iterdir()
+    assert ckpt.name == f"count_{key}.jsonl"
+    first = json.loads(ckpt.read_text().splitlines()[0])
+    assert list(first) == ["key", "c", "nc", "count", "hist"]
+    assert (first["key"], first["c"], first["nc"], first["count"]) == (key, [-1, 0, 0, 0], 1, 12)
+    assert first["hist"] == [12] + [0] * 127
+
+
 def test_every_trace_site_resolves_after_importing_the_cli():
     # the traced benchmark child wraps each (module, attr) of WRAP_SITES
     # after `import heisquat.cli`; a name moved away breaks every traced run
@@ -394,6 +425,16 @@ def test_bad_input_exits_2(argv, capsys):
     assert rc == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("da, units, ha", [
+    (2, 5, None), (2, 12, None), (5, 4, None), (7, 6, None), (13, 4, None), (11, 4, 1)])
+def test_constants_refuses_a_unit_count_no_maximal_order_has(da, units, ha, capsys):
+    argv = ["constants", "--da", str(da), "--units", str(units)]
+    rc, out, err = _exit_code_and_output(argv + (["--ha", str(ha)] if ha else []), capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def _exit_code_and_output(argv, capsys):

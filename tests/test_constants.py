@@ -33,6 +33,26 @@ def test_arithmetic_data_validation():
     assert ArithmeticData(30, 2).m_A == 72  # 2*3*5: three factors, even
 
 
+@pytest.mark.parametrize("da, units", [(2, 24), (3, 12), (5, 6), (7, 4), (11, 4), (13, 2)])
+def test_the_builtin_orders_pass_the_unit_count_rule(da, units):
+    assert ArithmeticData(da, units).unit_count == units
+
+
+@pytest.mark.parametrize("da, units, ha", [
+    (2, 5, None),    # D_A = 2 has only the 24 Hurwitz units
+    (2, 12, None),
+    (3, 24, None),
+    (5, 12, None),   # 12 only at D_A = 3
+    (5, 4, None),    # 5 = 1 mod 4: Q(i) does not embed
+    (7, 6, None),    # 7 = 1 mod 3: Q(omega) does not embed
+    (13, 4, None),
+    (11, 4, 1),      # 4 (11 - 1) != 24: D_A = 11 has class number two
+])
+def test_a_unit_count_no_maximal_order_has_is_refused(da, units, ha):
+    with pytest.raises(ValueError):
+        ArithmeticData(da, units, ha)
+
+
 def test_local_factors():
     assert local_factors(2) == (1451520, 35)
     assert local_factors(3)[1] == 520

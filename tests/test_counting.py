@@ -18,7 +18,7 @@ from heisquat.counting import (_alpha_lattice, _box_points, _brute_force_c,
                                _brute_force_chunk, _bucket_counts, _c_list,
                                _CContext, _cell_index, _cell_shifts, _digit_table,
                                _exact_rows, _loglog_fit, _oracle_stack, _primitive_mask,
-                               _residue_index,
+                               _lex_least, _residue_index,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -577,7 +577,7 @@ def test_fundamental_domain_survives_pickling(name):
     classes = _scan_classes(fd.order, reps, 3)
     assert any(len(cosets) > 1 for cosets in classes.values())
     cs = list(classes)
-    assert _scan_chunk(copy, "k", 1, cs) == _scan_chunk(fd, "k", 1, cs)
+    assert _scan_chunk(copy, 1, cs) == _scan_chunk(fd, 1, cs)
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -989,6 +989,38 @@ def test_checkpoint_shared_with_a_run_still_writing(hur, tmp_path):
     assert result["counts"] == full.counts
     assert sorted(tuple(json.loads(line)["c"]) for line in ck.read_text().splitlines()) \
         == sorted(tuple(json.loads(line)["c"]) for line in lines)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
+def test_c_list_equals_the_tuple_construction(name):
+    order = builtin_order(name)
+    for scale in (1, 2, 3):
+        inner = enumerate_by_norm(order, Fraction(12, scale ** 2))
+        cs = [tuple(scale * v for v in c) for c in inner]
+        by_norm = np.argsort(order.norms(np.array(cs, np.int64).reshape(-1, 4)), kind="stable")
+        got = _c_list(order, 12, scale)
+        assert got == [cs[i] for i in by_norm]
+        assert all(type(c) is tuple and all(type(v) is int for v in c) for c in got)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_right_coset_representatives_in_linear_memory(name):
+    # the least member of each right coset, as the least of its |O^x|
+    # images, found without holding the (|O^x|, N, 4) stack of images
+    order = builtin_order(name)
+    cs = _c_list(order, 32)
+    C = np.array(cs, np.int64)
+    images = C @ order.right_mul(np.array([u.coords for u in order.units], np.int64))
+    want = [c for c, keep in zip(cs, (_lex_least(images) == C).all(axis=1)) if keep]
+    del images
+    _right_coset_representatives(order, cs)
+    tracemalloc.start()
+    try:
+        assert _right_coset_representatives(order, cs) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * C.nbytes
 
 
 def test_scale_parameter(hur):
