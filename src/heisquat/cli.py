@@ -12,10 +12,17 @@ numpy; `geom-selftest` adds heisquat.hyperbolic; the scan commands
 (count, equidist, oracle) load the orders and heisquat.counting.
 
 The process pool (--threads, and the oracle's per-c pool) is the only
-parallelism: main pins numpy's BLAS to one thread before a subcommand
-imports numpy, since the scan is integer work that never calls BLAS and
-an idle BLAS worker thread only takes CPU from the scan and the pool.
-An OPENBLAS_NUM_THREADS already set in the environment is kept.
+parallelism.  It starts only when the orbit law predicts enough work to
+repay its start-up (counting._POOL_MIN_ROWS, 5e5 rows: count reaches it
+at s = 26 on d3 and s = 31 on Hurwitz, equidist at s = 20 and 21), so a
+small run with --threads 2 stays in one process.  main pins numpy's BLAS
+to one thread before a subcommand imports numpy, since the scan is integer
+work that never calls BLAS and an idle BLAS worker thread only takes CPU
+from the scan and the pool.  An OPENBLAS_NUM_THREADS already set in the
+environment is kept.
+
+count and equidist report `scanned k/N` (values of c) on stderr while
+they scan, when stderr is a terminal; stdout is the same either way.
 """
 
 from __future__ import annotations
@@ -114,6 +121,18 @@ def _checkpoint_path(args, order: Order):
     return path
 
 
+def _progress():
+    """A scan_summary progress callback that rewrites one `scanned k/N`
+    line on stderr, or None when stderr is not a terminal."""
+    if not sys.stderr.isatty():
+        return None
+
+    def report(done: int, total: int) -> None:
+        sys.stderr.write(f"\rscanned {done}/{total}" + ("\n" if done == total else ""))
+        sys.stderr.flush()
+    return report
+
+
 def cmd_count(args) -> int:
     from . import counting as C
     order = _load_order(args.order)
@@ -123,8 +142,8 @@ def cmd_count(args) -> int:
     if args.scale < 1:
         return _usage_error("scale must be >= 1")
     ckpt = _checkpoint_path(args, order)
-    table = C.count_table(order, grid, scale=args.scale,
-                          checkpoint_path=ckpt, threads=args.threads)
+    table = C.count_table(order, grid, scale=args.scale, checkpoint_path=ckpt,
+                          threads=args.threads, progress=_progress())
     payload = table.to_json_dict()
     csv_rows = [("s", "count", "ratio")]
     for (s, cnt), ratio in zip(table.rows, table.ratios):
@@ -139,7 +158,7 @@ def cmd_equidist(args) -> int:
     s = _parse_s(args.s)
     if s < 1:  # n(c) >= 1 for every c != 0, so there is no sample
         return _usage_error("equidist needs s >= 1")
-    rep = C.equidist_histogram(order, s, threads=args.threads)
+    rep = C.equidist_histogram(order, s, threads=args.threads, progress=_progress())
     payload = rep.to_json_dict()
     csv_rows = [("cell", "observed", "expected")]
     for idx, (o, e) in enumerate(zip(rep.observed, rep.expected)):

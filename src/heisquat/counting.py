@@ -50,10 +50,11 @@ as stacks of a few, each member with its own alphas, shifts and checks.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
-threads > 1, the oracle's right cosets always (one item per coset), with
-one worker per CPU that the process may use (_usable_cpus, its affinity
-mask).  Per-c results are added in the parent, so no output depends on
-the partition.
+threads > 1, the oracle's right cosets (one item per coset) with one
+worker per CPU that the process may use (_usable_cpus, its affinity mask).
+A pool starts only when the orbit law predicts at least _POOL_MIN_ROWS
+rows of work, enough to repay its start-up.  Per-c results are added in
+the parent, so no output depends on the partition or on the prediction.
 """
 
 from __future__ import annotations
@@ -444,16 +445,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(chunk_fn, items: list, workers: int):
-    """chunk_fn over items, yielding its results in order.  workers is
-    first capped at one per usable CPU; with more than one left and more
-    than 8 items, a process pool of that many workers maps workers * 8
-    interleaved slices, else each item is one call in process.  chunk_fn
-    is pickled to the workers, so it must be a module-level function or a
-    partial of one.  The workers inherit the caller's environment, so the
-    one BLAS thread that cli.main sets holds in them too."""
-    workers = min(workers, _usable_cpus())
-    if workers > 1 and len(items) > 8:
+# The fewest predicted rows for which _pool_map starts a pool; see there.
+_POOL_MIN_ROWS = 5 * 10 ** 5
+
+
+def _pool_map(chunk_fn, items: list, workers: int, rows: int):
+    """chunk_fn over items, yielding its results in order.  With workers > 1
+    and rows >= _POOL_MIN_ROWS, a process pool of workers processes maps
+    workers * 8 interleaved slices, else each item is one call in process.
+    workers must not exceed _usable_cpus().  chunk_fn is pickled to the
+    workers, so it must be a module-level function or a partial of one.
+    The workers inherit the caller's environment, so the one BLAS thread
+    that cli.main sets holds in them too.
+
+    rows is the work of items as predicted by the orbit law, before any of
+    it runs: orbit_law(order, c) kept orbits per c the scan scans, 81 times
+    that per c of the oracle (its window holds 81 triples per orbit); at
+    scale > 1, the scale-1 law of c.  It only schedules the work and never
+    enters a count, so the output does not depend on it.  The callers
+    compute it only when more than one worker is usable.
+
+    Why 5e5.  Fresh `count` runs on a 2-core x86-64 machine (Python 3.11,
+    numpy 2.4), serial against a pool of 2, 15 alternating pairs per grid
+    on d3 and Hurwitz from 5.2e4 to 3.5e6 predicted rows, fit the median
+    wall time as 0.197 s + 293 ns/row serially and 0.222 s + 174 ns/row
+    pooled.  So the pool costs 24 ms to start (the import of
+    concurrent.futures.process and the fork and join of the workers) and
+    saves 119 ns/row: it breaks even near 2.0e5 rows (2.6e5 in a second
+    fit of 7 pairs), and from 5e5 rows on it saves at least its start-up
+    again.  It also adds about 57 ms of CPU at any size.  Medians, serial
+    / pooled: d3 s <= 16 (51,876 rows) 0.189 / 0.220 s, Hurwitz s <= 32
+    (521,120) 0.350 / 0.310 s, d3 s <= 32 (1,375,606) 0.622 / 0.479 s.
+    An oracle row costs about a fifth of a scan row: Hurwitz `oracle --s
+    5` (1,710,720 rows) ran 0.356 / 0.339 s.
+    """
+    if workers > 1 and rows >= _POOL_MIN_ROWS:
         from concurrent.futures import ProcessPoolExecutor
         nch = min(workers * 8, len(items))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -564,10 +590,12 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     that do not check out are ignored.  Runs that share a checkpoint take
     turns reading and appending it, so neither loses the other's records;
     a c both runs scan is stored twice and counted once.  With threads > 1
-    the values of c go to a process pool (_pool_map) that receives the
-    fundamental domain pickled, with its order's validated tables and
-    units.  progress(done, total) is called after each batch, with the
-    number of values of c scanned so far and to scan in all.
+    and more than one usable CPU, the values of c left to scan go to a
+    process pool (_pool_map) if their orbit law predicts enough work; the
+    pool receives the fundamental domain pickled, with its order's
+    validated tables and units.  progress(done, total) is called after
+    each batch, with the number of values of c scanned so far and to scan
+    in all.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     hlev = sorted(Fraction(x) for x in hist_levels)
@@ -582,7 +610,9 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
         done = _load_checkpoint(ckpt, key, order, classes, scale) if ckpt else {}
         records = list(done.values())
         todo = [c for c in classes if c not in done]
-        for batch in _pool_map(scan_chunk, todo, threads):
+        workers = min(threads, _usable_cpus())
+        rows = sum(orbit_law(order, c) for c in todo) if workers > 1 else 0
+        for batch in _pool_map(scan_chunk, todo, workers, rows):
             for rec in batch:
                 if not _lawful(order, scale, tuple(rec["c"]), rec["count"]):
                     raise AssertionError(f"scan count {rec['count']} of c = "
@@ -836,9 +866,12 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     The values of c are grouped by their lattice H4 = hnf(n(c) R_conj(c))
     (_alpha_lattice), which groups them by right coset c O^x; each group is
     one item of a process pool of one worker per usable CPU (_pool_map, as
-    the scan's --threads).  The per-c counts are added per level here, so
-    the result does not depend on the partition; the pool shares nothing
-    else with the scan.
+    the scan's --threads), which starts when the orbit law predicts enough
+    work (_POOL_MIN_ROWS: from s = 5 on Hurwitz and d3).  The per-c counts
+    are added per level here, so the result does not depend on the
+    partition or on that prediction; beside the pool, the prediction's
+    orbit_law (which the scan's _lawful also reads) is the only code the
+    oracle shares with the scan, and it enters no count.
 
     For each c the oracle enumerates the admissible triples whose alpha
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
@@ -883,7 +916,11 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     for c in _c_list(order, max(grid, default=0)):
         cosets.setdefault(tuple(map(tuple, _alpha_lattice(order, c))), []).append(c)
     chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
-    for batch in _pool_map(chunk, list(cosets.values()), _usable_cpus()):
+    workers = _usable_cpus()
+    # 81 window triples per orbit (see _brute_force_c)
+    rows = 81 * sum(orbit_law(order, c) for coset in cosets.values() for c in coset) \
+        if workers > 1 else 0
+    for batch in _pool_map(chunk, list(cosets.values()), workers, rows):
         for nc, found in batch:
             for g in grid:
                 if nc <= g:
@@ -934,14 +971,16 @@ def _float_str(x) -> Optional[str]:
 
 
 def count_table(order: Order, s_grid: Sequence, scale: int = 1,
-                checkpoint_path: Optional[str] = None, threads: int = 1) -> CountTable:
+                checkpoint_path: Optional[str] = None, threads: int = 1,
+                progress=None) -> CountTable:
     """Counting table over s_grid from a single scan at max(s_grid), with
-    each count's ratio to the order's Mertens constant times s^5."""
+    each count's ratio to the order's Mertens constant times s^5; progress
+    goes to scan_summary."""
     grid = sorted(Fraction(x) for x in s_grid)
     if not grid:
         raise ValueError("empty s grid")
     ref = constants.mertens_constant(constants.ArithmeticData(order.D_A, len(order.units)))
-    summ = scan_summary(order, grid, (), scale, checkpoint_path, threads)
+    summ = scan_summary(order, grid, (), scale, checkpoint_path, threads, progress)
     table = CountTable(order.name, order.D_A,
                        [(g, summ.counts[g]) for g in grid],
                        ref.value(), str(ref))
@@ -993,7 +1032,8 @@ def histogram_report(s, hist: np.ndarray) -> EquidistReport:
     return EquidistReport(Fraction(s), [int(x) for x in hist], expected, total, disc)
 
 
-def equidist_histogram(order: Order, s, threads: int = 1) -> EquidistReport:
-    """128-cell dyadic histogram of the canonical representatives at level s."""
-    summ = scan_summary(order, [], [Fraction(s)], threads=threads)
+def equidist_histogram(order: Order, s, threads: int = 1, progress=None) -> EquidistReport:
+    """128-cell dyadic histogram of the canonical representatives at level
+    s; progress goes to scan_summary."""
+    summ = scan_summary(order, [], [Fraction(s)], threads=threads, progress=progress)
     return histogram_report(s, summ.hists[Fraction(s)])

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import heisquat
+from heisquat import counting
 from heisquat.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -188,8 +190,9 @@ def test_count_flag_conflicts():
     assert proc.returncode == 2
 
 
-def test_count_byte_identical_and_thread_independent(tmp_path, pool_runs):
-    # s = 8 gives 26 coset representatives, enough for the pool
+def test_count_byte_identical_and_thread_independent(tmp_path, monkeypatch, pool_runs):
+    # s = 8 gives 26 coset representatives, pooled at any predicted work
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     outs = []
     for idx, threads in enumerate(("1", "2", "1")):
         out = tmp_path / f"c{idx}.json"
@@ -199,6 +202,29 @@ def test_count_byte_identical_and_thread_independent(tmp_path, pool_runs):
         outs.append(out.read_bytes())
     assert pool_runs == [2]
     assert outs[0] == outs[1] == outs[2]
+
+
+class _FakeTTY(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("args, total", [
+    # 13 double cosets of d3 up to s = 8; 26 right cosets of Hurwitz up to 8
+    (["count", "--order", "d3", "--s-grid", "4,8"], 13),
+    (["equidist", "--order", "hurwitz", "--s", "8"], 26),
+], ids=["count", "equidist"])
+def test_scan_progress_goes_to_a_terminal_only(args, total, capsys, monkeypatch):
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    tty = _FakeTTY()
+    monkeypatch.setattr(sys, "stderr", tty)
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain.out
+    reports = tty.getvalue().split("\r")
+    assert reports[0] == "" and reports[-1] == f"scanned {total}/{total}\n"
+    assert reports[1:-1] == [f"scanned {k}/{total}" for k in range(1, total)]
 
 
 def test_count_csv_roundtrip(tmp_path):

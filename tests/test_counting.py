@@ -65,12 +65,13 @@ def test_oracle_equality_d3():
         assert psi_count(d3, s, with_triples=False)[0] == brute_force_psi(d3, s)
 
 
-# a pool item is one right coset: each grid has more than 8 (13 on Hurwitz
-# s <= 5, 12 on d3, 15 on d5, d7 and d13, 9 on d11 s <= 4)
+# a pool item is one right coset (13 on Hurwitz s <= 5, 12 on d3, 15 on d5,
+# d7 and d13, 9 on d11 s <= 4); the pool starts at any predicted work here
 @pytest.mark.parametrize("name,grid", [("hurwitz", [1, 2, 3, 4, 5]), ("d3", [1, 2, 3, 4]),
                                        ("d5", [1, 2, 3, 4]), ("d7", [1, 2, 3, 4]),
                                        ("d11", [1, 2, 3, 4]), ("d13", [1, 2, 3, 4])])
 def test_brute_force_counts_equal_scan_summary(name, grid, monkeypatch, pool_runs):
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     order = builtin_order(name)
     want = scan_summary(order, grid).counts
     # the oracle runs one worker per usable CPU, and no pool on one CPU
@@ -139,6 +140,7 @@ def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, 
                                                              bad_key):
     # raised in a pool worker, the assertion reaches the caller
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     bucket_counts = counting._bucket_counts
     monkeypatch.setattr(counting, "_bucket_counts",
                         lambda key, indom: bucket_counts(bad_key(key), indom))
@@ -153,6 +155,7 @@ def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
     # is read into another bucket, so its own bucket keeps its in-domain
     # triple and is left with 80 rows
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     residue_index = counting._residue_index
 
     def missing(lut, t, WR):
@@ -512,14 +515,42 @@ def test_scan_partition_invariance(hur):
     assert half1 + half2 == total
 
 
-def test_scan_summary_threads_match(hur, pool_runs):
-    # 26 coset representatives up to s = 8: enough for the pool
+def test_scan_summary_threads_match(hur, monkeypatch, pool_runs):
+    # 26 coset representatives up to s = 8, pooled at any predicted work
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     a = scan_summary(hur, [4, 8], hist_levels=[8], threads=1)
     assert pool_runs == []
     b = scan_summary(hur, [4, 8], hist_levels=[8], threads=2)
     assert pool_runs == [2]
     assert a.counts == b.counts
     assert (a.hists[Fraction(8)] == b.hists[Fraction(8)]).all()
+
+
+@pytest.mark.parametrize("run, rows, pools", [
+    # below _POOL_MIN_ROWS: the pool would cost more than it saves
+    (lambda: scan_summary(builtin_order("d3"), [4, 8, 12, 16], threads=2), 51_876, []),
+    # 81 window triples per orbit, over the 21,120 orbits of Hurwitz s <= 5
+    (lambda: brute_force_counts(builtin_order("hurwitz"), range(1, 6)), 81 * 21_120, [2]),
+    (lambda: scan_summary(builtin_order("d3"), [32], threads=2), 1_375_606, [2]),
+], ids=["d3_scan_16", "hurwitz_oracle_5", "d3_scan_32"])
+def test_pool_starts_when_the_orbit_law_predicts_enough_work(run, rows, pools, monkeypatch,
+                                                            pool_runs):
+    seen = []
+    pool_map = counting._pool_map
+
+    def spy(chunk_fn, items, workers, predicted):
+        seen.append(predicted)
+        return pool_map(chunk_fn, items, workers, predicted)
+
+    monkeypatch.setattr(counting, "_pool_map", spy)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    run()
+    assert (seen, pool_runs) == ([rows], pools)
+    # with one usable CPU nothing is predicted and no pool starts
+    seen.clear()
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
+    run()
+    assert (seen, pool_runs) == ([0], pools)
 
 
 @pytest.mark.parametrize("run, s, one_cpu", [
@@ -549,6 +580,7 @@ def test_pool_starts_at_most_one_worker_per_cpu(hur, monkeypatch, run, s, one_cp
             return map(pickle.loads(pickle.dumps(fn)), *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     serial = scan_summary(hur, [s], hist_levels=[s])
     for cpus, workers in ((3, [3]), (1, one_cpu)):
         monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
@@ -665,9 +697,11 @@ def test_oracle_peak_memory_per_a_box_row(name, per_row, monkeypatch):
     assert peak <= per_row * rows[-1]
 
 
-def test_scan_summary_progress(tmp_path, pool_runs):
+def test_scan_summary_progress(tmp_path, monkeypatch, pool_runs):
     # 44 right coset representatives up to s = 8 on d3, in 13 double cosets:
-    # one call per double coset, counting the values of c scanned
+    # one call per double coset, counting the values of c scanned; the
+    # pooled runs start a pool at any predicted work
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     d3 = builtin_order("d3")
     calls = []
 
@@ -799,9 +833,10 @@ def test_scan_classes_are_the_two_sided_unit_cosets(name, scale, s):
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_mixed_summary_equals_the_histogram_run(name, threads, pool_runs):
+def test_mixed_summary_equals_the_histogram_run(name, threads, monkeypatch, pool_runs):
     # histograms up to s = 8 from one scan per right coset, counts above it
-    # from one scan per double coset
+    # from one scan per double coset; pooled at any predicted work
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     order = builtin_order(name)
     full = scan_summary(order, (4, 8, 12), hist_levels=(8, 12))
     mixed = scan_summary(order, (4, 8, 12), hist_levels=[8], threads=threads)
@@ -882,9 +917,12 @@ def test_larger_grid_resumes_from_the_smaller_grid_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("name, grid", [("hurwitz", (4, 8)), ("d3", (4, 8, 12))])
-def test_pool_checkpoint_and_resume_match_serial(name, grid, tmp_path, pool_runs):
+def test_pool_checkpoint_and_resume_match_serial(name, grid, tmp_path, monkeypatch,
+                                                pool_runs):
     # the pool weights and records each coset as the serial path does, and
-    # a pooled resume after a killed pooled run gives the same summary
+    # a pooled resume after a killed pooled run gives the same summary; the
+    # pool starts at any predicted work
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
     order = builtin_order(name)
     ck = tmp_path / "chk.jsonl"
     serial = scan_summary(order, grid, hist_levels=grid)
