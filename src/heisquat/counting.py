@@ -36,9 +36,10 @@ The histogram is not, since u moves alpha c^-1 to u alpha c^-1 u^-1.
 scan_summary (and through it psi_count without triples, count_table and
 equidist_histogram) scans the lexicographically least c of each right
 coset, weighted by |O^x|, if n(c) is at most the largest histogram level;
-above it, only the least c of each double coset, whose count stands for
-every right coset of the class.  scan() and psi_count with triples stay
-full per-c enumerations; the tests compare the reductions against them.
+above it, only the least c of each double coset, whose count is taken
+once per right coset of the class: its multiplicity.  A c list is one
+(N, 4) int64 array up to that choice.  scan() and psi_count with triples
+stay full per-c enumerations; the tests compare the reductions against them.
 
 brute_force_counts (and brute_force_psi, its one-level form) is the
 oracle: it enumerates *all* admissible triples in a padded window of
@@ -59,6 +60,7 @@ the parent, so no output depends on the partition or on the prediction.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -277,23 +279,15 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     return CRecord(ctx.c, ctx.nc, A[keep], X[rows], bucket)
 
 
-def _c_list(order: Order, s, scale: int = 1) -> List[Tuple[int, ...]]:
-    """The c in scale * O with 0 < n(c) <= s, ordered by (n(c), c).
-
-    The norm enumeration, which is lexicographic, goes into one int64
-    array and is dropped before the result is built; a stable sort of the
-    scaled rows by norm orders them by (n(c), c).  The tuples are built
-    from the columns, so no list of per-row lists is held next to them.
-    """
+def _c_list(order: Order, s, scale: int = 1) -> np.ndarray:
+    """The c in scale * O with 0 < n(c) <= s, as the rows of an (N, 4)
+    int64 array ordered by (n(c), c): the norm enumeration is
+    lexicographic, so a stable sort of its scaled rows by norm orders them."""
     s = Fraction(s)
     if s > _S_LIMIT:
         raise ValueError(f"s > {_S_LIMIT} is beyond the supported desk scale")
-    inner = enumerate_by_norm(order, s / (scale * scale))
-    C = np.array(inner, np.int64).reshape(-1, 4)
-    del inner
-    C *= scale
-    C = C[np.argsort(order.norms(C), kind="stable")]
-    return list(zip(*C.T.tolist()))
+    C = scale * enumerate_by_norm(order, s / (scale * scale))
+    return C[np.argsort(order.norms(C), kind="stable")]
 
 
 def _lex_least(X: np.ndarray) -> np.ndarray:
@@ -323,21 +317,21 @@ def _lex_less(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return less
 
 
-def _right_coset_representatives(order: Order, cs) -> List[Tuple[int, ...]]:
-    """The lexicographically least member of each right coset c O^x in cs.
+def _right_coset_representatives(order: Order, C: np.ndarray) -> np.ndarray:
+    """The lexicographically least member of each right coset c O^x among
+    the rows c of C, in their order.
 
-    cs must be a union of whole cosets, as every c list is: right
+    C must be a union of whole cosets, as every c list is: right
     multiplication by a unit keeps n(c) and keeps c in scale * O.  Units
     act freely on c != 0, so each coset has exactly |O^x| members.  One
-    pass per unit v keeps the c that no image c v undercuts, so beside the
-    (N, 4) array of cs only one (N, 4) product is held at a time.
+    pass per unit v keeps the c that no image c v undercuts, so beside C
+    only one (N, 4) product is held at a time.
     """
-    C = np.array(cs, np.int64).reshape(-1, 4)
     least = np.ones(len(C), bool)
     for R in _unit_right_mul(order):
         least &= ~_lex_less(C @ R, C)
-    reps = [cs[i] for i in np.flatnonzero(least).tolist()]
-    if len(reps) * len(order.units) != len(cs):
+    reps = C[least]
+    if len(reps) * len(order.units) != len(C):
         raise AssertionError("c list is not a union of whole right unit cosets")
     return reps
 
@@ -357,19 +351,17 @@ def _double_coset_keys(order: Order, C: np.ndarray) -> np.ndarray:
     return key
 
 
-def _scan_classes(order: Order, reps, hist_max) -> Dict[Tuple[int, ...], list]:
-    """{c to scan: the right cosets it stands for}, over the right coset
-    representatives reps, in their order.  A c with n(c) > hist_max stands
-    for every right coset in O^x c O^x and is the least member of it; any
-    other c stands for its own right coset only (the histogram is not
+def _scan_classes(order: Order, reps: np.ndarray, hist_max) -> Dict[Tuple[int, ...], int]:
+    """{c to scan: the number of right cosets it stands for}, over the
+    right coset representatives, the rows of reps, in their order.  A c
+    with n(c) > hist_max stands for every right coset in O^x c O^x and is
+    the least member of it, so it is the first of them in reps; any other
+    c stands for its own right coset only (the histogram is not
     left-invariant)."""
-    C = np.array(reps, np.int64).reshape(-1, 4)
-    big = order.norms(C) > hist_max
-    keys = iter(_double_coset_keys(order, C[big]).tolist())
-    classes: Dict[Tuple[int, ...], list] = {}
-    for c, b in zip(reps, big):
-        classes.setdefault(tuple(next(keys)) if b else c, []).append(c)
-    return classes
+    keys = reps.copy()
+    big = order.norms(reps) > hist_max
+    keys[big] = _double_coset_keys(order, reps[big])
+    return dict(collections.Counter(map(tuple, keys.tolist())))
 
 
 def scan(order: Order, s, scale: int = 1) -> Iterable[CRecord]:
@@ -576,8 +568,9 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     right coset with n(c) <= max(hist_levels) is scanned once, at its
     least member, weighted by |O^x|; above that level one c per double
     coset is scanned, its least member, and its weighted count is added
-    once for each right coset of the class (_scan_classes).  Results are
-    per-c additive, so the output does not depend on the thread partition.
+    times its multiplicity, the number of right cosets of the class
+    (_scan_classes).  Results are per-c additive, so the output does not
+    depend on the thread partition.
     An optional JSONL checkpoint stores one record per scanned c, with the
     count and histogram of its right coset, keyed by checkpoint_key(order,
     scale); the key, and with it hashlib, is computed only when there is a
@@ -630,7 +623,7 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
     for rec in records:
         for g in grid:
             if rec["nc"] <= g:
-                counts[g] += rec["count"] * len(classes[tuple(rec["c"])])
+                counts[g] += rec["count"] * classes[tuple(rec["c"])]
         for g in hlev:
             if rec["nc"] <= g:
                 hists[g] += np.array(rec["hist"], np.int64)
@@ -838,12 +831,13 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
 
 
 def _oracle_stacks(ctxs: Sequence[_CContext]) -> List[List[_CContext]]:
-    """ctxs cut into consecutive stacks of equal lattice data, each of at
-    most _STACK_TRIPLES window triples, or of one member above it."""
+    """ctxs cut into consecutive stacks of at most _STACK_TRIPLES window
+    triples each, or of one member above it.  The members of a stack must
+    share their lattice data, as those of one right coset do; _oracle_stack
+    asserts it."""
     stacks: List[List[_CContext]] = []
     for ctx in ctxs:
-        if (stacks and stacks[-1][0].lattice_data() == ctx.lattice_data()
-                and (len(stacks[-1]) + 1) * 81 * ctx.D * ctx.m <= _STACK_TRIPLES):
+        if stacks and (len(stacks[-1]) + 1) * 81 * ctx.D * ctx.m <= _STACK_TRIPLES:
             stacks[-1].append(ctx)
         else:
             stacks.append([ctx])
@@ -869,9 +863,10 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     the scan's --threads), which starts when the orbit law predicts enough
     work (_POOL_MIN_ROWS: from s = 5 on Hurwitz and d3).  The per-c counts
     are added per level here, so the result does not depend on the
-    partition or on that prediction; beside the pool, the prediction's
-    orbit_law (which the scan's _lawful also reads) is the only code the
-    oracle shares with the scan, and it enters no count.
+    partition or on that prediction.  Beside the pool and its orbit-law
+    schedule, which enters no count, the oracle shares with the scan
+    _c_list, _CContext, _box_points, _exact_rows and _primitive_mask, but
+    not the transversal, the a-boxes or the coset reduction.
 
     For each c the oracle enumerates the admissible triples whose alpha
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical

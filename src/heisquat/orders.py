@@ -282,7 +282,7 @@ class Order:
     def units(self) -> List[OrderElement]:
         """All elements of reduced norm 1; a finite group."""
         if self._units is None:
-            self._units = [OrderElement(c) for c in enumerate_by_norm(self, 1)]
+            self._units = [OrderElement(tuple(c)) for c in enumerate_by_norm(self, 1).tolist()]
         return self._units
 
     def inv_principal_lattice(self, u: Quaternion) -> RatLattice:
@@ -329,8 +329,9 @@ def units(order: Order) -> List[OrderElement]:
     return order.units
 
 
-def enumerate_by_norm(order: Order, bound) -> List[Coords]:
-    """All x in O with 0 < n(x) <= bound, sorted lexicographically on coords.
+def enumerate_by_norm(order: Order, bound) -> np.ndarray:
+    """All x in O with 0 < n(x) <= bound, as the rows of an (N, 4) int64
+    array sorted lexicographically; (0, 4) when bound <= 0.
 
     With G = gram2 / 2 the Gram matrix of the norm form, x_i = <x, v_i> for
     the dual basis vector v_i, and n(v_i) = (G^-1)_ii = 2 (gram2^-1)_ii, so
@@ -340,14 +341,14 @@ def enumerate_by_norm(order: Order, bound) -> List[Coords]:
     """
     bound = Fraction(bound)
     if bound <= 0:
-        return []
+        return np.empty((0, 4), np.int64)
     Ginv2 = mat_frac_inverse(order.gram2)
     radii = []
     for i in range(4):
         r2 = 2 * bound * Ginv2[i][i]
         radii.append(math.isqrt(r2.numerator * r2.denominator) // r2.denominator)
     axes = np.ix_(*(np.arange(-r, r + 1, dtype=np.int64) for r in radii[1:]))
-    out: List[Coords] = []
+    out = []
     # one x_0 slab at a time, so the transient arrays stay 3-dimensional
     for x0 in range(-radii[0], radii[0] + 1):
         x = (x0,) + axes
@@ -355,8 +356,8 @@ def enumerate_by_norm(order: Order, bound) -> List[Coords]:
                     for i in range(4) for j in range(4))
         # n(x) is an integer, so n(x) <= bound iff 2 n(x) <= 2 floor(bound)
         keep = np.argwhere((norm2 > 0) & (norm2 <= 2 * math.floor(bound)))
-        out += [(x0, *y) for y in (keep - radii[1:]).tolist()]
-    return out
+        out.append(np.insert(keep - radii[1:], 0, x0, axis=1))
+    return np.concatenate(out, dtype=np.int64)
 
 
 IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -31,6 +31,11 @@ from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
 from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
 
 
+def _tuples(C):
+    """The rows of an (N, 4) c array as tuples of ints."""
+    return [tuple(c) for c in C.tolist()]
+
+
 @pytest.fixture(scope="module")
 def hur():
     return builtin_order("hurwitz")
@@ -257,7 +262,7 @@ def test_oracle_a_rows_are_rows_of_the_a_box_of_their_q(name, monkeypatch):
     cs = _c_list(fd.order, 8)
     for c in cs:
         _brute_force_c(fd, c)
-    assert [ctx.c for ctx, *_ in formed] == cs
+    assert [ctx.c for ctx, *_ in formed] == _tuples(cs)
     for ctx, q, res, W in formed:
         _, box = counting._a_box(ctx, q[0])
         assert (W[0] == box.reshape(-1, ctx.m, 3)[np.arange(res.size), res]).all()
@@ -341,6 +346,10 @@ def test_a_stack_of_disagreeing_members_raises(hur, fd):
     reps = _right_coset_representatives(hur, _c_list(hur, 8))
     with pytest.raises(AssertionError, match="disagree on lattice data"):
         _oracle_stack(fd, [_CContext(fd, reps[-1]), _CContext(fd, reps[-2])])
+    # the stacks of a chunk are cut by the triple budget alone, so two
+    # cosets passed as one reach the assertion
+    with pytest.raises(AssertionError, match="disagree on lattice data"):
+        _brute_force_chunk(fd, [[reps[-1], reps[-2]]])
     ctx = _CContext(fd, (-2, 0, 1, 1))
     assert ctx.g == 2
     doubled = _CContext(fd, ctx.c)
@@ -443,7 +452,7 @@ NONZERO = st.tuples(*[st.integers(-4, 4)] * 4).filter(any)
 @lru_cache(maxsize=None)
 def _elements_of_norm(name, p):
     order = builtin_order(name)
-    return [x for x in enumerate_by_norm(order, p) if order.norm(x) == p]
+    return [x for x in _tuples(enumerate_by_norm(order, p)) if order.norm(x) == p]
 
 
 @st.composite
@@ -607,7 +616,7 @@ def test_fundamental_domain_survives_pickling(name):
     # per double coset above
     reps = _right_coset_representatives(fd.order, _c_list(fd.order, 6))
     classes = _scan_classes(fd.order, reps, 3)
-    assert any(len(cosets) > 1 for cosets in classes.values())
+    assert any(n > 1 for n in classes.values())
     cs = list(classes)
     assert _scan_chunk(copy, 1, cs) == _scan_chunk(fd, 1, cs)
 
@@ -755,8 +764,8 @@ def test_scan_count_off_the_orbit_law_raises_and_is_not_checkpointed(hur, tmp_pa
 def test_coset_reduced_summary_equals_full_scan(name, scale, grid):
     order = builtin_order(name)
     units = len(order.units)
-    cs = _c_list(order, max(grid), scale)
-    reps = _right_coset_representatives(order, cs)
+    C = _c_list(order, max(grid), scale)
+    cs, reps = _tuples(C), _tuples(_right_coset_representatives(order, C))
     rep_of = {}
     for r in reps:
         coset = {order.mul(r, u) for u in order.units}
@@ -796,7 +805,7 @@ def test_orbit_count_is_invariant_under_left_units(name):
     fd = FundamentalDomain(order)
     moved_hist = False
     for scale, s in ((1, 8), (2, 32)):
-        recs = {c: _scan_c(fd, c, scale) for c in _c_list(order, s, scale)}
+        recs = {c: _scan_c(fd, c, scale) for c in _tuples(_c_list(order, s, scale))}
         for c, rec in recs.items():
             for u in order.units:
                 other = recs[order.mul(u.coords, c)]
@@ -809,26 +818,37 @@ def test_orbit_count_is_invariant_under_left_units(name):
 @pytest.mark.parametrize("name, scale, s", [
     ("hurwitz", 1, 16), ("d3", 1, 16), ("hurwitz", 2, 32), ("d3", 2, 32)])
 def test_scan_classes_are_the_two_sided_unit_cosets(name, scale, s):
+    # each key is the least member of its double coset O^x c O^x and
+    # carries the number of right cosets in it, counted here from the
+    # scalar products u c v over all unit pairs; the double cosets of the
+    # keys partition the c list, and the keys come in (n(c), c) order
     order = builtin_order(name)
     units = [u.coords for u in order.units]
     cs = _c_list(order, s, scale)
     reps = _right_coset_representatives(order, cs)
     classes = _scan_classes(order, reps, 0)
-    recorded = [r for cosets in classes.values() for r in cosets]
-    assert sorted(recorded) == sorted(reps)
-    assert sum(len(cosets) for cosets in classes.values()) * len(units) == len(cs)
-    for key, cosets in classes.items():
-        assert key in cosets
-        for c in cosets:
-            left = {order.mul(u, c) for u in units}
-            assert min(order.mul(x, v) for x in left for v in units) == key, c
+    covered = set()
+    for key, n in classes.items():
+        double = {order.mul(order.mul(u, key), v) for u in units for v in units}
+        assert min(double) == key
+        assert n * len(units) == len(double), key
+        assert not covered & double
+        covered |= double
+    assert covered == set(_tuples(cs))
+    assert sum(classes.values()) == len(reps)
+    assert list(classes) == sorted(classes, key=lambda c: (order.norm(c), c))
     # up to the histogram level each right coset is its own class
     hist_max = 4
-    for key, cosets in _scan_classes(order, reps, hist_max).items():
+    mixed = _scan_classes(order, reps, hist_max)
+    assert sum(mixed.values()) == len(reps)
+    for key, n in mixed.items():
         if order.norm(key) <= hist_max:
-            assert cosets == [key]
+            assert n == 1
         else:
-            assert cosets == classes[key]
+            assert n == classes[key]
+    assert list(mixed) == sorted(mixed, key=lambda c: (order.norm(c), c))
+    assert [c for c in _tuples(reps) if order.norm(c) <= hist_max] \
+        == [c for c in mixed if order.norm(c) <= hist_max]
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -851,7 +871,7 @@ def _all_histogram_checkpoint(order, s, path):
     # every record before counts were recorded per double coset
     key = checkpoint_key(order)
     weight = len(order.units)
-    reps = set(_right_coset_representatives(order, _c_list(order, s)))
+    reps = set(_tuples(_right_coset_representatives(order, _c_list(order, s))))
     with open(path, "w", encoding="utf-8") as fh:
         for rec in scan(order, s):
             if rec.c in reps:
@@ -884,6 +904,7 @@ def test_histogram_run_rescans_exactly_the_cosets_without_a_histogram(tmp_path):
     records = [json.loads(line) for line in lines]
     reps = _right_coset_representatives(d3, _c_list(d3, 8))
     keys = _scan_classes(d3, reps, 0)
+    reps = _tuples(reps)
     assert sorted(tuple(rec["c"]) for rec in records) == sorted(keys)
     assert len(records) == 13 and all(len(rec["hist"]) == 128 for rec in records)
     assert scan_summary(d3, (4, 8), checkpoint_path=str(ck)).counts == counts_only.counts
@@ -929,7 +950,7 @@ def test_pool_checkpoint_and_resume_match_serial(name, grid, tmp_path, monkeypat
     pooled = scan_summary(order, grid, hist_levels=grid, threads=2,
                           checkpoint_path=str(ck))
     lines = ck.read_text().splitlines()
-    reps = _right_coset_representatives(order, _c_list(order, max(grid)))
+    reps = _tuples(_right_coset_representatives(order, _c_list(order, max(grid))))
     assert sorted(tuple(json.loads(line)["c"]) for line in lines) == sorted(reps)
     ck.write_text("\n".join(lines[:10]) + "\n" + lines[10][:20])
     resumed = scan_summary(order, grid, hist_levels=grid, threads=2,
@@ -1034,11 +1055,27 @@ def test_c_list_equals_the_tuple_construction(name):
     order = builtin_order(name)
     for scale in (1, 2, 3):
         inner = enumerate_by_norm(order, Fraction(12, scale ** 2))
-        cs = [tuple(scale * v for v in c) for c in inner]
+        cs = [tuple(scale * v for v in c) for c in inner.tolist()]
         by_norm = np.argsort(order.norms(np.array(cs, np.int64).reshape(-1, 4)), kind="stable")
         got = _c_list(order, 12, scale)
-        assert got == [cs[i] for i in by_norm]
-        assert all(type(c) is tuple and all(type(v) is int for v in c) for c in got)
+        assert _tuples(got) == [cs[i] for i in by_norm]
+        assert got.dtype == np.int64 and got.shape == (len(cs), 4)
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_c_list_peak_memory_is_a_few_times_its_result(name):
+    # the norm enumeration is one int64 array that is scaled and sorted in
+    # place of a list of tuples: the traced peak stays below three (N, 4)
+    # int64 arrays of the result
+    order = builtin_order(name)
+    _c_list(order, 64)
+    tracemalloc.start()
+    try:
+        n = len(_c_list(order, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 32 * n
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -1046,15 +1083,14 @@ def test_right_coset_representatives_in_linear_memory(name):
     # the least member of each right coset, as the least of its |O^x|
     # images, found without holding the (|O^x|, N, 4) stack of images
     order = builtin_order(name)
-    cs = _c_list(order, 32)
-    C = np.array(cs, np.int64)
+    C = _c_list(order, 32)
     images = C @ order.right_mul(np.array([u.coords for u in order.units], np.int64))
-    want = [c for c, keep in zip(cs, (_lex_least(images) == C).all(axis=1)) if keep]
+    want = C[(_lex_least(images) == C).all(axis=1)]
     del images
-    _right_coset_representatives(order, cs)
+    _right_coset_representatives(order, C)
     tracemalloc.start()
     try:
-        assert _right_coset_representatives(order, cs) == want
+        assert np.array_equal(_right_coset_representatives(order, C), want)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1064,9 +1100,10 @@ def test_right_coset_representatives_in_linear_memory(name):
 def test_scale_parameter(hur):
     # the c-list at scale m is m times the one at s / m^2, ordered by (n(c), c);
     # at scale 1 it is the norm enumeration itself
-    assert _c_list(hur, 16, 1) == sorted(enumerate_by_norm(hur, 16),
-                                         key=lambda c: (hur.norm(c), c))
-    assert _c_list(hur, 16, 2) == [tuple(2 * v for v in c) for c in _c_list(hur, 4, 1)]
+    assert _tuples(_c_list(hur, 16, 1)) == sorted(_tuples(enumerate_by_norm(hur, 16)),
+                                                  key=lambda c: (hur.norm(c), c))
+    assert _tuples(_c_list(hur, 16, 2)) == [tuple(2 * v for v in c)
+                                            for c in _tuples(_c_list(hur, 4, 1))]
     # alpha, c in 2O: fewer orbits than the unrestricted count at the same s
     full = psi_count(hur, 4, with_triples=False)[0]
     scaled, triples = psi_count(hur, 4, scale=2)
