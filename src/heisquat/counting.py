@@ -46,8 +46,10 @@ oracle: it enumerates *all* admissible triples in a padded window of
 cells, buckets them by a dense index of their canonical representative
 with np.bincount, asserting that each bucket holds exactly one in-domain
 triple, and counts the buckets.  It counts every c, in one pass for a
-grid; the members of a right coset share their lattice data, so they run
-as stacks of a few, each member with its own alphas, shifts and checks.
+grid.  Its work list is the scan's right coset representatives times the
+units, asserted to cover the c list exactly once; the members of a right
+coset share their lattice data, so they run as stacks of a few, each
+member with its own alphas, shifts and checks.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
@@ -154,19 +156,13 @@ def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.nd
     return g == 1
 
 
-def _alpha_lattice(order: Order, c) -> List[List[int]]:
-    """H4 = hnf(adj(R_c)) = hnf(n(c) R_conj(c)), as R_c R_conj(c) = n(c) I:
-    the lattice of the numerators V = alpha . adj(R_c) (see _CContext)."""
-    cnp = np.array(c, np.int64)
-    return hnf((order.norms(cnp) * order.right_mul(order.conjugates(cnp))).tolist())
-
-
 class _CContext:
     """Integer data for one value of c, read off two HNFs.
 
     alpha c^-1 lies in cell4 iff V = alpha . adjR lies in [0, D)^4, with
     D = n(c)^2; these V are the points of the lattice of H4 = hnf(adjR),
-    and alpha = V . R / D, as R . adjR = D I.  The pairs (a . tau, a . Pnum)
+    adjR = n(c) Rbar (Rbar = R_conj(c), as R . Rbar = n(c) I), and alpha =
+    V . R / D, as R . adjR = D I.  The pairs (a . tau, a . Pnum)
     of trace pairing tr(conj(a) c) and cell3 numerators form the lattice of
     H = hnf(M), M = [tau | Pnum]: the a with a . tau = q g (g = H[0, 0])
     have W in q w0vec + the lattice of T3 (w0vec = H[0, 1:], T3 = H[1:, 1:]),
@@ -192,7 +188,7 @@ class _CContext:
         self.R = order.right_mul(cnp)
         Rbar = order.right_mul(order.conjugates(cnp))
         self.D = self.nc ** 2
-        self.H4 = np.array(_alpha_lattice(order, self.c), np.int64)
+        self.H4 = np.array(hnf((self.nc * Rbar).tolist()), np.int64)
 
         # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
         # y = (a . Pnum) / Pden
@@ -290,17 +286,6 @@ def _c_list(order: Order, s, scale: int = 1) -> np.ndarray:
     return C[np.argsort(order.norms(C), kind="stable")]
 
 
-def _lex_least(X: np.ndarray) -> np.ndarray:
-    """Row n of the result is the lexicographically least of the rows
-    X[:, n] of a (k, N, 4) array."""
-    out = np.empty(X.shape[1:], X.dtype)
-    keep = np.ones(X.shape[:2], bool)
-    for j in range(X.shape[2]):
-        out[:, j] = np.where(keep, X[..., j], np.iinfo(X.dtype).max).min(axis=0)
-        keep &= X[..., j] == out[:, j]
-    return out
-
-
 def _unit_right_mul(order: Order) -> np.ndarray:
     """The (|O^x|, 4, 4) stack of the matrices of x -> x v, v in O^x."""
     return order.right_mul(np.array([u.coords for u in order.units], np.int64))
@@ -315,6 +300,12 @@ def _lex_less(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         less |= tied & (X[:, j] < Y[:, j])
         tied &= X[:, j] == Y[:, j]
     return less
+
+
+def _lex_min(Xs: Iterable[np.ndarray]) -> np.ndarray:
+    """Row n of the result is the lexicographically least of the rows n of
+    the (N, k) arrays Xs, as a running minimum."""
+    return functools.reduce(lambda X, Y: np.where(_lex_less(Y, X)[:, None], Y, X), Xs)
 
 
 def _right_coset_representatives(order: Order, C: np.ndarray) -> np.ndarray:
@@ -339,16 +330,14 @@ def _right_coset_representatives(order: Order, C: np.ndarray) -> np.ndarray:
 def _double_coset_keys(order: Order, C: np.ndarray) -> np.ndarray:
     """The lexicographically least u c v, u and v in O^x, for each row c
     of C; it is also the least member of its own right coset.  As -1 is
-    central, u c v = (-u) c (-v), so u runs over one of each pair +-u."""
-    R = _unit_right_mul(order)
+    central, u c v = (-u) c (-v), so u runs over one of each pair +-u.
+    A running minimum over v gives the least of each u c O^x, a second one
+    over u the least of these."""
     U = np.array([u.coords for u in order.units
                   if u.coords > tuple(-x for x in u.coords)], np.int64)
-    # the matrices of x -> u x: row i is coords(u e_i) = u . R_{e_i}
-    L = np.einsum("kj,ijl->kil", U, order.right_mul(np.eye(4, dtype=np.int64)))
-    key = C
-    for Lu in L:
-        key = _lex_least(np.concatenate([key[None], (C @ Lu) @ R]))
-    return key
+    UC = C @ order.left_mul(U)
+    return _lex_min(_lex_min(UC.reshape(-1, 4) @ Rv for Rv in _unit_right_mul(order))
+                    .reshape(UC.shape))
 
 
 def _scan_classes(order: Order, reps: np.ndarray, hist_max) -> Dict[Tuple[int, ...], int]:
@@ -451,11 +440,12 @@ def _pool_map(chunk_fn, items: list, workers: int, rows: int):
     that cli.main sets holds in them too.
 
     rows is the work of items as predicted by the orbit law, before any of
-    it runs: orbit_law(order, c) kept orbits per c the scan scans, 81 times
-    that per c of the oracle (its window holds 81 triples per orbit); at
-    scale > 1, the scale-1 law of c.  It only schedules the work and never
-    enters a count, so the output does not depend on it.  The callers
-    compute it only when more than one worker is usable.
+    it runs: orbit_law(order, c) kept orbits per c the scan scans, 81
+    |O^x| orbit_law(order, c) per right coset c O^x of the oracle (its
+    window holds 81 triples per orbit, and the law is constant on the
+    coset); at scale > 1, the scale-1 law of c.  It only schedules the
+    work and never enters a count, so the output does not depend on it.
+    The callers compute it only when more than one worker is usable.
 
     Why 5e5.  Fresh `count` runs on a 2-core x86-64 machine (Python 3.11,
     numpy 2.4), serial against a pool of 2, 15 alternating pairs per grid
@@ -665,15 +655,13 @@ def _digit_table(H: np.ndarray, side: int, lo: int, hi: int) -> np.ndarray:
 def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(WT, L, off) over the 81 cells of the window [-1, 2)^4, for c of
     shape (..., 4).  Cell n holds the V with -(V // D) = WT[n], its base-3
-    digits being 1 - WT[n]; L[n] is the matrix of y -> conj(WT[n]) y, one
-    einsum over the structure constants, and off[..., n, :] = n(WT[n]) h c,
+    digits being 1 - WT[n]; L[n] is the matrix of y -> conj(WT[n]) y
+    (Order.left_mul), and off[..., n, :] = n(WT[n]) h c,
     h of trace one.  An alpha of cell n moves to the middle cell by WT[n] c
     and adds the shift alpha . L[n] + off[n] to a (see _brute_force_c)."""
     WT = np.array(list(itertools.product((1, 0, -1), repeat=4)), np.int64)
-    # row i of right_mul(e_j) is coords(e_i e_j), so row j of L[n] is coords(conj(w) e_j)
-    L = np.einsum("ni,jik->njk", order.conjugates(WT), order.right_mul(np.eye(4, dtype=np.int64)))
     hc = np.array(order.trace_one.coords, np.int64) @ order.right_mul(np.array(c, np.int64))
-    return WT, L, order.norms(WT)[:, None] * hc[..., None, :]
+    return WT, order.left_mul(order.conjugates(WT)), order.norms(WT)[:, None] * hc[..., None, :]
 
 
 def _residue_index(lut: np.ndarray, t: np.ndarray, WR: np.ndarray) -> np.ndarray:
@@ -857,16 +845,19 @@ def _brute_force_chunk(fd: FundamentalDomain, cosets) -> List[Tuple[int, int]]:
 def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """Oracle orbit counts at each s in s_grid, from one pass over every c
     with 0 < n(c) <= max(s_grid); no unit-coset reduction of the counts.
-    The values of c are grouped by their lattice H4 = hnf(n(c) R_conj(c))
-    (_alpha_lattice), which groups them by right coset c O^x; each group is
+    The values of c are grouped into right cosets c O^x, the scan's
+    representatives (_right_coset_representatives) times the units, and
+    the members, sorted, are asserted to equal the c list, sorted: every c
+    is counted exactly once, whatever the representatives.  Each coset is
     one item of a process pool of one worker per usable CPU (_pool_map, as
     the scan's --threads), which starts when the orbit law predicts enough
     work (_POOL_MIN_ROWS: from s = 5 on Hurwitz and d3).  The per-c counts
     are added per level here, so the result does not depend on the
-    partition or on that prediction.  Beside the pool and its orbit-law
-    schedule, which enters no count, the oracle shares with the scan
-    _c_list, _CContext, _box_points, _exact_rows and _primitive_mask, but
-    not the transversal, the a-boxes or the coset reduction.
+    partition or on that prediction.  Beside the pool, its orbit-law
+    schedule and its work list, which enter no count, the oracle shares
+    with the scan _c_list, _CContext, _box_points, _exact_rows and
+    _primitive_mask, but not the transversal, the a-boxes or the coset
+    reduction of the counts.
 
     For each c the oracle enumerates the admissible triples whose alpha
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
@@ -891,12 +882,9 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
 
     Why one stack per right coset.  Row i of n(c) R_conj(c) holds the
     coordinates of n(c) e_i conj(c), so H4 is the basis of the lattice
-    n(c) O conj(c), of index n(c)^4 n(c)^2 in O.  For a unit v,
-    n(cv) O conj(v) conj(c) = n(c) O conj(c), as O conj(v) = O.
-    Conversely, equal lattices have equal index, so n(c') = n(c) and
-    O conj(c') = O conj(c): conj(c') = x conj(c) and conj(c) = y conj(c')
-    with x, y in O and yx = 1, so x is a unit and c' = c conj(x).  H4 is
-    constant exactly on c O^x.  On the coset R_cv = R_c R_v, so alpha =
+    n(c) O conj(c).  For a unit v, n(cv) O conj(v) conj(c) = n(c) O
+    conj(c), as O conj(v) = O: H4 is constant on c O^x (the tests check
+    that it separates the cosets).  On the coset R_cv = R_c R_v, so alpha =
     V . R_cv / D = (V . R_c / D) v: the window alphas of cv are those of c
     times v, of the same norms.  And M(cv) = R_v^-1 M(c): with n(v) = 1,
     tr(conj(av) cv) = tr(conj(a) c) and 2 Im(av (cv)^-1) = 2 Im(a c^-1),
@@ -907,15 +895,16 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
-    cosets: Dict[tuple, list] = {}
-    for c in _c_list(order, max(grid, default=0)):
-        cosets.setdefault(tuple(map(tuple, _alpha_lattice(order, c))), []).append(c)
+    C = _c_list(order, max(grid, default=0))
+    reps = _right_coset_representatives(order, C)
+    cosets = (reps @ _unit_right_mul(order)).swapaxes(0, 1)
+    if not np.array_equal(*(X[np.lexsort(X.T)] for X in (C, cosets.reshape(-1, 4)))):
+        raise AssertionError("oracle cosets do not cover the c list exactly once")
     chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
     workers = _usable_cpus()
-    # 81 window triples per orbit (see _brute_force_c)
-    rows = 81 * sum(orbit_law(order, c) for coset in cosets.values() for c in coset) \
-        if workers > 1 else 0
-    for batch in _pool_map(chunk, list(cosets.values()), workers, rows):
+    # 81 window triples per orbit (see _brute_force_c), the law constant on c O^x
+    rows = 81 * len(order.units) * sum(orbit_law(order, c) for c in reps) if workers > 1 else 0
+    for batch in _pool_map(chunk, list(cosets), workers, rows):
         for nc, found in batch:
             for g in grid:
                 if nc <= g:

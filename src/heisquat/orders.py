@@ -268,6 +268,11 @@ class Order:
         stack of them, shape (N, 4, 4), for the rows of C."""
         return np.einsum("...j,ijk->...ik", C, self._S)
 
+    def left_mul(self, C: np.ndarray) -> np.ndarray:
+        """Matrix L with coords(c x) = x . L for c of shape (4,), or the
+        stack of them, shape (N, 4, 4), for the rows of C."""
+        return np.einsum("...i,ijk->...jk", C, self._S)
+
     def mul_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise products: coords(X[r] Y[r])."""
         return (X[:, :, None] * Y[:, None, :]).reshape(-1, 16) @ self._S.reshape(16, 4)

@@ -14,11 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisquat import counting
-from heisquat.counting import (_alpha_lattice, _box_points, _brute_force_c,
+from heisquat.counting import (_box_points, _brute_force_c,
                                _brute_force_chunk, _bucket_counts, _c_list,
                                _CContext, _cell_index, _cell_shifts, _digit_table,
                                _exact_rows, _loglog_fit, _oracle_stack, _primitive_mask,
-                               _lex_least, _residue_index,
+                               _residue_index,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -28,12 +28,23 @@ from heisquat.counting import (_alpha_lattice, _box_points, _brute_force_c,
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
                                  is_primitive)
+from heisquat.lattices import hnf
 from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
 
 
 def _tuples(C):
     """The rows of an (N, 4) c array as tuples of ints."""
     return [tuple(c) for c in C.tolist()]
+
+
+def _oracle_cosets(order, s):
+    """The pool items of brute_force_counts(order, [s]), its right cosets,
+    taken from its call of _pool_map without running them."""
+    items = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_pool_map", lambda fn, its, workers, rows: items.extend(its) or [])
+        brute_force_counts(order, [s])
+    return items
 
 
 @pytest.fixture(scope="module")
@@ -307,19 +318,25 @@ def test_digit_tables_equal_the_cell_index(name):
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
 def test_stacked_oracle_counts_equal_the_stack_of_one(name):
-    # every c with n(c) <= 8, grouped into right cosets as the oracle
-    # groups them and run as its stacks, against each c alone
+    # every c with n(c) <= 8 in the oracle's right cosets, run as its
+    # stacks, against each c alone.  The cosets are exactly the classes of
+    # H4 = hnf(n(c) R_conj(c)), the basis of n(c) O conj(c), which the
+    # stacks share: equal lattices have equal index, so n(c') = n(c), and
+    # O conj(c') = O conj(c) puts c' in c O^x
     order = builtin_order(name)
     fd = FundamentalDomain(order)
-    cosets = {}
-    for c in _c_list(order, 8):
-        cosets.setdefault(tuple(map(tuple, _alpha_lattice(order, c))), []).append(c)
-    assert len(cosets) * len(order.units) == len(_c_list(order, 8))
-    stacked = _brute_force_chunk(fd, list(cosets.values()))
-    assert any(len(stack) > 1 for coset in cosets.values()
+    cosets = _oracle_cosets(order, 8)
+    classes = {}
+    for c in _tuples(_c_list(order, 8)):
+        H4 = hnf((order.norm(c) * order.right_mul(order.conjugates(np.array(c)))).tolist())
+        classes.setdefault(tuple(map(tuple, H4)), set()).add(c)
+    assert len(cosets) == len(classes)
+    assert {frozenset(_tuples(coset)) for coset in cosets} == set(map(frozenset, classes.values()))
+    stacked = _brute_force_chunk(fd, cosets)
+    assert any(len(stack) > 1 for coset in cosets
                for stack in counting._oracle_stacks([_CContext(fd, c) for c in coset]))
     assert stacked == [(order.norm(c), _brute_force_c(fd, c))
-                       for coset in cosets.values() for c in coset]
+                       for coset in cosets for c in coset]
 
 
 @given(st.sampled_from(["hurwitz", "d3", "d13"]), st.tuples(*[st.integers(-60, 60)] * 4),
@@ -362,9 +379,8 @@ def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
     # a Hurwitz coset with n(c) = 5 (24 members of 10,125 window triples)
     # runs as stacks of at most _STACK_TRIPLES triples; its traced peak
     # stays within a few int64 arrays of that many entries
-    coset = [c for c in _c_list(hur, 5) if hur.norm(c) == 5
-             and _alpha_lattice(hur, c) == _alpha_lattice(hur, _c_list(hur, 5)[-1])]
-    assert len(coset) == len(hur.units)
+    coset = _oracle_cosets(hur, 5)[-1]
+    assert len(coset) == len(hur.units) and set(hur.norms(coset).tolist()) == {5}
     _brute_force_chunk(fd, [coset])
     tracemalloc.start()
     try:
@@ -1085,7 +1101,7 @@ def test_right_coset_representatives_in_linear_memory(name):
     order = builtin_order(name)
     C = _c_list(order, 32)
     images = C @ order.right_mul(np.array([u.coords for u in order.units], np.int64))
-    want = C[(_lex_least(images) == C).all(axis=1)]
+    want = C[[min(cv) == c for c, cv in zip(C.tolist(), images.swapaxes(0, 1).tolist())]]
     del images
     _right_coset_representatives(order, C)
     tracemalloc.start()

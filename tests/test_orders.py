@@ -343,13 +343,17 @@ def test_batched_arithmetic_matches_scalar(name, pairs):
     assert order.norms(X).tolist() == [order.norm(x) for x in xs]
     assert order.conjugates(X).tolist() == [list(order.conj(x)) for x in xs]
     assert order.mul_rows(X, Y).tolist() == [list(order.mul(x, y)) for x, y in pairs]
-    stack = order.right_mul(Y)
+    stack, left = order.right_mul(Y), order.left_mul(Y)
+    assert (X[:, None] @ left)[:, 0].tolist() == [list(order.mul(y, x)) for x, y in pairs]
     for r, (x, y) in enumerate(pairs):
         assert int(order.norms(X[r])) == order.norm(x)
         assert order.conjugates(X[r]).tolist() == list(order.conj(x))
         R = order.right_mul(Y[r])
         assert (stack[r] == R).all()
         assert (X[r] @ R).tolist() == list(order.mul(x, y))
+        L = order.left_mul(Y[r])
+        assert (left[r] == L).all()
+        assert (X[r] @ L).tolist() == list(order.mul(y, x))
         assert int(X[r] @ order.trace_pairing(Y[r])) \
             == order.trace(order.mul(order.conj(x), y))
         u = 2 * order.to_quaternion(x).imag()
