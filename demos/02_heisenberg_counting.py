@@ -6,18 +6,18 @@ oracle, and fits the growth exponent (the count grows like s^5).
 """
 
 from heisquat.constants import ArithmeticData, mertens_constant, mertens_kappa
-from heisquat.counting import brute_force_counts, count_table, psi_count
+from heisquat.counting import brute_force_counts, count_table, psi_count, scan_summary
 from heisquat.orders import builtin_order
 
 hur = builtin_order("hurwitz")
 
 # Small values, cross-checked against the independent oracle (one pass
-# over every c with n(c) <= 5 gives all five oracle counts).
+# of each over every c with n(c) <= 5 gives all five counts).
 levels = (1, 2, 3, 4, 5)
+psi = scan_summary(hur, levels).counts
 oracle = brute_force_counts(hur, levels)
 for s in levels:
-    psi = psi_count(hur, s, with_triples=False)[0]
-    print(f"Psi({s}) = {psi:6d}   oracle {oracle[s]:6d}   match={psi == oracle[s]}")
+    print(f"Psi({s}) = {psi[s]:6d}   oracle {oracle[s]:6d}   match={psi[s] == oracle[s]}")
 
 # One of the 24 orbits at s = 1, as an explicit canonical triple.
 count, triples = psi_count(hur, 1)
@@ -27,7 +27,7 @@ print("a canonical triple at s = 1:", triples[0].coords())
 data = ArithmeticData(hur.D_A, len(hur.units))
 ref = mertens_constant(data)
 kappa = mertens_kappa(data)
-table = count_table(hur, [2, 4, 8, 16])
+table = count_table(hur, scan_summary(hur, [2, 4, 8, 16]).counts)
 print("rows:", [(str(s), c) for s, c in table.rows])
 print(f"fitted slope of log Psi vs log s: {table.slope:.3f}")
 print("closed-form reference constant:", table.reference_symbolic,

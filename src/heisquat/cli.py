@@ -141,13 +141,13 @@ def cmd_count(args) -> int:
         return _usage_error("s grid must be strictly ascending")
     if args.scale < 1:
         return _usage_error("scale must be >= 1")
-    ckpt = _checkpoint_path(args, order)
-    table = C.count_table(order, grid, scale=args.scale, checkpoint_path=ckpt,
+    summ = C.scan_summary(order, grid, scale=args.scale,
+                          checkpoint_path=_checkpoint_path(args, order),
                           threads=args.threads, progress=_progress())
-    payload = table.to_json_dict()
+    payload = C.count_table(order, summ.counts).to_json_dict()
     csv_rows = [("s", "count", "ratio")]
-    for (s, cnt), ratio in zip(table.rows, table.ratios):
-        csv_rows.append((C._frac_str(s), cnt, f"{ratio:.12g}"))
+    for row, ratio in zip(payload["rows"], payload["ratios"]):
+        csv_rows.append((row["s"], row["count"], ratio))
     _emit(payload, args.out, args.format, csv_rows)
     return EXIT_OK
 
@@ -158,7 +158,8 @@ def cmd_equidist(args) -> int:
     s = _parse_s(args.s)
     if s < 1:  # n(c) >= 1 for every c != 0, so there is no sample
         return _usage_error("equidist needs s >= 1")
-    rep = C.equidist_histogram(order, s, threads=args.threads, progress=_progress())
+    summ = C.scan_summary(order, [], [s], threads=args.threads, progress=_progress())
+    rep = C.histogram_report(s, summ.hists[s])
     payload = rep.to_json_dict()
     csv_rows = [("cell", "observed", "expected")]
     for idx, (o, e) in enumerate(zip(rep.observed, rep.expected)):
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, order=False)
     p.set_defaults(func=cmd_geom_selftest)
 
-    p = sub.add_parser("oracle", help="psi_count vs brute-force oracle")
+    p = sub.add_parser("oracle", help="scan_summary counts vs brute-force oracle")
     common(p)
     p.add_argument("--s", required=True, help="check all integer s up to this")
     p.set_defaults(func=cmd_oracle)

@@ -33,13 +33,15 @@ is in Im O.  So the per-c orbit count f(c) (which depends only on the
 left ideal Oc) is constant on the double coset O^x c O^x: f(u c v) = f(c).
 The histogram is not, since u moves alpha c^-1 to u alpha c^-1 u^-1.
 
-scan_summary (and through it psi_count without triples, count_table and
-equidist_histogram) scans the lexicographically least c of each right
-coset, weighted by |O^x|, if n(c) is at most the largest histogram level;
-above it, only the least c of each double coset, whose count is taken
-once per right coset of the class: its multiplicity.  A c list is one
-(N, 4) int64 array up to that choice.  scan() and psi_count with triples
-stay full per-c enumerations; the tests compare the reductions against them.
+scan_summary (and through it psi_count without triples) scans the
+lexicographically least c of each right coset, weighted by |O^x|, if
+n(c) is at most the largest histogram level; above it, only the least c
+of each double coset, whose count is taken once per right coset of the
+class: its multiplicity.  A c list is one (N, 4) int64 array up to that
+choice.  count_table and histogram_report build the reports from its
+counts and histograms and scan nothing.  scan() and psi_count with
+triples stay full per-c enumerations; the tests compare the reductions
+against them.
 
 brute_force_counts (and brute_force_psi, its one-level form) is the
 oracle: it enumerates *all* admissible triples in a padded window of
@@ -818,26 +820,18 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     return _oracle_stack(fd, [_CContext(fd, c)])[0]
 
 
-def _oracle_stacks(ctxs: Sequence[_CContext]) -> List[List[_CContext]]:
-    """ctxs cut into consecutive stacks of at most _STACK_TRIPLES window
-    triples each, or of one member above it.  The members of a stack must
-    share their lattice data, as those of one right coset do; _oracle_stack
-    asserts it."""
-    stacks: List[List[_CContext]] = []
-    for ctx in ctxs:
-        if stacks and (len(stacks[-1]) + 1) * 81 * ctx.D * ctx.m <= _STACK_TRIPLES:
-            stacks[-1].append(ctx)
-        else:
-            stacks.append([ctx])
-    return stacks
-
-
 def _brute_force_chunk(fd: FundamentalDomain, cosets) -> List[Tuple[int, int]]:
-    """(n(c), oracle orbit count of c) for each c of each coset in cosets,
-    each coset run as few stacks."""
+    """(n(c), oracle orbit count of c) for each c of each coset in cosets.
+    The members of a right coset share D and m, so a coset runs as
+    consecutive stacks of max(1, _STACK_TRIPLES // (81 D m)) members, 81 D
+    m window triples each, sized by its first member; _oracle_stack
+    asserts that the members of a stack share their lattice data."""
     out = []
     for coset in cosets:
-        for stack in _oracle_stacks([_CContext(fd, c) for c in coset]):
+        ctxs = [_CContext(fd, c) for c in coset]
+        size = max(1, _STACK_TRIPLES // (81 * ctxs[0].D * ctxs[0].m))
+        for i in range(0, len(ctxs), size):
+            stack = ctxs[i:i + size]
             out += [(ctx.nc, n) for ctx, n in zip(stack, _oracle_stack(fd, stack))]
     return out
 
@@ -954,19 +948,16 @@ def _float_str(x) -> Optional[str]:
     return None if x is None else f"{float(x):.12g}"
 
 
-def count_table(order: Order, s_grid: Sequence, scale: int = 1,
-                checkpoint_path: Optional[str] = None, threads: int = 1,
-                progress=None) -> CountTable:
-    """Counting table over s_grid from a single scan at max(s_grid), with
-    each count's ratio to the order's Mertens constant times s^5; progress
-    goes to scan_summary."""
-    grid = sorted(Fraction(x) for x in s_grid)
+def count_table(order: Order, counts: Dict[Fraction, int]) -> CountTable:
+    """Counting table of counts, the counts of a scan_summary of order,
+    one row per level in ascending order, with each count's ratio to the
+    order's Mertens constant times s^5 and, from two nonzero counts on,
+    the log-log fit."""
+    grid = sorted(counts)
     if not grid:
         raise ValueError("empty s grid")
     ref = constants.mertens_constant(constants.ArithmeticData(order.D_A, len(order.units)))
-    summ = scan_summary(order, grid, (), scale, checkpoint_path, threads, progress)
-    table = CountTable(order.name, order.D_A,
-                       [(g, summ.counts[g]) for g in grid],
+    table = CountTable(order.name, order.D_A, [(g, counts[g]) for g in grid],
                        ref.value(), str(ref))
     table.ratios = [cnt / (table.reference_constant * float(g) ** 5) if cnt else 0.0
                     for g, cnt in table.rows]
@@ -1003,10 +994,11 @@ class EquidistReport:
 
 
 def histogram_report(s, hist: np.ndarray) -> EquidistReport:
-    """hist against the uniform expectation total / 128 per cell: the cells
-    halve each of the seven linear coordinates of the fundamental domain
-    (cell4 of alpha c^-1, cell3 of 2 Im(a c^-1)), in which Haar measure on
-    Heis_7 is Lebesgue measure, so each cell carries 1/128 of its mass.
+    """hist, the 128-cell histogram of a scan_summary at level s, against
+    the uniform expectation total / 128 per cell: the cells halve each of
+    the seven linear coordinates of the fundamental domain (cell4 of alpha
+    c^-1, cell3 of 2 Im(a c^-1)), in which Haar measure on Heis_7 is
+    Lebesgue measure, so each cell carries 1/128 of its mass.
     """
     total = int(hist.sum())
     if total == 0:
@@ -1015,9 +1007,3 @@ def histogram_report(s, hist: np.ndarray) -> EquidistReport:
     disc = float(np.abs(hist / total - 1.0 / 128).max())
     return EquidistReport(Fraction(s), [int(x) for x in hist], expected, total, disc)
 
-
-def equidist_histogram(order: Order, s, threads: int = 1, progress=None) -> EquidistReport:
-    """128-cell dyadic histogram of the canonical representatives at level
-    s; progress goes to scan_summary."""
-    summ = scan_summary(order, [], [Fraction(s)], threads=threads, progress=progress)
-    return histogram_report(s, summ.hists[Fraction(s)])

@@ -153,9 +153,12 @@ class FundamentalDomain:
 
     cell4 is the half-open parallelepiped of O-coordinates [0,1)^4 for the
     w-part; cell3 is the half-open cell of the lattice 2 Im(O) for the
-    vertical coordinate u = 2 Im(w0).  Vertex maxima of the norm over the
-    closed cells, read off the order's integer norm form, give the
-    enumeration bounds R4 and R3.
+    vertical coordinate u = 2 Im(w0).  R4 and R3 are the vertex maxima of
+    the norm over the closed cells, read off the order's integer norm
+    form: bounds on n(alpha c^-1) and n(2 Im(a c^-1)) in the domain.  No
+    enumeration uses them, as the scan and the oracle run over residue
+    transversals; the tests pin them per order, for an oracle that
+    enumerates alpha and a by norm.
     """
 
     def __init__(self, order: Order):

@@ -177,6 +177,21 @@ def test_every_trace_site_resolves_after_importing_the_cli():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--order", "d3", "--s-grid", "1,2,4", "--format", "csv"],
+    ["equidist", "--order", "hurwitz", "--s", "4"],
+    ["oracle", "--order", "hurwitz", "--s", "2"],
+], ids=["count", "equidist", "oracle"])
+def test_each_scan_command_calls_scan_summary_once(argv, monkeypatch, capsys):
+    # the command holds its scan result and builds its report from it
+    calls = []
+    summary = counting.scan_summary
+    monkeypatch.setattr(counting, "scan_summary",
+                        lambda *args, **kwargs: calls.append(args) or summary(*args, **kwargs))
+    assert main(argv) == 0
+    assert len(calls) == 1 and capsys.readouterr().out
+
+
 def test_count_missing_order_file_exit2():
     proc = run_cli(["count", "--order", "/nonexistent/order.json", "--s-grid", "1"])
     assert proc.returncode == 2

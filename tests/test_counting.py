@@ -22,7 +22,7 @@ from heisquat.counting import (_box_points, _brute_force_c,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
-                               brute_force_psi, count_table, equidist_histogram,
+                               brute_force_psi, count_table,
                                histogram_report, psi_count, scan,
                                scan_summary)
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
@@ -30,6 +30,8 @@ from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  is_primitive)
 from heisquat.lattices import hnf
 from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
+
+from conftest import assert_buckets_name_their_cells
 
 
 def _tuples(C):
@@ -317,7 +319,7 @@ def test_digit_tables_equal_the_cell_index(name):
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
-def test_stacked_oracle_counts_equal_the_stack_of_one(name):
+def test_stacked_oracle_counts_equal_the_stack_of_one(name, monkeypatch):
     # every c with n(c) <= 8 in the oracle's right cosets, run as its
     # stacks, against each c alone.  The cosets are exactly the classes of
     # H4 = hnf(n(c) R_conj(c)), the basis of n(c) O conj(c), which the
@@ -332,9 +334,14 @@ def test_stacked_oracle_counts_equal_the_stack_of_one(name):
         classes.setdefault(tuple(map(tuple, H4)), set()).add(c)
     assert len(cosets) == len(classes)
     assert {frozenset(_tuples(coset)) for coset in cosets} == set(map(frozenset, classes.values()))
+    # the size of every stack the chunk runs: some coset gets a stack of
+    # more than one member
+    sizes = []
+    stack_of = counting._oracle_stack
+    monkeypatch.setattr(counting, "_oracle_stack",
+                        lambda fd, ctxs: sizes.append(len(ctxs)) or stack_of(fd, ctxs))
     stacked = _brute_force_chunk(fd, cosets)
-    assert any(len(stack) > 1 for coset in cosets
-               for stack in counting._oracle_stacks([_CContext(fd, c) for c in coset]))
+    assert max(sizes) > 1 and sum(sizes) == len(_c_list(order, 8))
     assert stacked == [(order.norm(c), _brute_force_c(fd, c))
                        for coset in cosets for c in coset]
 
@@ -363,10 +370,10 @@ def test_a_stack_of_disagreeing_members_raises(hur, fd):
     reps = _right_coset_representatives(hur, _c_list(hur, 8))
     with pytest.raises(AssertionError, match="disagree on lattice data"):
         _oracle_stack(fd, [_CContext(fd, reps[-1]), _CContext(fd, reps[-2])])
-    # the stacks of a chunk are cut by the triple budget alone, so two
-    # cosets passed as one reach the assertion
+    # a chunk slices a coset by its first member's triple budget alone (two
+    # members of n(c) = 7), so two cosets passed as one reach the assertion
     with pytest.raises(AssertionError, match="disagree on lattice data"):
-        _brute_force_chunk(fd, [[reps[-1], reps[-2]]])
+        _brute_force_chunk(fd, [[reps[-2], reps[-1]]])
     ctx = _CContext(fd, (-2, 0, 1, 1))
     assert ctx.g == 2
     doubled = _CContext(fd, ctx.c)
@@ -424,22 +431,10 @@ def test_emitted_triples_satisfy_predicates(hur, fd):
 
 @pytest.mark.parametrize("name, triples", [("hurwitz", 1548), ("d3", 1692)])
 def test_each_representative_lies_in_the_cell_its_bucket_names(name, triples):
-    # bits 0-3 halve cell4(alpha c^-1), bits 4-6 halve cell3(2 Im(a c^-1)),
-    # recomputed here in Fractions from the exact point
+    # every kept triple's 7 bits, recomputed in Fractions from the exact point
     order = builtin_order(name)
-    fd = FundamentalDomain(order)
-    checked = 0
-    for scale, s in ((1, 4), (2, 16)):
-        for c in _right_coset_representatives(order, _c_list(order, s, scale)):
-            rec = _scan_c(fd, c, scale)
-            cinv = order.to_quaternion(c).inv()
-            for a, alpha, bucket in zip(rec.a.tolist(), rec.alpha.tolist(),
-                                        rec.bucket.tolist()):
-                x = (fd.cell4_coords(order.to_quaternion(alpha) * cinv)
-                     + fd.cell3_coords(2 * (order.to_quaternion(a) * cinv).imag()))
-                assert all(0 <= v < 1 for v in x)
-                assert bucket == sum(1 << b for b, v in enumerate(x) if 2 * v >= 1)
-                checked += 1
+    checked = sum(assert_buckets_name_their_cells(order, s, scale)
+                  for scale, s in ((1, 4), (2, 16)))
     assert checked == triples
 
 
@@ -1151,31 +1146,38 @@ def test_histogram_uniform_synthetic():
     assert rep.discrepancy <= 0.01
 
 
+def _histogram(order, s):
+    """The equidist report of order at level s, from one scan_summary."""
+    return histogram_report(s, scan_summary(order, [], [s]).hists[Fraction(s)])
+
+
 def test_histogram_degenerate_s1(hur):
-    rep = equidist_histogram(hur, 1)
+    rep = _histogram(hur, 1)
     # all 24 representatives sit in the origin cell
     assert rep.total == 24
     assert abs(rep.discrepancy - (1 - 1 / 128)) < 1e-12
 
 
 def test_histogram_sums_to_count(hur):
-    rep = equidist_histogram(hur, 4)
+    rep = _histogram(hur, 4)
     assert sum(rep.observed) == rep.total == psi_count(hur, 4, with_triples=False)[0]
     assert rep.to_json_dict()["cells"] == 128
 
 
 def test_empty_histogram_raises(hur):
     with pytest.raises(ValueError, match="empty sample"):
-        equidist_histogram(hur, Fraction(1, 2))
+        _histogram(hur, Fraction(1, 2))
 
 
 def test_count_table_fields(hur):
-    table = count_table(hur, [1, 2, 4])
+    table = count_table(hur, scan_summary(hur, [1, 2, 4]).counts)
     d = table.to_json_dict()
     assert d["rows"][0] == {"s": "1", "count": 24}
     assert d["rows"][1] == {"s": "2", "count": 96}
     assert len(d["ratios"]) == 3
     assert d["reference_symbolic"] == "54*pi^-8"
+    with pytest.raises(ValueError, match="empty s grid"):
+        count_table(hur, scan_summary(hur, []).counts)
 
 
 def _shift_hist(rec):

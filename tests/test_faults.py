@@ -1,8 +1,9 @@
 """Single-site faults and the checks that catch them.
 
 Each row of FAULTS applies one fault with monkeypatch, with no edit to the
-source, runs a command at s <= 4 and names the check that must catch the
-fault: the AssertionError it raises, matched by its message.
+source, runs a command (or, in row (c), a check of the tests) at s <= 4
+and names the check that must catch the fault: the AssertionError it
+raises, matched by its message.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from heisquat import counting
 from heisquat.counting import brute_force_counts, scan_summary
 from heisquat.orders import builtin_order
+
+from conftest import assert_buckets_name_their_cells
 
 
 def _keep_one_imprimitive_triple(monkeypatch):
@@ -39,10 +42,54 @@ def _repeat_a_coset(monkeypatch):
     monkeypatch.setattr(counting, "_right_coset_representatives", faulty)
 
 
+def _flip_a_vertical_bit(monkeypatch):
+    """_half_cell_bits flips the low bit of its first row when it reads
+    the three vertical numerators: that triple's bucket names the cell3
+    half beside its own."""
+    bits_of = counting._half_cell_bits
+
+    def faulty(V, side):
+        bits = bits_of(V, side)
+        if V.shape[1] == 3 and bits.size:
+            bits[0] ^= 1
+        return bits
+
+    monkeypatch.setattr(counting, "_half_cell_bits", faulty)
+
+
+def _perturb_cell_shift(array, column):
+    """The fault: _cell_shifts adds 1 to one column of L (the matrix of
+    y -> conj(WT) y) or of off (n(WT) h c), at window cell 5 only."""
+    def fault(monkeypatch):
+        shifts_of = counting._cell_shifts
+
+        def faulty(order, c):
+            WT, L, off = shifts_of(order, c)
+            L, off = L.copy(), off.copy()
+            if array == "L":
+                L[5, :, column] += 1
+            else:
+                off[..., 5, column] += 1
+            return WT, L, off
+
+        monkeypatch.setattr(counting, "_cell_shifts", faulty)
+    return fault
+
+
 FAULTS = [
     # (b) the scan's _lawful check of every fresh count against the law
     pytest.param(_keep_one_imprimitive_triple, lambda order: scan_summary(order, [4]),
                  "off the orbit law", id="b-primitive-mask-keeps-one-imprimitive-triple"),
+    # (c) the Fraction recomputation of each representative's cell, a test
+    # check: no production check reads a histogram
+    pytest.param(_flip_a_vertical_bit, lambda order: assert_buckets_name_their_cells(order, 4),
+                 "names another cell", id="c-half-cell-bits-flips-one-vertical-bit"),
+    # (d) the oracle's per-alpha trace relation on the shift it adds to a
+    *[pytest.param(_perturb_cell_shift(array, column),
+                   lambda order: brute_force_counts(order, [4]),
+                   "oracle shift breaks the trace relation",
+                   id=f"d-cell-shifts-{array}-column-{column}")
+      for array in ("L", "off") for column in range(4)],
     # (e) the oracle's coverage check of its cosets against its c list
     pytest.param(_repeat_a_coset, lambda order: brute_force_counts(order, [4]),
                  "do not cover the c list", id="e-right-cosets-repeat-one-and-drop-one"),
