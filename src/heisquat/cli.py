@@ -11,18 +11,21 @@ heisquat.constants, heisquat.lattices and heisquat.quadrature and no
 numpy; `geom-selftest` adds heisquat.hyperbolic; the scan commands
 (count, equidist, oracle) load the orders and heisquat.counting.
 
-The process pool (--threads, and the oracle's per-c pool) is the only
-parallelism.  It starts only when the orbit law predicts enough work to
-repay its start-up (counting._POOL_MIN_ROWS, 5e5 rows: count reaches it
-at s = 26 on d3 and s = 31 on Hurwitz, equidist at s = 20 and 21), so a
-small run with --threads 2 stays in one process.  main pins numpy's BLAS
+The process pool (--threads, and the oracle's pool over right cosets) is
+the only parallelism.  It starts only when the orbit law predicts enough
+work to repay its start-up (counting._POOL_MIN_ROWS, 5e5 rows: count
+reaches it at s = 26 on d3 and s = 31 on Hurwitz, equidist at s = 20 and
+21, oracle, at counting._ORACLE_ROWS_PER_ORBIT rows per orbit, at s = 7
+on Hurwitz and 8 on d3), so a small run with --threads 2, or oracle --s 5,
+stays in one process.  main pins numpy's BLAS
 to one thread before a subcommand imports numpy, since the scan is integer
 work that never calls BLAS and an idle BLAS worker thread only takes CPU
 from the scan and the pool.  An OPENBLAS_NUM_THREADS already set in the
 environment is kept.
 
-count and equidist report `scanned k/N` (values of c) on stderr while
-they scan, when stderr is a terminal; stdout is the same either way.
+count and equidist report `scanned k/N` (values of c), oracle `scanned
+k/N` (right cosets of c, after its scan), on stderr while they run, when
+stderr is a terminal; stdout is the same either way.
 """
 
 from __future__ import annotations
@@ -122,8 +125,9 @@ def _checkpoint_path(args, order: Order):
 
 
 def _progress():
-    """A scan_summary progress callback that rewrites one `scanned k/N`
-    line on stderr, or None when stderr is not a terminal."""
+    """A scan_summary or brute_force_counts progress callback that rewrites
+    one `scanned k/N` line on stderr, or None when stderr is not a
+    terminal."""
     if not sys.stderr.isatty():
         return None
 
@@ -215,7 +219,7 @@ def cmd_oracle(args) -> int:
         return _usage_error(f"oracle needs an integer s, not {args.s}")
     levels = range(1, int(smax) + 1)
     psi = C.scan_summary(order, levels).counts
-    oracle = C.brute_force_counts(order, levels)
+    oracle = C.brute_force_counts(order, levels, progress=_progress())
     rows = []
     ok = True
     for s in levels:

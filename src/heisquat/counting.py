@@ -49,16 +49,19 @@ cells, buckets them by a dense index of their canonical representative
 with np.bincount, asserting that each bucket holds exactly one in-domain
 triple, and counts the buckets.  It counts every c, in one pass for a
 grid.  Its work list is the scan's right coset representatives times the
-units, asserted to cover the c list exactly once; the members of a right
-coset share their lattice data, so they run as stacks of a few, each
-member with its own alphas, shifts and checks.
+units, asserted to cover the c list exactly once.  The members of a right
+coset share their lattice data, their window and the residue shifts of
+its triples, so it makes one pass per coset: the window and its bucket
+keys are built once, and each member, in slices of a few, computes and
+checks its own alphas, shifts and residue shifts against them.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
 threads > 1, the oracle's right cosets (one item per coset) with one
 worker per CPU that the process may use (_usable_cpus, its affinity mask).
 A pool starts only when the orbit law predicts at least _POOL_MIN_ROWS
-rows of work, enough to repay its start-up.  Per-c results are added in
+rows of work, enough to repay its start-up, an orbit of the oracle
+counting _ORACLE_ROWS_PER_ORBIT rows.  Per-c results are added in
 the parent, so no output depends on the partition or on the prediction.
 """
 
@@ -68,7 +71,6 @@ import collections
 import functools
 import itertools
 import json
-import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,37 +182,26 @@ class _CContext:
     WR holds the points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden,
     and the oracle reads the a index of each reduced point from digit
     tables (_residue_index).
+
+    rows, when given, is (nc, R, Rbar, Pnum, Pden, M) of c, a row of
+    _member_rows, which the oracle builds for a whole right coset at once.
     """
 
-    def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
-        order = fd.order
+    def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...], rows: Optional[tuple] = None):
         self.c = tuple(int(x) for x in c)
-        cnp = np.array(self.c, np.int64)
-        self.nc = int(order.norms(cnp))
-        self.R = order.right_mul(cnp)
-        Rbar = order.right_mul(order.conjugates(cnp))
+        if rows is None:
+            rows = [x[0] for x in _member_rows(fd, np.array([self.c], np.int64))]
+        nc, self.R, Rbar, self.Pnum, Pden, self.M = rows
+        self.nc, self.Pden = int(nc), int(Pden)
         self.D = self.nc ** 2
         self.H4 = np.array(hnf((self.nc * Rbar).tolist()), np.int64)
-
-        # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
-        # y = (a . Pnum) / Pden
-        Q = Rbar @ fd.cell3_num
-        den = fd.cell3_den * self.nc
-        cont = int(np.gcd.reduce(np.concatenate([Q.reshape(-1), [den]])))
-        self.Pnum, self.Pden = Q // cont, int(den // cont)
-
-        self.M = np.column_stack([order.trace_pairing(cnp), self.Pnum])
-        self.detM, adjM = det_adjugate(self.M.tolist())
-        if adjM is None:
-            raise AssertionError("vertical map singular on the trace kernel")
-        self.adjM = np.array(adjM, np.int64)
-        H = np.array(hnf(self.M.tolist()), np.int64)
-        self.g, self.w0vec, self.T3 = int(H[0, 0]), H[0, 1:], H[1:, 1:]
+        self.detM, self.adjM = _det_adjugate(self.M)
+        self.H = np.array(hnf(self.M.tolist()), np.int64)
+        self.g, self.w0vec, self.T3 = int(self.H[0, 0]), self.H[0, 1:], self.H[1:, 1:]
 
     @functools.cached_property
     def WR(self) -> np.ndarray:
-        """The residue table, built on first use: an oracle stack reads
-        only its first member's."""
+        """The residue table, built on first use."""
         return _box_points(self.T3, 0, self.Pden)
 
     @property
@@ -218,10 +209,30 @@ class _CContext:
         """The number of points of each a-box: Pden^3 / det T3."""
         return self.Pden ** 3 // int(np.prod(np.diag(self.T3)))
 
-    def lattice_data(self) -> tuple:
-        """What an oracle stack shares: (D, H4, g, w0vec, T3, Pden)."""
-        return (self.D, self.H4.tobytes(), self.g, self.w0vec.tobytes(),
-                self.T3.tobytes(), self.Pden)
+
+def _member_rows(fd: FundamentalDomain, C: np.ndarray) -> tuple:
+    """(nc, R, Rbar, Pnum, Pden, M) of _CContext for each row c of C, shape
+    (k, 4), with one numpy call each over all k rows."""
+    order = fd.order
+    nc = order.norms(C)
+    R = order.right_mul(C)
+    Rbar = order.right_mul(order.conjugates(C))
+    # cell3 coordinates of 2 Im(a c^-1) = 2 Im(a conj(c)) / n(c):
+    # y = (a . Pnum) / Pden
+    Q = Rbar @ fd.cell3_num
+    den = fd.cell3_den * nc
+    cont = np.gcd(np.gcd.reduce(Q.reshape(len(C), -1), axis=1), den)
+    Pnum, Pden = Q // cont[:, None, None], den // cont
+    M = np.concatenate([order.trace_pairing(C)[..., None], Pnum], axis=-1)
+    return nc, R, Rbar, Pnum, Pden, M
+
+
+def _det_adjugate(M: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(det M, adj M) of a nonsingular int64 matrix, from one Bareiss pass."""
+    det, adj = det_adjugate(M.tolist())
+    if adj is None:
+        raise AssertionError("vertical map singular on the trace kernel")
+    return det, np.array(adj, np.int64)
 
 
 def _a_box(ctx: _CContext, q: np.ndarray):
@@ -442,12 +453,12 @@ def _pool_map(chunk_fn, items: list, workers: int, rows: int):
     that cli.main sets holds in them too.
 
     rows is the work of items as predicted by the orbit law, before any of
-    it runs: orbit_law(order, c) kept orbits per c the scan scans, 81
-    |O^x| orbit_law(order, c) per right coset c O^x of the oracle (its
-    window holds 81 triples per orbit, and the law is constant on the
-    coset); at scale > 1, the scale-1 law of c.  It only schedules the
-    work and never enters a count, so the output does not depend on it.
-    The callers compute it only when more than one worker is usable.
+    it runs: orbit_law(order, c) kept orbits per c the scan scans,
+    _ORACLE_ROWS_PER_ORBIT |O^x| orbit_law(order, c) per right coset c O^x
+    of the oracle (the law is constant on the coset); at scale > 1, the
+    scale-1 law of c.  It only schedules the work and never enters a
+    count, so the output does not depend on it.  The callers compute it
+    only when more than one worker is usable.
 
     Why 5e5.  Fresh `count` runs on a 2-core x86-64 machine (Python 3.11,
     numpy 2.4), serial against a pool of 2, 15 alternating pairs per grid
@@ -460,8 +471,18 @@ def _pool_map(chunk_fn, items: list, workers: int, rows: int):
     again.  It also adds about 57 ms of CPU at any size.  Medians, serial
     / pooled: d3 s <= 16 (51,876 rows) 0.189 / 0.220 s, Hurwitz s <= 32
     (521,120) 0.350 / 0.310 s, d3 s <= 32 (1,375,606) 0.622 / 0.479 s.
-    An oracle row costs about a fifth of a scan row: Hurwitz `oracle --s
-    5` (1,710,720 rows) ran 0.356 / 0.339 s.
+
+    Why 10 rows per oracle orbit.  Fresh `oracle` runs on the same
+    machine, serial against a pool of 2, 9 alternating pairs at each s = 4
+    .. 8 on Hurwitz and d3 (3,264 to 129,504 orbits), fit the median wall
+    time as 0.215 s + 2,823 ns/orbit serially and 0.238 s + 1,692 ns/orbit
+    pooled: the pool costs 23 ms to start and saves 1,131 ns per orbit,
+    9.5 times the saving per scan row.  So an orbit counts 10 rows, the
+    pool breaks even near 2.0e4 orbits, and from _POOL_MIN_ROWS on (5e4
+    orbits) it saves at least its start-up again.  Medians, serial /
+    pooled: Hurwitz s <= 5 (21,120 orbits, no pool) 0.269 / 0.271 s, d3
+    s <= 7 (48,864, no pool) 0.360 / 0.314 s, Hurwitz s <= 7 (94,272)
+    0.473 / 0.402 s.
     """
     if workers > 1 and rows >= _POOL_MIN_ROWS:
         from concurrent.futures import ProcessPoolExecutor
@@ -686,33 +707,89 @@ def _a_rows(ctx: _CContext, q: np.ndarray, res: np.ndarray) -> np.ndarray:
     return (q[..., None] * ctx.w0vec % ctx.Pden + ctx.WR[res]) % ctx.Pden
 
 
-def _bucket_counts(key: np.ndarray, indom: np.ndarray):
+def _bucket_counts(key: np.ndarray, indom):
     """(size, hits): for each bucket index in [0, max(key)], how many rows
-    have that key and how many of them have indom set."""
+    have that key and how many of the rows key[indom] (a mask or a slice)
+    have it."""
     size = np.bincount(key)
     return size, np.bincount(key[indom], minlength=size.size)
 
 
-# The most window triples (81 D m per c: window alphas times a-box points)
-# that one oracle stack holds; a c with more runs alone.
-_STACK_TRIPLES = 2 ** 16
+def _dets4(A: np.ndarray) -> np.ndarray:
+    """The determinants of a stack of 4 x 4 int64 matrices, exactly: the
+    Laplace expansion along rows 0 and 1, six products of 2 x 2 minors.
+    Each product is at most 4 max|A|^4, asserted to keep the sum of six
+    in the int64 range."""
+    if 24 * int(np.abs(A).max()) ** 4 >= 2 ** 63:
+        raise AssertionError("oracle determinant leaves int64")
+
+    def minor(r, i, j):
+        return A[:, r, i] * A[:, r + 1, j] - A[:, r, j] * A[:, r + 1, i]
+
+    det = np.zeros(len(A), np.int64)
+    for i, j in itertools.combinations(range(4), 2):
+        k, l = (x for x in range(4) if x not in (i, j))
+        det += (-1) ** (1 + i + j) * minor(0, i, j) * minor(2, k, l)
+    return det
 
 
-def _oracle_stack(fd: FundamentalDomain, ctxs: Sequence[_CContext]) -> List[int]:
-    """Oracle orbit counts of the members of one stack, in order: values of
-    c that share (D, H4, g, w0vec, T3, Pden) and so their window, its cells
-    and alpha indices and the a-box data, as the members of one right coset
-    c O^x do (see brute_force_counts).  Each member keeps its own alphas,
-    shifts, exact maps and checks on a leading member axis; one
-    _bucket_counts covers them all, member j's keys offset by j D m."""
+def _span_lattice_of(A: np.ndarray, dets: np.ndarray, H: np.ndarray) -> bool:
+    """Whether every matrix of the stack A, of determinants dets, spans the
+    lattice of the nonsingular H.  Its rows lie in that lattice iff x
+    adj(H) = 0 mod det H; then they span a sublattice of index |det| /
+    |det H|, which is the lattice iff |det| = |det H|.  The products are
+    asserted to stay in the int64 range."""
+    detH, adjH = det_adjugate(H.tolist())
+    adjH = np.array(adjH, np.int64)
+    if 4 * int(np.abs(A).max()) * int(np.abs(adjH).max()) >= 2 ** 63:
+        raise AssertionError("oracle lattice check leaves int64")
+    return bool((A @ adjH % detH == 0).all() and (np.abs(dets) == abs(detH)).all())
+
+
+def _coset_context(fd: FundamentalDomain, C: np.ndarray) -> tuple:
+    """(top, R, M, adjM, detM): the _CContext of the first row of C and,
+    stacked over every row c, R(c), M(c) and adj M(c), det M(c) (one
+    Bareiss pass each).  Asserts that the rows share the lattice data of
+    the first, what brute_force_counts proves of a right coset: n(c), so
+    D; Pden; the lattice n(c) O conj(c) of H4; and that of M, so g, w0vec
+    and T3.  The HNFs are taken of the first row only; every row is
+    checked against them in one batched pass (_span_lattice_of), which is
+    equivalent to comparing the HNFs of each row, as the HNF is unique."""
+    nc, R, Rbar, Pnum, Pden, M = _member_rows(fd, C)
+    top = _CContext(fd, C[0], (nc[0], R[0], Rbar[0], Pnum[0], Pden[0], M[0]))
+    pairs = [(top.detM, top.adjM)] + [_det_adjugate(X) for X in M[1:]]
+    detM = np.array([det for det, _ in pairs], np.int64)
+    adjM = np.stack([adj for _, adj in pairs])
+    A = nc[:, None, None] * Rbar
+    if not ((nc == top.nc).all() and (Pden == top.Pden).all()
+            and _span_lattice_of(A, _dets4(A), top.H4) and _span_lattice_of(M, detM, top.H)):
+        raise AssertionError("oracle coset members disagree on lattice data")
+    return top, R, M, adjM, detM
+
+
+# The most window alpha rows (81 D per member) that one member slice of an
+# oracle coset holds; a member with more runs alone.
+_SLICE_ALPHA_ROWS = 2 ** 11
+
+
+def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
+    """Oracle orbit counts of the rows c of C, in order: values of c that
+    share their lattice data, as the members of one right coset c O^x do
+    (see brute_force_counts); _coset_context asserts it.
+
+    What the members share is built once: the window of alpha numerators,
+    its cells, alpha indices and digit tables, and the keys and bucket
+    check of its 81 D m triples, from the residue shifts t of the first
+    member.  The members run in slices of at most _SLICE_ALPHA_ROWS window
+    alpha rows on a leading member axis.  Each member has its own alphas,
+    norms and keep mask, shifts (from _cell_shifts) with their trace
+    relation, exact maps, spot rows and primitivity, and its own residue
+    shifts t, asserted to equal the first member's: so the keys of member
+    j are those of the first plus j D m, and the one bucket check covers
+    every member."""
     order = fd.order
-    top = ctxs[0]
-    if any(ctx.lattice_data() != top.lattice_data() for ctx in ctxs):
-        raise AssertionError("oracle stack members disagree on lattice data")
-    D, g, Pden, WR, m, k = top.D, top.g, top.Pden, top.WR, top.m, len(ctxs)
-    cs = [ctx.c for ctx in ctxs]
-    R = np.stack([ctx.R for ctx in ctxs])
-    M = np.stack([ctx.M for ctx in ctxs])
+    top, R, M, adjM, detM = _coset_context(fd, C)
+    D, g, Pden, WR, m = top.D, top.g, top.Pden, top.WR, top.m
     # alpha window: cell coordinates in [-1, 2).  Per alpha, from one table
     # per coordinate: its window cell n, whose translate WT[n] moves it to
     # the middle cell, and the alpha index of that translate.  Digit i of n
@@ -724,71 +801,89 @@ def _oracle_stack(fd: FundamentalDomain, ctxs: Sequence[_CContext]) -> List[int]
     cell, alpha_idx = np.divmod(digits.ravel().take(V4 + np.arange(D, 12 * D, 3 * D)).sum(1), D)
     by_cell = np.argsort(cell, kind="stable")
     V4, cell, alpha_idx = V4[by_cell], cell[by_cell], alpha_idx[by_cell]
-    # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
-    # the same ones, and a translate keeps n(alpha) mod g, so every cell
-    # keeps as many
-    ALPH = _exact_rows(V4, R, D)
-    NAL = order.norms(ALPH)
-    ok = NAL % g == 0
-    if (ok != ok[0]).any():
-        raise AssertionError("oracle stack members keep different alphas")
-    if not ok.all():
-        cell, alpha_idx, ALPH, NAL = cell[ok[0]], alpha_idx[ok[0]], ALPH[:, ok[0]], NAL[:, ok[0]]
-    n = cell.size // 81
-    if (np.bincount(cell, minlength=81) != n).any():
-        raise AssertionError("oracle window cells keep different numbers of alphas")
-    q = NAL // g
+    # per cell and member: conj(WT) y and n(WT) h c, the shift of alpha
+    _, L, off = _cell_shifts(order, C)
+    # tr(conj(e_i) c) per member, in exact scalar arithmetic
+    conj_e = [order.conj(e) for e in np.eye(4, dtype=int).tolist()]
+    taus = [[order.trace(order.mul(e, c)) for e in conj_e] for c in C.tolist()]
 
-    # per alpha and member: the shift it adds to a, paired with [tau | Pnum],
-    # one matrix per cell; the translate alpha + WT c is the alpha of the
-    # middle cell (the in-domain alphas) with the same index
-    _, L, off = _cell_shifts(order, cs)
-    LM, offM = L @ M[:, None], (off @ M)[:, :, None]
-    shift = (ALPH.reshape(k, 81, n, 4) @ LM + offM).reshape(k, -1, 4)
-    mid = np.arange(40 * n, 41 * n)
-    n_mid = np.full((k, D), -1, np.int64)
-    n_mid[:, alpha_idx[mid]] = NAL[:, mid]
-    if (NAL + shift[..., 0] != n_mid[:, alpha_idx]).any():
-        raise AssertionError("oracle shift breaks the trace relation")
-    # per triple, alpha row by a-box residue: its key; the canonical a has
-    # numerators (t + WR) mod Pden.  An in-domain triple is its own
-    # representative.
-    t = (q[..., None] * top.w0vec + shift[..., 1:]) % Pden
-    key = _residue_index(_digit_table(top.T3, Pden, 0, 2 * Pden), t.reshape(-1, 3), WR)
-    key += ((np.arange(k)[:, None] * D + alpha_idx) * m).reshape(-1, 1)
-    indom = np.zeros((k, 81, n * m), bool)
-    indom[:, 40] = True
-    size, hits = _bucket_counts(key.ravel(), indom.ravel())
+    keep = t0 = None
+    counts: List[int] = []
+    width = max(1, _SLICE_ALPHA_ROWS // V4.shape[0])
+    for lo in range(0, len(C), width):
+        cs, members = C[lo:lo + width], slice(lo, lo + width)
+        # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
+        # the same ones, and a translate keeps n(alpha) mod g, so every cell
+        # keeps as many
+        ALPH = _exact_rows(V4, R[members], D)
+        NAL = order.norms(ALPH)
+        ok = NAL % g == 0
+        if keep is None:
+            keep = ok[0]
+            cell, alpha_idx = cell[keep], alpha_idx[keep]
+            n = cell.size // 81
+            if (np.bincount(cell, minlength=81) != n).any():
+                raise AssertionError("oracle window cells keep different numbers of alphas")
+            # the spot rows (about 64 window triples) and the in-domain rows
+            mid = np.arange(40 * n, 41 * n)
+            step = max(1, 81 * n * m // 64)
+            spot = np.arange((12345 + top.nc) % step, 81 * n * m, step)
+            sel = np.concatenate([spot // m, np.repeat(mid, m)])
+            res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
+        if (ok != keep).any():
+            raise AssertionError("oracle coset members keep different alphas")
+        if not keep.all():
+            ALPH, NAL = ALPH[:, keep], NAL[:, keep]
+        q = NAL // g
+
+        # per alpha and member: the shift it adds to a, paired with [tau |
+        # Pnum], one matrix per cell; the translate alpha + WT c is the
+        # alpha of the middle cell (the in-domain alphas) with the same index
+        Mj = M[members]
+        LM, offM = L @ Mj[:, None], (off[members] @ Mj)[:, :, None]
+        shift = (ALPH.reshape(len(cs), 81, n, 4) @ LM + offM).reshape(len(cs), -1, 4)
+        n_mid = np.full((len(cs), D), -1, np.int64)
+        n_mid[:, alpha_idx[mid]] = NAL[:, mid]
+        if (NAL + shift[..., 0] != n_mid[:, alpha_idx]).any():
+            raise AssertionError("oracle shift breaks the trace relation")
+        # the canonical a of a triple has numerators (t + WR) mod Pden
+        t = (q[..., None] * top.w0vec + shift[..., 1:]) % Pden
+        if t0 is None:
+            t0 = t[0]
+        if (t != t0).any():
+            raise AssertionError("oracle coset members disagree on residue shifts")
+
+        # a on the spot rows and the in-domain rows
+        qs = q[:, sel]
+        A = _exact_rows(np.concatenate([qs[..., None] * g, _a_rows(top, qs, res)], axis=-1),
+                        adjM[members], detM[members, None, None])
+        # spot re-verification of the trace relation, as tr(conj(a) c) =
+        # sum a_i tr(conj(e_i) c)
+        for (t_0, t_1, t_2, t_3), spot_a, spot_alpha in zip(
+                taus[members], A[:, :spot.size].tolist(), ALPH[:, sel[:spot.size]].tolist()):
+            for (a_0, a_1, a_2, a_3), alc in zip(spot_a, spot_alpha):
+                if a_0 * t_0 + a_1 * t_1 + a_2 * t_2 + a_3 * t_3 != order.norm(alc):
+                    raise AssertionError("oracle emitted an inadmissible triple")
+        # primitivity is orbit-invariant: test only the canonical reps
+        prim = _primitive_mask(order, A[:, spot.size:], ALPH[:, mid], np.repeat(np.arange(n), m),
+                               cs)
+        counts += prim.sum(axis=1).tolist()
+
+    # per window triple, alpha row by a-box residue: its key.  An in-domain
+    # triple, of the middle cell, is its own representative.
+    key = _residue_index(_digit_table(top.T3, Pden, 0, 2 * Pden), t0, WR)
+    key += (alpha_idx * m)[:, None]
+    size, hits = _bucket_counts(key.ravel(), slice(40 * n * m, 41 * n * m))
     if (hits != (size > 0)).any():
         raise AssertionError("oracle bucket without a unique in-domain triple")
     if ((size > 0) & (size != 81)).any():
         raise AssertionError("oracle bucket without one triple per window cell (81)")
-
-    # a on the spot rows (the same about 64 per member) and the in-domain rows
-    rows = q.shape[1] * m
-    step = max(1, rows // 64)
-    spot = np.arange((12345 + top.nc) % step, rows, step)
-    sel = np.concatenate([spot // m, np.repeat(mid, m)])
-    res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
-    qs = q[:, sel]
-    A = _exact_rows(np.concatenate([qs[..., None] * g, _a_rows(top, qs, res)], axis=-1),
-                    np.stack([ctx.adjM for ctx in ctxs]),
-                    np.array([ctx.detM for ctx in ctxs], np.int64)[:, None, None])
-    # spot re-verification of the trace relation, as tr(conj(a) c) =
-    # sum a_i tr(conj(e_i) c) in exact scalar arithmetic
-    for c, spot_a, spot_alpha in zip(cs, A[:, :spot.size].tolist(),
-                                     ALPH[:, sel[:spot.size]].tolist()):
-        tau = [order.trace(order.mul(order.conj(e), c)) for e in np.eye(4, dtype=int).tolist()]
-        for ac, alc in zip(spot_a, spot_alpha):
-            if sum(map(operator.mul, ac, tau)) != order.norm(alc):
-                raise AssertionError("oracle emitted an inadmissible triple")
-    # primitivity is orbit-invariant: test only the canonical reps
-    prim = _primitive_mask(order, A[:, spot.size:], ALPH[:, mid], np.repeat(np.arange(n), m), cs)
-    return prim.sum(axis=1).tolist()
+    return counts
 
 
 def _brute_force_c(fd: FundamentalDomain, c) -> int:
-    """Oracle orbit count of one c: a stack of one; see brute_force_counts.
+    """Oracle orbit count of one c: a coset pass of one member; see
+    brute_force_counts.
 
     Every bucket holds exactly 81 = 3^4 triples, one per cell of the
     window.  With c fixed, the shear (n(w) h + r, w), w in O and r in
@@ -817,26 +912,22 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     with the window cell, and per triple on t + WR in [0, 2 Pden), with no
     divide.
     """
-    return _oracle_stack(fd, [_CContext(fd, c)])[0]
+    return _oracle_coset(fd, np.array(c, np.int64).reshape(1, 4))[0]
 
 
-def _brute_force_chunk(fd: FundamentalDomain, cosets) -> List[Tuple[int, int]]:
-    """(n(c), oracle orbit count of c) for each c of each coset in cosets.
-    The members of a right coset share D and m, so a coset runs as
-    consecutive stacks of max(1, _STACK_TRIPLES // (81 D m)) members, 81 D
-    m window triples each, sized by its first member; _oracle_stack
-    asserts that the members of a stack share their lattice data."""
-    out = []
-    for coset in cosets:
-        ctxs = [_CContext(fd, c) for c in coset]
-        size = max(1, _STACK_TRIPLES // (81 * ctxs[0].D * ctxs[0].m))
-        for i in range(0, len(ctxs), size):
-            stack = ctxs[i:i + size]
-            out += [(ctx.nc, n) for ctx, n in zip(stack, _oracle_stack(fd, stack))]
-    return out
+def _brute_force_chunk(fd: FundamentalDomain, cosets) -> List[Tuple[int, List[int]]]:
+    """(n(c), the oracle orbit counts of its members) for each right coset
+    c O^x in cosets, one coset pass each (_oracle_coset)."""
+    return [(int(fd.order.norm(coset[0])), _oracle_coset(fd, coset)) for coset in cosets]
 
 
-def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
+# Predicted pool rows per oracle orbit: the pool's wall saving per orbit of
+# the oracle in units of its saving per scan row, on which _POOL_MIN_ROWS
+# was fit (see _pool_map).
+_ORACLE_ROWS_PER_ORBIT = 10
+
+
+def brute_force_counts(order: Order, s_grid: Sequence, progress=None) -> Dict[Fraction, int]:
     """Oracle orbit counts at each s in s_grid, from one pass over every c
     with 0 < n(c) <= max(s_grid); no unit-coset reduction of the counts.
     The values of c are grouped into right cosets c O^x, the scan's
@@ -845,9 +936,11 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     is counted exactly once, whatever the representatives.  Each coset is
     one item of a process pool of one worker per usable CPU (_pool_map, as
     the scan's --threads), which starts when the orbit law predicts enough
-    work (_POOL_MIN_ROWS: from s = 5 on Hurwitz and d3).  The per-c counts
-    are added per level here, so the result does not depend on the
-    partition or on that prediction.  Beside the pool, its orbit-law
+    work (_POOL_MIN_ROWS, at _ORACLE_ROWS_PER_ORBIT rows per orbit: from
+    s = 7 on Hurwitz and s = 8 on d3).  The per-c counts are added per level here,
+    so the result does not depend on the partition or on that prediction.
+    progress(done, total) is called after each batch, with the number of
+    cosets checked so far and in all.  Beside the pool, its orbit-law
     schedule and its work list, which enter no count, the oracle shares
     with the scan _c_list, _CContext, _box_points, _exact_rows and
     _primitive_mask, but not the transversal, the a-boxes or the coset
@@ -874,18 +967,23 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
     the residue table WR, which is not shifted into an a-box: W and a are
     formed only on the spot rows and the in-domain rows (_a_rows).
 
-    Why one stack per right coset.  Row i of n(c) R_conj(c) holds the
+    Why one pass per right coset.  Row i of n(c) R_conj(c) holds the
     coordinates of n(c) e_i conj(c), so H4 is the basis of the lattice
     n(c) O conj(c).  For a unit v, n(cv) O conj(v) conj(c) = n(c) O
     conj(c), as O conj(v) = O: H4 is constant on c O^x (the tests check
     that it separates the cosets).  On the coset R_cv = R_c R_v, so alpha =
     V . R_cv / D = (V . R_c / D) v: the window alphas of cv are those of c
-    times v, of the same norms.  And M(cv) = R_v^-1 M(c): with n(v) = 1,
-    tr(conj(av) cv) = tr(conj(a) c) and 2 Im(av (cv)^-1) = 2 Im(a c^-1),
-    so Pnum(cv) = R_v^-1 Pnum(c), of the same content and Pden.  M and
-    R_v^-1 M span the same lattice, R_v being unimodular, so hnf(M), and
-    with it g, w0vec, T3 and WR, is the same on the coset.  Each stack
-    asserts that its members share these data and keep the same alphas.
+    times v, of the same norms, so of the same q.  And M(cv) = R_v^-1 M(c):
+    with n(v) = 1, tr(conj(av) cv) = tr(conj(a) c) and 2 Im(av (cv)^-1) =
+    2 Im(a c^-1), so Pnum(cv) = R_v^-1 Pnum(c), of the same content and
+    Pden.  M and R_v^-1 M span the same lattice, R_v being unimodular, so
+    hnf(M), and with it g, w0vec, T3 and WR, is the same on the coset.
+    The shift of alpha v in cell n is conj(WT) alpha v + n(WT) h c v, that
+    of alpha times v, so shift(cv) = shift(c) . R_v, and paired with M(cv)
+    it is shift(c) . R_v R_v^-1 M(c), the paired shift of c: its trace
+    pairing and its cell3 numerators, and with q the residue shifts t, are
+    the same for every member.  _coset_context asserts the shared lattice
+    data, _oracle_coset the keep mask and t of every member.
     """
     grid = sorted(Fraction(x) for x in s_grid)
     counts = {g: 0 for g in grid}
@@ -896,13 +994,18 @@ def brute_force_counts(order: Order, s_grid: Sequence) -> Dict[Fraction, int]:
         raise AssertionError("oracle cosets do not cover the c list exactly once")
     chunk = functools.partial(_brute_force_chunk, FundamentalDomain(order))
     workers = _usable_cpus()
-    # 81 window triples per orbit (see _brute_force_c), the law constant on c O^x
-    rows = 81 * len(order.units) * sum(orbit_law(order, c) for c in reps) if workers > 1 else 0
+    # the law is constant on c O^x
+    rows = (_ORACLE_ROWS_PER_ORBIT * len(order.units) * sum(orbit_law(order, c) for c in reps)
+            if workers > 1 else 0)
+    done = 0
     for batch in _pool_map(chunk, list(cosets), workers, rows):
         for nc, found in batch:
             for g in grid:
                 if nc <= g:
-                    counts[g] += found
+                    counts[g] += sum(found)
+        done += len(batch)
+        if progress:
+            progress(done, len(cosets))
     return counts
 
 

@@ -162,6 +162,10 @@ class Order:
         # Gram matrix of <x,y> = tr(conj(x) y)/2: the one Gram table, n(x) = <x,x>
         self.gram2 = tuple(tuple(tvec[i] * tvec[j] - M[i][j] for j in range(4))
                            for i in range(4))
+        # n(x) = sum_{i <= j} f_ij x_i x_j: f_ii = n(e_i) = gram2[i][i] / 2,
+        # f_ij = gram2[i][j] (i < j), in the order (00, 01, 02, 03, 11, ..., 33)
+        self._norm_form = tuple(self.gram2[i][j] // (2 if i == j else 1)
+                                for i in range(4) for j in range(i, 4))
 
         # U . trace_vec = H: U[0] has trace H[0], U[1:] spans the trace kernel
         H, U = hnf_transform([[t] for t in self.trace_vec])
@@ -242,16 +246,10 @@ class Order:
         return sum(v * t for v, t in zip(xc, self.trace_vec))
 
     def norm(self, x) -> int:
-        xc = x.coords if isinstance(x, OrderElement) else x
-        g2 = self.gram2
-        acc = 0
-        for i in range(4):
-            xi = xc[i]
-            if not xi:
-                continue
-            gi = g2[i]
-            acc += xi * (gi[0] * xc[0] + gi[1] * xc[1] + gi[2] * xc[2] + gi[3] * xc[3])
-        return acc // 2
+        x0, x1, x2, x3 = x.coords if isinstance(x, OrderElement) else x
+        f00, f01, f02, f03, f11, f12, f13, f22, f23, f33 = self._norm_form
+        return (x0 * (f00 * x0 + f01 * x1 + f02 * x2 + f03 * x3)
+                + x1 * (f11 * x1 + f12 * x2 + f13 * x3) + x2 * (f22 * x2 + f23 * x3) + f33 * x3 * x3)
 
     # -- batched int64 arithmetic on rows of order coordinates ------------
 
@@ -278,8 +276,9 @@ class Order:
         return (X[:, :, None] * Y[:, None, :]).reshape(-1, 16) @ self._S.reshape(16, 4)
 
     def trace_pairing(self, c: np.ndarray) -> np.ndarray:
-        """tau(c) with tr(conj(a) c) = a . tau(c) for every a."""
-        return self._G2 @ c
+        """tau(c) with tr(conj(a) c) = a . tau(c) for every a, or the rows
+        tau(c) for the rows c of a stack (the Gram table is symmetric)."""
+        return c @ self._G2
 
     # -- derived data -------------------------------------------------------
 

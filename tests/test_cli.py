@@ -225,10 +225,13 @@ class _FakeTTY(io.StringIO):
 
 
 @pytest.mark.parametrize("args, total", [
-    # 13 double cosets of d3 up to s = 8; 26 right cosets of Hurwitz up to 8
+    # 13 double cosets of d3 up to s = 8; 26 right cosets of Hurwitz up to
+    # 8; the oracle checks the 6 right cosets of Hurwitz up to 3, after a
+    # scan that reports nothing
     (["count", "--order", "d3", "--s-grid", "4,8"], 13),
     (["equidist", "--order", "hurwitz", "--s", "8"], 26),
-], ids=["count", "equidist"])
+    (["oracle", "--order", "hurwitz", "--s", "3"], 6),
+], ids=["count", "equidist", "oracle"])
 def test_scan_progress_goes_to_a_terminal_only(args, total, capsys, monkeypatch):
     assert main(args) == 0
     plain = capsys.readouterr()

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from heisquat import counting
 from heisquat.counting import (_box_points, _brute_force_c,
                                _brute_force_chunk, _bucket_counts, _c_list,
-                               _CContext, _cell_index, _cell_shifts, _digit_table,
-                               _exact_rows, _loglog_fit, _oracle_stack, _primitive_mask,
+                               _CContext, _cell_index, _cell_shifts, _dets4, _digit_table,
+                               _exact_rows, _loglog_fit, _oracle_coset, _primitive_mask,
                                _residue_index,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
@@ -28,7 +28,7 @@ from heisquat.counting import (_box_points, _brute_force_c,
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
                                  is_primitive)
-from heisquat.lattices import hnf
+from heisquat.lattices import adjugate, hnf
 from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
 
 from conftest import assert_buckets_name_their_cells
@@ -168,7 +168,7 @@ def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, 
 
 
 def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
-    # the first row of a stack's residue table read belongs to an alpha in
+    # the first row of a coset's residue table read belongs to an alpha in
     # cell 0 of the window, which is not the middle cell: its first triple
     # is read into another bucket, so its own bucket keeps its in-domain
     # triple and is left with 80 rows
@@ -320,10 +320,10 @@ def test_digit_tables_equal_the_cell_index(name):
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
 def test_stacked_oracle_counts_equal_the_stack_of_one(name, monkeypatch):
-    # every c with n(c) <= 8 in the oracle's right cosets, run as its
-    # stacks, against each c alone.  The cosets are exactly the classes of
-    # H4 = hnf(n(c) R_conj(c)), the basis of n(c) O conj(c), which the
-    # stacks share: equal lattices have equal index, so n(c') = n(c), and
+    # every c with n(c) <= 8 in the oracle's right cosets, run as one coset
+    # pass each, against each c alone.  The cosets are exactly the classes
+    # of H4 = hnf(n(c) R_conj(c)), the basis of n(c) O conj(c), which the
+    # members share: equal lattices have equal index, so n(c') = n(c), and
     # O conj(c') = O conj(c) puts c' in c O^x
     order = builtin_order(name)
     fd = FundamentalDomain(order)
@@ -334,16 +334,27 @@ def test_stacked_oracle_counts_equal_the_stack_of_one(name, monkeypatch):
         classes.setdefault(tuple(map(tuple, H4)), set()).add(c)
     assert len(cosets) == len(classes)
     assert {frozenset(_tuples(coset)) for coset in cosets} == set(map(frozenset, classes.values()))
-    # the size of every stack the chunk runs: some coset gets a stack of
-    # more than one member
-    sizes = []
-    stack_of = counting._oracle_stack
-    monkeypatch.setattr(counting, "_oracle_stack",
-                        lambda fd, ctxs: sizes.append(len(ctxs)) or stack_of(fd, ctxs))
-    stacked = _brute_force_chunk(fd, cosets)
-    assert max(sizes) > 1 and sum(sizes) == len(_c_list(order, 8))
-    assert stacked == [(order.norm(c), _brute_force_c(fd, c))
-                       for coset in cosets for c in coset]
+    # a budget of two cells of n(c) = 2 (81 D = 324 window alpha rows per
+    # member): the members of a coset run in slices of up to eight, and
+    # every slice calls _primitive_mask once with its members' c
+    budget = 8 * 81 * 4
+    monkeypatch.setattr(counting, "_SLICE_ALPHA_ROWS", budget)
+    slices = []
+    primitive_mask = counting._primitive_mask
+
+    def spy(order, A, X, row, c):
+        slices.append((len(c), 81 * int(order.norms(c[0])) ** 2))
+        return primitive_mask(order, A, X, row, c)
+
+    monkeypatch.setattr(counting, "_primitive_mask", spy)
+    chunk = _brute_force_chunk(fd, cosets)
+    assert sum(k for k, _ in slices) == len(_c_list(order, 8))
+    assert all(k * rows <= budget or k == 1 for k, rows in slices)
+    # some coset runs in several slices, and some slice holds several members
+    assert len(slices) > len(cosets) and max(k for k, _ in slices) > 1
+    monkeypatch.setattr(counting, "_primitive_mask", primitive_mask)
+    assert chunk == [(order.norm(coset[0]), [_brute_force_c(fd, c) for c in coset])
+                     for coset in cosets]
 
 
 @given(st.sampled_from(["hurwitz", "d3", "d13"]), st.tuples(*[st.integers(-60, 60)] * 4),
@@ -363,29 +374,65 @@ def test_cell_shift_is_conj_w_alpha_plus_n_w_h_c(name, alpha, c):
                              for w in WT.tolist()]
 
 
-def test_a_stack_of_disagreeing_members_raises(hur, fd):
+def test_a_stack_of_disagreeing_members_raises(hur, fd, monkeypatch):
     # members of two right cosets do not share their lattice data; on
     # c = (-2, 0, 1, 1), of g = 2, a member whose alphas are doubled keeps
     # every alpha, as 2 | n(2 alpha), where c keeps only those of even norm
     reps = _right_coset_representatives(hur, _c_list(hur, 8))
     with pytest.raises(AssertionError, match="disagree on lattice data"):
-        _oracle_stack(fd, [_CContext(fd, reps[-1]), _CContext(fd, reps[-2])])
-    # a chunk slices a coset by its first member's triple budget alone (two
-    # members of n(c) = 7), so two cosets passed as one reach the assertion
+        _oracle_coset(fd, reps[[-1, -2]])
+    # a chunk takes each coset as given, so two cosets passed as one reach
+    # the assertion
     with pytest.raises(AssertionError, match="disagree on lattice data"):
-        _brute_force_chunk(fd, [[reps[-2], reps[-1]]])
-    ctx = _CContext(fd, (-2, 0, 1, 1))
-    assert ctx.g == 2
-    doubled = _CContext(fd, ctx.c)
-    doubled.R = 2 * ctx.R
+        _brute_force_chunk(fd, [reps[[-2, -1]]])
+    c = np.array([-2, 0, 1, 1], np.int64)
+    assert _CContext(fd, c).g == 2
+    member_rows = counting._member_rows
+
+    def doubled(fd, C):
+        nc, R, *rest = member_rows(fd, C)
+        R = R.copy()
+        R[1] *= 2
+        return (nc, R, *rest)
+
+    monkeypatch.setattr(counting, "_member_rows", doubled)
     with pytest.raises(AssertionError, match="keep different alphas"):
-        _oracle_stack(fd, [ctx, doubled])
+        _oracle_coset(fd, np.stack([c, c]))
+
+
+def test_a_coset_member_off_the_first_lattices_raises(hur, fd, monkeypatch):
+    # the batched check tests each member against the HNFs of the first:
+    # the last member's n(c) R_conj(c) (field 2 of _member_rows) or M
+    # (field 5) doubled spans a sublattice of index 16, and that of a
+    # member of another coset of n(c) = 3 a lattice of the same
+    # determinant that the first lattice does not contain
+    coset, other = [co for co in _oracle_cosets(hur, 3) if hur.norm(co[0]) == 3][:2]
+    member_rows = counting._member_rows
+    theirs = member_rows(fd, other[:1])
+    ours = member_rows(fd, coset[:1])
+    for field in (2, 5):
+        assert abs(_dets4(theirs[field])[0]) == abs(_dets4(ours[field])[0])
+        assert not (theirs[field] @ np.array(adjugate(hnf(ours[field][0].tolist())))
+                    % abs(int(_dets4(ours[field])[0])) == 0).all()
+    for field, moved in ((2, lambda X: 2 * X), (5, lambda X: 2 * X),
+                         (2, lambda X: theirs[2][0]), (5, lambda X: theirs[5][0])):
+        def faulty(fd, C, field=field, moved=moved):
+            rows = list(member_rows(fd, C))
+            rows[field] = rows[field].copy()
+            rows[field][-1] = moved(rows[field][-1])
+            return tuple(rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_member_rows", faulty)
+            with pytest.raises(AssertionError, match="disagree on lattice data"):
+                _oracle_coset(fd, coset)
 
 
 def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
-    # a Hurwitz coset with n(c) = 5 (24 members of 10,125 window triples)
-    # runs as stacks of at most _STACK_TRIPLES triples; its traced peak
-    # stays within a few int64 arrays of that many entries
+    # a Hurwitz coset with n(c) = 5 (24 members of 2,025 window alphas
+    # each) runs as slices of at most _SLICE_ALPHA_ROWS alpha rows; its
+    # traced peak (0.72 MB) stays within a dozen arrays of that many alpha
+    # rows, 4 int64 each, where the whole coset's alphas would be 1.6 MB
     coset = _oracle_cosets(hur, 5)[-1]
     assert len(coset) == len(hur.units) and set(hur.norms(coset).tolist()) == {5}
     _brute_force_chunk(fd, [coset])
@@ -395,7 +442,7 @@ def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * counting._STACK_TRIPLES
+    assert peak <= 12 * 4 * 8 * counting._SLICE_ALPHA_ROWS
 
 
 def test_cell_index_needs_pivots_that_divide_the_side():
@@ -549,10 +596,12 @@ def test_scan_summary_threads_match(hur, monkeypatch, pool_runs):
 @pytest.mark.parametrize("run, rows, pools", [
     # below _POOL_MIN_ROWS: the pool would cost more than it saves
     (lambda: scan_summary(builtin_order("d3"), [4, 8, 12, 16], threads=2), 51_876, []),
-    # 81 window triples per orbit, over the 21,120 orbits of Hurwitz s <= 5
-    (lambda: brute_force_counts(builtin_order("hurwitz"), range(1, 6)), 81 * 21_120, [2]),
+    # 10 rows per oracle orbit, over the 21,120 orbits of Hurwitz s <= 5
+    # and the 94,272 of s <= 7
+    (lambda: brute_force_counts(builtin_order("hurwitz"), range(1, 6)), 10 * 21_120, []),
+    (lambda: brute_force_counts(builtin_order("hurwitz"), [7]), 10 * 94_272, [2]),
     (lambda: scan_summary(builtin_order("d3"), [32], threads=2), 1_375_606, [2]),
-], ids=["d3_scan_16", "hurwitz_oracle_5", "d3_scan_32"])
+], ids=["d3_scan_16", "hurwitz_oracle_5", "hurwitz_oracle_7", "d3_scan_32"])
 def test_pool_starts_when_the_orbit_law_predicts_enough_work(run, rows, pools, monkeypatch,
                                                             pool_runs):
     seen = []

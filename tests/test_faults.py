@@ -11,6 +11,8 @@ import pytest
 
 from heisquat import counting
 from heisquat.counting import brute_force_counts, scan_summary
+from heisquat.heisenberg import FundamentalDomain
+from heisquat.lattices import kernel_basis
 from heisquat.orders import builtin_order
 
 from conftest import assert_buckets_name_their_cells
@@ -76,6 +78,31 @@ def _perturb_cell_shift(array, column):
     return fault
 
 
+def _move_a_members_residues(monkeypatch):
+    """_cell_shifts adds to off, for the second member of a coset and
+    window cell 5 only, an x of O with tr(conj(x) c) = 0 whose cell3
+    numerators x . Pnum are not all 0 mod Pden: that member's shifts keep
+    the trace relation, and its a residues in cell 5 move.  A unit c has
+    no such x (its trace kernel is Im(O) c, of numerators in Pden Z^3), so
+    the fault is applied to the cosets of n(c) = 2 to 4."""
+    shifts_of = counting._cell_shifts
+    fd = FundamentalDomain(builtin_order("hurwitz"))
+
+    def faulty(order, c):
+        WT, L, off = shifts_of(order, c)
+        if off.ndim == 3 and len(off) > 1:
+            ctx = counting._CContext(fd, c[1])
+            tau = order.trace_pairing(np.array(ctx.c, np.int64))
+            moved = [x for x in kernel_basis([[int(t)] for t in tau])
+                     if (np.array(x) @ ctx.Pnum % ctx.Pden).any()]
+            if moved:
+                off = off.copy()
+                off[1, 5] += moved[0]
+        return WT, L, off
+
+    monkeypatch.setattr(counting, "_cell_shifts", faulty)
+
+
 FAULTS = [
     # (b) the scan's _lawful check of every fresh count against the law
     pytest.param(_keep_one_imprimitive_triple, lambda order: scan_summary(order, [4]),
@@ -90,6 +117,10 @@ FAULTS = [
                    "oracle shift breaks the trace relation",
                    id=f"d-cell-shifts-{array}-column-{column}")
       for array in ("L", "off") for column in range(4)],
+    # (g) the oracle's check that every member of a coset has the residue
+    # shifts t of its first member, from which it keys the window once
+    pytest.param(_move_a_members_residues, lambda order: brute_force_counts(order, [4]),
+                 "disagree on residue shifts", id="g-cell-shifts-move-one-members-residues"),
     # (e) the oracle's coverage check of its cosets against its c list
     pytest.param(_repeat_a_coset, lambda order: brute_force_counts(order, [4]),
                  "do not cover the c list", id="e-right-cosets-repeat-one-and-drop-one"),
