@@ -182,16 +182,12 @@ class _CContext:
     WR holds the points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden,
     and the oracle reads the a index of each reduced point from digit
     tables (_residue_index).
-
-    rows, when given, is (nc, R, Rbar, Pnum, Pden, M) of c, a row of
-    _member_rows, which the oracle builds for a whole right coset at once.
     """
 
-    def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...], rows: Optional[tuple] = None):
+    def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
         self.c = tuple(int(x) for x in c)
-        if rows is None:
-            rows = [x[0] for x in _member_rows(fd, np.array([self.c], np.int64))]
-        nc, self.R, Rbar, self.Pnum, Pden, self.M = rows
+        nc, self.R, Rbar, self.Pnum, Pden, self.M = (
+            x[0] for x in _member_rows(fd, np.array([self.c], np.int64)))
         self.nc, self.Pden = int(nc), int(Pden)
         self.D = self.nc ** 2
         self.H4 = np.array(hnf((self.nc * Rbar).tolist()), np.int64)
@@ -750,19 +746,20 @@ def _coset_context(fd: FundamentalDomain, C: np.ndarray) -> tuple:
     """(top, R, M, adjM, detM): the _CContext of the first row of C and,
     stacked over every row c, R(c), M(c) and adj M(c), det M(c) (one
     Bareiss pass each).  Asserts that the rows share the lattice data of
-    the first, what brute_force_counts proves of a right coset: n(c), so
-    D; Pden; the lattice n(c) O conj(c) of H4; and that of M, so g, w0vec
-    and T3.  The HNFs are taken of the first row only; every row is
-    checked against them in one batched pass (_span_lattice_of), which is
-    equivalent to comparing the HNFs of each row, as the HNF is unique."""
-    nc, R, Rbar, Pnum, Pden, M = _member_rows(fd, C)
-    top = _CContext(fd, C[0], (nc[0], R[0], Rbar[0], Pnum[0], Pden[0], M[0]))
+    the first, what brute_force_counts proves of a right coset: Pden; the
+    lattice n(c) O conj(c) of H4, of determinant n(c)^6 = D^3, so D; and
+    that of M, so g, w0vec and T3.  The HNFs are taken of the first row
+    only; every row is checked against them in one batched pass
+    (_span_lattice_of), which is equivalent to comparing the HNFs of each
+    row, as the HNF is unique."""
+    nc, R, Rbar, _, Pden, M = _member_rows(fd, C)
+    top = _CContext(fd, C[0])
     pairs = [(top.detM, top.adjM)] + [_det_adjugate(X) for X in M[1:]]
     detM = np.array([det for det, _ in pairs], np.int64)
     adjM = np.stack([adj for _, adj in pairs])
     A = nc[:, None, None] * Rbar
-    if not ((nc == top.nc).all() and (Pden == top.Pden).all()
-            and _span_lattice_of(A, _dets4(A), top.H4) and _span_lattice_of(M, detM, top.H)):
+    if not ((Pden == top.Pden).all() and _span_lattice_of(A, _dets4(A), top.H4)
+            and _span_lattice_of(M, detM, top.H)):
         raise AssertionError("oracle coset members disagree on lattice data")
     return top, R, M, adjM, detM
 
@@ -859,10 +856,10 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
                         adjM[members], detM[members, None, None])
         # spot re-verification of the trace relation, as tr(conj(a) c) =
         # sum a_i tr(conj(e_i) c)
-        for (t_0, t_1, t_2, t_3), spot_a, spot_alpha in zip(
+        for (tau0, tau1, tau2, tau3), spot_a, spot_alpha in zip(
                 taus[members], A[:, :spot.size].tolist(), ALPH[:, sel[:spot.size]].tolist()):
-            for (a_0, a_1, a_2, a_3), alc in zip(spot_a, spot_alpha):
-                if a_0 * t_0 + a_1 * t_1 + a_2 * t_2 + a_3 * t_3 != order.norm(alc):
+            for (a0, a1, a2, a3), alc in zip(spot_a, spot_alpha):
+                if a0 * tau0 + a1 * tau1 + a2 * tau2 + a3 * tau3 != order.norm(alc):
                     raise AssertionError("oracle emitted an inadmissible triple")
         # primitivity is orbit-invariant: test only the canonical reps
         prim = _primitive_mask(order, A[:, spot.size:], ALPH[:, mid], np.repeat(np.arange(n), m),

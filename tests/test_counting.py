@@ -28,7 +28,7 @@ from heisquat.counting import (_box_points, _brute_force_c,
 from heisquat.heisenberg import (FundamentalDomain, Triple, canonicalize,
                                  in_fundamental_domain, is_admissible,
                                  is_primitive)
-from heisquat.lattices import adjugate, hnf
+from heisquat.lattices import adjugate, det_int, hnf
 from heisquat.orders import builtin_order, enumerate_by_norm, left_ideal_is_full
 
 from conftest import assert_buckets_name_their_cells
@@ -392,7 +392,7 @@ def test_a_stack_of_disagreeing_members_raises(hur, fd, monkeypatch):
     def doubled(fd, C):
         nc, R, *rest = member_rows(fd, C)
         R = R.copy()
-        R[1] *= 2
+        R[1:] *= 2
         return (nc, R, *rest)
 
     monkeypatch.setattr(counting, "_member_rows", doubled)
@@ -401,25 +401,27 @@ def test_a_stack_of_disagreeing_members_raises(hur, fd, monkeypatch):
 
 
 def test_a_coset_member_off_the_first_lattices_raises(hur, fd, monkeypatch):
-    # the batched check tests each member against the HNFs of the first:
-    # the last member's n(c) R_conj(c) (field 2 of _member_rows) or M
-    # (field 5) doubled spans a sublattice of index 16, and that of a
-    # member of another coset of n(c) = 3 a lattice of the same
-    # determinant that the first lattice does not contain
+    # the batched check tests each member against the first: R_conj(c)
+    # (field 2 of _member_rows) or M (field 5) doubled spans a sublattice
+    # of index 16, that of a member of another coset of n(c) = 3 a lattice
+    # of the same determinant that the first lattice does not contain, and
+    # a doubled Pden (field 4) is another cell3 denominator; the fault
+    # moves every member but the first
     coset, other = [co for co in _oracle_cosets(hur, 3) if hur.norm(co[0]) == 3][:2]
     member_rows = counting._member_rows
     theirs = member_rows(fd, other[:1])
     ours = member_rows(fd, coset[:1])
     for field in (2, 5):
+        assert _dets4(theirs[field]).tolist() == [det_int(X) for X in theirs[field].tolist()]
         assert abs(_dets4(theirs[field])[0]) == abs(_dets4(ours[field])[0])
         assert not (theirs[field] @ np.array(adjugate(hnf(ours[field][0].tolist())))
                     % abs(int(_dets4(ours[field])[0])) == 0).all()
-    for field, moved in ((2, lambda X: 2 * X), (5, lambda X: 2 * X),
+    for field, moved in ((2, lambda X: 2 * X), (5, lambda X: 2 * X), (4, lambda X: 2 * X),
                          (2, lambda X: theirs[2][0]), (5, lambda X: theirs[5][0])):
         def faulty(fd, C, field=field, moved=moved):
             rows = list(member_rows(fd, C))
             rows[field] = rows[field].copy()
-            rows[field][-1] = moved(rows[field][-1])
+            rows[field][1:] = moved(rows[field][1:])
             return tuple(rows)
 
         with monkeypatch.context() as patch:

@@ -84,13 +84,13 @@ def _move_a_members_residues(monkeypatch):
     numerators x . Pnum are not all 0 mod Pden: that member's shifts keep
     the trace relation, and its a residues in cell 5 move.  A unit c has
     no such x (its trace kernel is Im(O) c, of numerators in Pden Z^3), so
-    the fault is applied to the cosets of n(c) = 2 to 4."""
+    the fault moves the cosets of n(c) >= 2."""
     shifts_of = counting._cell_shifts
     fd = FundamentalDomain(builtin_order("hurwitz"))
 
     def faulty(order, c):
         WT, L, off = shifts_of(order, c)
-        if off.ndim == 3 and len(off) > 1:
+        if len(off) > 1:
             ctx = counting._CContext(fd, c[1])
             tau = order.trace_pairing(np.array(ctx.c, np.int64))
             moved = [x for x in kernel_basis([[int(t)] for t in tau])
