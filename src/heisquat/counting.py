@@ -729,7 +729,7 @@ def _dets4(A: np.ndarray) -> np.ndarray:
     return det
 
 
-def _span_lattice_of(A: np.ndarray, dets: np.ndarray, H: np.ndarray) -> bool:
+def _spans_lattice(A: np.ndarray, dets: np.ndarray, H: np.ndarray) -> bool:
     """Whether every matrix of the stack A, of determinants dets, spans the
     lattice of the nonsingular H.  Its rows lie in that lattice iff x
     adj(H) = 0 mod det H; then they span a sublattice of index |det| /
@@ -750,7 +750,7 @@ def _coset_context(fd: FundamentalDomain, C: np.ndarray) -> tuple:
     lattice n(c) O conj(c) of H4, of determinant n(c)^6 = D^3, so D; and
     that of M, so g, w0vec and T3.  The HNFs are taken of the first row
     only; every row is checked against them in one batched pass
-    (_span_lattice_of), which is equivalent to comparing the HNFs of each
+    (_spans_lattice), which is equivalent to comparing the HNFs of each
     row, as the HNF is unique."""
     nc, R, Rbar, _, Pden, M = _member_rows(fd, C)
     top = _CContext(fd, C[0])
@@ -758,8 +758,8 @@ def _coset_context(fd: FundamentalDomain, C: np.ndarray) -> tuple:
     detM = np.array([det for det, _ in pairs], np.int64)
     adjM = np.stack([adj for _, adj in pairs])
     A = nc[:, None, None] * Rbar
-    if not ((Pden == top.Pden).all() and _span_lattice_of(A, _dets4(A), top.H4)
-            and _span_lattice_of(M, detM, top.H)):
+    if not ((Pden == top.Pden).all() and _spans_lattice(A, _dets4(A), top.H4)
+            and _spans_lattice(M, detM, top.H)):
         raise AssertionError("oracle coset members disagree on lattice data")
     return top, R, M, adjM, detM
 

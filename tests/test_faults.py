@@ -86,14 +86,12 @@ def _move_a_members_residues(monkeypatch):
     no such x (its trace kernel is Im(O) c, of numerators in Pden Z^3), so
     the fault moves the cosets of n(c) >= 2."""
     shifts_of = counting._cell_shifts
-    fd = FundamentalDomain(builtin_order("hurwitz"))
 
     def faulty(order, c):
         WT, L, off = shifts_of(order, c)
         if len(off) > 1:
-            ctx = counting._CContext(fd, c[1])
-            tau = order.trace_pairing(np.array(ctx.c, np.int64))
-            moved = [x for x in kernel_basis([[int(t)] for t in tau])
+            ctx = counting._CContext(FundamentalDomain(order), c[1])
+            moved = [x for x in kernel_basis([[t] for t in order.trace_pairing(c[1]).tolist()])
                      if (np.array(x) @ ctx.Pnum % ctx.Pden).any()]
             if moved:
                 off = off.copy()
