@@ -334,9 +334,10 @@ def test_stacked_oracle_counts_equal_the_stack_of_one(name, monkeypatch):
         classes.setdefault(tuple(map(tuple, H4)), set()).add(c)
     assert len(cosets) == len(classes)
     assert {frozenset(_tuples(coset)) for coset in cosets} == set(map(frozenset, classes.values()))
-    # a budget of two cells of n(c) = 2 (81 D = 324 window alpha rows per
-    # member): the members of a coset run in slices of up to eight, and
-    # every slice calls _primitive_mask once with its members' c
+    # a budget of eight members of n(c) = 2 (81 D = 324 window alpha rows
+    # each): the members of a coset run in slices, eight at n(c) = 2 and
+    # three at n(c) = 3, and every slice calls _primitive_mask once with
+    # its members' c
     budget = 8 * 81 * 4
     monkeypatch.setattr(counting, "_SLICE_ALPHA_ROWS", budget)
     slices = []
