@@ -52,8 +52,8 @@ grid.  Its work list is the scan's right coset representatives times the
 units, asserted to cover the c list exactly once.  The members of a right
 coset share their lattice data, their window and the residue shifts of
 its triples, so it makes one pass per coset: the window and its bucket
-keys are built once, and each member, in slices of a few, computes and
-checks its own alphas, shifts and residue shifts against them.
+keys are built once, and each member in turn computes and checks its
+own alphas, shifts and residue shifts against them.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
@@ -109,8 +109,7 @@ def _box_points(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _exact_rows(Y: np.ndarray, M: np.ndarray, d) -> np.ndarray:
-    """Y . M / d, asserting that d divides every entry.  M and d may carry
-    a leading member axis, d as shape (k, 1, 1)."""
+    """Y . M / d, asserting that d divides every entry."""
     P = Y @ M
     if (P // d * d != P).any():
         raise AssertionError("exact map not integral: numerators off their lattice")
@@ -124,9 +123,7 @@ def _exact_rows(Y: np.ndarray, M: np.ndarray, d) -> np.ndarray:
 
 def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.ndarray:
     """Exact primitivity of the triples (A[r], X[row[r]], c), vectorised:
-    X holds one row per alpha and row gives each triple's alpha.  A, X and
-    c may carry a leading member axis, one c per member, with one row
-    index for all members.
+    X holds one row per alpha and row gives each triple's alpha.
 
     Oa + O alpha + Oc = O iff gcd(n(a), n(alpha), n(c), cont(a conj(alpha)),
     cont(a conj(c)), cont(alpha conj(c))) = 1, cont(x) being the gcd of
@@ -148,14 +145,12 @@ def _primitive_mask(order: Order, A: np.ndarray, X: np.ndarray, row, c) -> np.nd
     """
     c = np.array(c, np.int64)
     Rcbar = order.right_mul(order.conjugates(c))
-    g = np.gcd(np.gcd.reduce(X @ Rcbar, axis=-1), order.norms(c)[..., None])
-    g = np.gcd(order.norms(A), np.gcd(order.norms(X), g)[..., row])
-    rest = np.nonzero(g > 1)
-    if rest[0].size:
-        *member, r = rest
+    g = np.gcd(np.gcd.reduce(X @ Rcbar, axis=1), order.norms(c))
+    g = np.gcd(order.norms(A), np.gcd(order.norms(X), g)[row])
+    rest = np.flatnonzero(g > 1)
+    if rest.size:
         Ar = A[rest]
-        for P in (order.mul_rows(Ar, order.conjugates(X[(*member, row[r])])),
-                  (Ar[:, None] @ Rcbar[tuple(member)])[:, 0]):
+        for P in (order.mul_rows(Ar, order.conjugates(X[row[rest]])), Ar @ Rcbar):
             g[rest] = np.gcd(g[rest], np.gcd.reduce(P, axis=1))
     return g == 1
 
@@ -698,9 +693,9 @@ def _residue_index(lut: np.ndarray, t: np.ndarray, WR: np.ndarray) -> np.ndarray
 
 
 def _a_rows(ctx: _CContext, q: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """The cell3 numerators of residue res[j] in the a-box of q[..., j]:
-    row res[j] of _a_box(ctx, q[..., j])[1]."""
-    return (q[..., None] * ctx.w0vec % ctx.Pden + ctx.WR[res]) % ctx.Pden
+    """The cell3 numerators of residue res[j] in the a-box of q[j]: row
+    res[j] of _a_box(ctx, q[j:j + 1])[1]."""
+    return (q[:, None] * ctx.w0vec % ctx.Pden + ctx.WR[res]) % ctx.Pden
 
 
 def _bucket_counts(key: np.ndarray, indom):
@@ -764,26 +759,21 @@ def _coset_context(fd: FundamentalDomain, C: np.ndarray) -> tuple:
     return top, R, M, adjM, detM
 
 
-# The most window alpha rows (81 D per member) that one member slice of an
-# oracle coset holds; a member with more runs alone.
-_SLICE_ALPHA_ROWS = 2 ** 11
-
-
 def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
     """Oracle orbit counts of the rows c of C, in order: values of c that
     share their lattice data, as the members of one right coset c O^x do
     (see brute_force_counts); _coset_context asserts it.
 
     What the members share is built once: the window of alpha numerators,
-    its cells, alpha indices and digit tables, and the keys and bucket
-    check of its 81 D m triples, from the residue shifts t of the first
-    member.  The members run in slices of at most _SLICE_ALPHA_ROWS window
-    alpha rows on a leading member axis.  Each member has its own alphas,
-    norms and keep mask, shifts (from _cell_shifts) with their trace
-    relation, exact maps, spot rows and primitivity, and its own residue
-    shifts t, asserted to equal the first member's: so the keys of member
-    j are those of the first plus j D m, and the one bucket check covers
-    every member."""
+    its cells, alpha indices and digit tables, the keep mask, spot rows and
+    in-domain rows of the first member, and the keys and bucket check of
+    its 81 D m triples, from the residue shifts t of the first member.
+    Then each member runs alone, one c at a time: its own alphas and
+    norms, whose keep mask is asserted to equal the first member's, shifts
+    (from _cell_shifts) with their trace relation, exact maps, spot rows
+    and primitivity, and its own residue shifts t, asserted to equal the
+    first member's: so the keys of member j are those of the first plus
+    j D m, and the one bucket check covers every member."""
     order = fd.order
     top, R, M, adjM, detM = _coset_context(fd, C)
     D, g, Pden, WR, m = top.D, top.g, top.Pden, top.WR, top.m
@@ -804,67 +794,61 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
     conj_e = [order.conj(e) for e in np.eye(4, dtype=int).tolist()]
     taus = [[order.trace(order.mul(e, c)) for e in conj_e] for c in C.tolist()]
 
-    keep = t0 = None
+    # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
+    # the same ones, and a translate keeps n(alpha) mod g, so every cell
+    # keeps as many
+    keep = order.norms(_exact_rows(V4, R[0], D)) % g == 0
+    cell, alpha_idx = cell[keep], alpha_idx[keep]
+    # a view of every member's alphas when all are kept
+    kept = slice(None) if keep.all() else keep
+    n = cell.size // 81
+    if (np.bincount(cell, minlength=81) != n).any():
+        raise AssertionError("oracle window cells keep different numbers of alphas")
+    # the spot rows (about 64 window triples) and the in-domain rows
+    mid = np.arange(40 * n, 41 * n)
+    step = max(1, 81 * n * m // 64)
+    spot = np.arange((12345 + top.nc) % step, 81 * n * m, step)
+    sel = np.concatenate([spot // m, np.repeat(mid, m)])
+    res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
+    mid_row = np.repeat(np.arange(n), m)
+
     counts: List[int] = []
-    width = max(1, _SLICE_ALPHA_ROWS // V4.shape[0])
-    for lo in range(0, len(C), width):
-        cs, members = C[lo:lo + width], slice(lo, lo + width)
-        # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
-        # the same ones, and a translate keeps n(alpha) mod g, so every cell
-        # keeps as many
-        ALPH = _exact_rows(V4, R[members], D)
+    for j, c in enumerate(C):
+        ALPH = _exact_rows(V4, R[j], D)
         NAL = order.norms(ALPH)
-        ok = NAL % g == 0
-        if keep is None:
-            keep = ok[0]
-            cell, alpha_idx = cell[keep], alpha_idx[keep]
-            n = cell.size // 81
-            if (np.bincount(cell, minlength=81) != n).any():
-                raise AssertionError("oracle window cells keep different numbers of alphas")
-            # the spot rows (about 64 window triples) and the in-domain rows
-            mid = np.arange(40 * n, 41 * n)
-            step = max(1, 81 * n * m // 64)
-            spot = np.arange((12345 + top.nc) % step, 81 * n * m, step)
-            sel = np.concatenate([spot // m, np.repeat(mid, m)])
-            res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
-        if (ok != keep).any():
+        if ((NAL % g == 0) != keep).any():
             raise AssertionError("oracle coset members keep different alphas")
-        if not keep.all():
-            ALPH, NAL = ALPH[:, keep], NAL[:, keep]
+        ALPH, NAL = ALPH[kept], NAL[kept]
         q = NAL // g
 
-        # per alpha and member: the shift it adds to a, paired with [tau |
-        # Pnum], one matrix per cell; the translate alpha + WT c is the
-        # alpha of the middle cell (the in-domain alphas) with the same index
-        Mj = M[members]
-        LM, offM = L @ Mj[:, None], (off[members] @ Mj)[:, :, None]
-        shift = (ALPH.reshape(len(cs), 81, n, 4) @ LM + offM).reshape(len(cs), -1, 4)
-        n_mid = np.full((len(cs), D), -1, np.int64)
-        n_mid[:, alpha_idx[mid]] = NAL[:, mid]
-        if (NAL + shift[..., 0] != n_mid[:, alpha_idx]).any():
+        # per alpha: the shift it adds to a, paired with [tau | Pnum], one
+        # matrix per cell; the translate alpha + WT c is the alpha of the
+        # middle cell (the in-domain alphas) with the same index
+        shift = (ALPH.reshape(81, n, 4) @ (L @ M[j]) + (off[j] @ M[j])[:, None]).reshape(-1, 4)
+        n_mid = np.full(D, -1, np.int64)
+        n_mid[alpha_idx[mid]] = NAL[mid]
+        if (NAL + shift[:, 0] != n_mid[alpha_idx]).any():
             raise AssertionError("oracle shift breaks the trace relation")
         # the canonical a of a triple has numerators (t + WR) mod Pden
-        t = (q[..., None] * top.w0vec + shift[..., 1:]) % Pden
-        if t0 is None:
-            t0 = t[0]
-        if (t != t0).any():
+        t = (q[:, None] * top.w0vec + shift[:, 1:]) % Pden
+        if j == 0:
+            t0 = t
+        elif (t != t0).any():
             raise AssertionError("oracle coset members disagree on residue shifts")
 
         # a on the spot rows and the in-domain rows
-        qs = q[:, sel]
-        A = _exact_rows(np.concatenate([qs[..., None] * g, _a_rows(top, qs, res)], axis=-1),
-                        adjM[members], detM[members, None, None])
+        qs = q[sel]
+        A = _exact_rows(np.column_stack([qs * g, _a_rows(top, qs, res)]), adjM[j], detM[j])
         # spot re-verification of the trace relation, as tr(conj(a) c) =
         # sum a_i tr(conj(e_i) c)
-        for (tau0, tau1, tau2, tau3), spot_a, spot_alpha in zip(
-                taus[members], A[:, :spot.size].tolist(), ALPH[:, sel[:spot.size]].tolist()):
-            for (a0, a1, a2, a3), alc in zip(spot_a, spot_alpha):
-                if a0 * tau0 + a1 * tau1 + a2 * tau2 + a3 * tau3 != order.norm(alc):
-                    raise AssertionError("oracle emitted an inadmissible triple")
+        tau0, tau1, tau2, tau3 = taus[j]
+        for (a0, a1, a2, a3), alc in zip(A[:spot.size].tolist(),
+                                         ALPH[sel[:spot.size]].tolist()):
+            if a0 * tau0 + a1 * tau1 + a2 * tau2 + a3 * tau3 != order.norm(alc):
+                raise AssertionError("oracle emitted an inadmissible triple")
         # primitivity is orbit-invariant: test only the canonical reps
-        prim = _primitive_mask(order, A[:, spot.size:], ALPH[:, mid], np.repeat(np.arange(n), m),
-                               cs)
-        counts += prim.sum(axis=1).tolist()
+        prim = _primitive_mask(order, A[spot.size:], ALPH[mid], mid_row, c)
+        counts.append(int(prim.sum()))
 
     # per window triple, alpha row by a-box residue: its key.  An in-domain
     # triple, of the middle cell, is its own representative.

@@ -277,8 +277,8 @@ def test_oracle_a_rows_are_rows_of_the_a_box_of_their_q(name, monkeypatch):
         _brute_force_c(fd, c)
     assert [ctx.c for ctx, *_ in formed] == _tuples(cs)
     for ctx, q, res, W in formed:
-        _, box = counting._a_box(ctx, q[0])
-        assert (W[0] == box.reshape(-1, ctx.m, 3)[np.arange(res.size), res]).all()
+        _, box = counting._a_box(ctx, q)
+        assert (W == box.reshape(-1, ctx.m, 3)[np.arange(res.size), res]).all()
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
@@ -334,25 +334,19 @@ def test_stacked_oracle_counts_equal_the_stack_of_one(name, monkeypatch):
         classes.setdefault(tuple(map(tuple, H4)), set()).add(c)
     assert len(cosets) == len(classes)
     assert {frozenset(_tuples(coset)) for coset in cosets} == set(map(frozenset, classes.values()))
-    # a budget of eight members of n(c) = 2 (81 D = 324 window alpha rows
-    # each): the members of a coset run in slices, eight at n(c) = 2 and
-    # three at n(c) = 3, and every slice calls _primitive_mask once with
-    # its members' c
-    budget = 8 * 81 * 4
-    monkeypatch.setattr(counting, "_SLICE_ALPHA_ROWS", budget)
-    slices = []
+    # the members of a coset run one at a time: _primitive_mask gets one c,
+    # of shape (4,), once per member, in coset order
+    passed = []
     primitive_mask = counting._primitive_mask
 
     def spy(order, A, X, row, c):
-        slices.append((len(c), 81 * int(order.norms(c[0])) ** 2))
+        passed.append(c)
         return primitive_mask(order, A, X, row, c)
 
     monkeypatch.setattr(counting, "_primitive_mask", spy)
     chunk = _brute_force_chunk(fd, cosets)
-    assert sum(k for k, _ in slices) == len(_c_list(order, 8))
-    assert all(k * rows <= budget or k == 1 for k, rows in slices)
-    # some coset runs in several slices, and some slice holds several members
-    assert len(slices) > len(cosets) and max(k for k, _ in slices) > 1
+    assert [c.shape for c in passed] == [(4,)] * len(_c_list(order, 8))
+    assert np.array_equal(np.stack(passed), np.concatenate(cosets))
     monkeypatch.setattr(counting, "_primitive_mask", primitive_mask)
     assert chunk == [(order.norm(coset[0]), [_brute_force_c(fd, c) for c in coset])
                      for coset in cosets]
@@ -431,11 +425,11 @@ def test_a_coset_member_off_the_first_lattices_raises(hur, fd, monkeypatch):
                 _oracle_coset(fd, coset)
 
 
-def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
-    # a Hurwitz coset with n(c) = 5 (24 members of 2,025 window alphas
-    # each) runs as slices of at most _SLICE_ALPHA_ROWS alpha rows; its
-    # traced peak (0.72 MB) stays within a dozen arrays of that many alpha
-    # rows, 4 int64 each, where the whole coset's alphas would be 1.6 MB
+def test_stacked_coset_peak_memory_is_a_few_times_one_members_window(hur, fd):
+    # a Hurwitz coset with n(c) = 5 (24 members of 81 D = 2,025 window
+    # alphas each) runs one member at a time; its traced peak (0.69 MB)
+    # stays within a dozen arrays of one member's window rows, 4 int64
+    # each, where the whole coset's alphas would be 1.6 MB
     coset = _oracle_cosets(hur, 5)[-1]
     assert len(coset) == len(hur.units) and set(hur.norms(coset).tolist()) == {5}
     _brute_force_chunk(fd, [coset])
@@ -445,7 +439,7 @@ def test_stacked_coset_peak_memory_is_a_few_times_the_budget(hur, fd):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 4 * 8 * counting._SLICE_ALPHA_ROWS
+    assert peak <= 12 * 4 * 8 * 81 * 5 ** 2
 
 
 def test_cell_index_needs_pivots_that_divide_the_side():
