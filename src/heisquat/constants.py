@@ -94,6 +94,8 @@ class ArithmeticData:
     h_A: Optional[int] = None
 
     def __post_init__(self):
+        if self.D_A < 1:
+            raise ValueError(f"D_A must be a positive integer, not {self.D_A}")
         ps = self.primes
         if math.prod(ps) != self.D_A:
             raise ValueError("D_A must be squarefree")

@@ -49,11 +49,15 @@ cells, buckets them by a dense index of their canonical representative
 with np.bincount, asserting that each bucket holds exactly one in-domain
 triple, and counts the buckets.  It counts every c, in one pass for a
 grid.  Its work list is the scan's right coset representatives times the
-units, asserted to cover the c list exactly once.  The members of a right
-coset share their lattice data, their window and the residue shifts of
-its triples, so it makes one pass per coset: the window and its bucket
-keys are built once, and each member in turn computes and checks its
-own alphas, shifts and residue shifts against them.
+units, asserted to cover the c list exactly once.  Its window of 81
+cells is the alpha transversal moved into each cell: row i of every cell
+is the translate of alpha i of the middle cell, so a member maps only
+the D rows of the transversal and an alpha's row names its canonical
+alpha.  The members of a right coset share their lattice data, their
+window and the residue shifts of its triples, so it makes one pass per
+coset: the transversal and the bucket keys are built once, and each
+member in turn computes and checks its own alphas, shifts and residue
+shifts against them.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
@@ -93,17 +97,17 @@ _S_LIMIT = 10 ** 4
 # vectorised lattice-box enumeration
 
 
-def _box_points(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """All w = t . H in [lo, hi)^k, H upper-triangular; levels ascending,
-    t ascending within a level.  Each pivot p must divide hi - lo, so every
-    prefix has (hi - lo) / p continuations."""
+def _box_points(H: np.ndarray, side: int) -> np.ndarray:
+    """All w = t . H in [0, side)^k, H upper-triangular; levels ascending,
+    t ascending within a level, so w ascending.  Each pivot p must divide
+    side, so every prefix has side / p continuations."""
     k = H.shape[0]
     W = np.zeros((1, k), np.int64)
     for lvl in range(k):
         p = int(H[lvl, lvl])
-        if (hi - lo) % p:
+        if side % p:
             raise AssertionError("box side is not a multiple of a pivot")
-        t = (-((W[:, lvl] - lo) // p))[:, None] + np.arange((hi - lo) // p, dtype=np.int64)
+        t = (-(W[:, lvl] // p))[:, None] + np.arange(side // p, dtype=np.int64)
         W = (W[:, None, :] + t[..., None] * H[lvl]).reshape(-1, k)
     return W
 
@@ -172,11 +176,12 @@ class _CContext:
     tr(conj(a) c) and f to the cell3 coordinates, as (r c) c^-1 = r; so r c
     is in the trace kernel with numerators Pden f, and Pden Z^3 lies in
     the lattice of T3.  Likewise D Z^4 lies in that of H4, as R . adjR =
-    D I.  A triangular basis of a lattice holding N Z^k has pivots that
-    divide N, so they divide the sides of [0, D)^4, [-D, 2D)^4, [0, Pden)^3.
-    WR holds the points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden,
-    and the oracle reads the a index of each reduced point from digit
-    tables (_residue_index).
+    D I, so the oracle's window is the transversal moved by D Z^4.  A
+    triangular basis of a lattice holding N Z^k has pivots that divide N,
+    so they divide the sides of [0, D)^4 and [0, Pden)^3.  WR holds the
+    points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden, and the
+    oracle reads the a index of each reduced point from digit tables
+    (_residue_index).
     """
 
     def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
@@ -193,7 +198,7 @@ class _CContext:
     @functools.cached_property
     def WR(self) -> np.ndarray:
         """The residue table, built on first use."""
-        return _box_points(self.T3, 0, self.Pden)
+        return _box_points(self.T3, self.Pden)
 
     @property
     def m(self) -> int:
@@ -264,7 +269,7 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
     a-box, whose rows index their alpha, a, primitivity and the vertical bits."""
     order = fd.order
     ctx = _CContext(fd, c)
-    V4 = _box_points(ctx.H4, 0, ctx.D)
+    V4 = _box_points(ctx.H4, ctx.D)
     if V4.shape[0] != ctx.D:
         raise AssertionError("alpha transversal has wrong size")
     X = _exact_rows(V4, ctx.R, ctx.D)
@@ -657,22 +662,24 @@ def _cell_index(W: np.ndarray, H: np.ndarray, side: int) -> np.ndarray:
     return (W // p) @ weight
 
 
-def _digit_table(H: np.ndarray, side: int, lo: int, hi: int) -> np.ndarray:
-    """One row per coordinate i: entry v - lo is ((v mod side) // p_i)
-    times the place value of digit i, for v in [lo, hi).  The entries of
-    row i read at W_i - lo add up to _cell_index(W mod side, H, side), with
-    no divide."""
+def _digit_table(H: np.ndarray, side: int) -> np.ndarray:
+    """One row per coordinate i: entry v is ((v mod side) // p_i) times the
+    place value of digit i, for v in [0, 2 side).  The entries of row i
+    read at W_i add up to _cell_index(W mod side, H, side), with no
+    divide."""
     p, weight = _radix(H, side)
-    return np.arange(lo, hi, dtype=np.int64) % side // p[:, None] * weight[:, None]
+    return np.arange(2 * side, dtype=np.int64) % side // p[:, None] * weight[:, None]
 
 
 def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(WT, L, off) over the 81 cells of the window [-1, 2)^4, for c of
-    shape (..., 4).  Cell n holds the V with -(V // D) = WT[n], its base-3
-    digits being 1 - WT[n]; L[n] is the matrix of y -> conj(WT[n]) y
-    (Order.left_mul), and off[..., n, :] = n(WT[n]) h c,
-    h of trace one.  An alpha of cell n moves to the middle cell by WT[n] c
-    and adds the shift alpha . L[n] + off[n] to a (see _brute_force_c)."""
+    shape (..., 4).  WT is the oracle's one source of the cell order: cell
+    n is the transversal [0, D)^4 moved by -D WT[n], so it holds the V with
+    -(V // D) = WT[n], and the middle cell, WT[40] = 0, is the transversal.
+    L[n] is the matrix of y -> conj(WT[n]) y (Order.left_mul), and
+    off[..., n, :] = n(WT[n]) h c, h of trace one.  An alpha of cell n
+    moves to the middle cell by WT[n] c and adds the shift alpha . L[n] +
+    off[n] to a (see _brute_force_c)."""
     WT = np.array(list(itertools.product((1, 0, -1), repeat=4)), np.int64)
     hc = np.array(order.trace_one.coords, np.int64) @ order.right_mul(np.array(c, np.int64))
     return WT, order.left_mul(order.conjugates(WT)), order.norms(WT)[:, None] * hc[..., None, :]
@@ -681,8 +688,8 @@ def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _residue_index(lut: np.ndarray, t: np.ndarray, WR: np.ndarray) -> np.ndarray:
     """The residue-table read of the oracle: entry [r, j] is the a index of
     the cell3 numerators (t[r] + WR[j]) mod Pden, the sum over i of
-    lut[i, t[r, i] + WR[j, i]], with lut = _digit_table(T3, Pden, 0,
-    2 Pden) and t, WR in [0, Pden)^3.  Per coordinate, the broadcast over
+    lut[i, t[r, i] + WR[j, i]], with lut = _digit_table(T3, Pden) and t,
+    WR in [0, Pden)^3.  Per coordinate, the broadcast over
     WR is tabled once for every value of t_i, so each row r is three row
     reads and two adds."""
     x = np.arange(lut.shape[1] // 2)[:, None]
@@ -764,70 +771,66 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
     share their lattice data, as the members of one right coset c O^x do
     (see brute_force_counts); _coset_context asserts it.
 
-    What the members share is built once: the window of alpha numerators,
-    its cells, alpha indices and digit tables, the keep mask, spot rows and
-    in-domain rows of the first member, and the keys and bucket check of
-    its 81 D m triples, from the residue shifts t of the first member.
-    Then each member runs alone, one c at a time: its own alphas and
-    norms, whose keep mask is asserted to equal the first member's, shifts
-    (from _cell_shifts) with their trace relation, exact maps, spot rows
-    and primitivity, and its own residue shifts t, asserted to equal the
-    first member's: so the keys of member j are those of the first plus
-    j D m, and the one bucket check covers every member."""
+    The window of alpha numerators is the transversal V0 = _box_points(H4,
+    D) moved into the 81 cells: D Z^4 lies in the lattice of H4, so cell n
+    holds V0 - D WT[n] (WT from _cell_shifts), row i of every cell being
+    the translate of row i of the middle cell.  For member c_j the alphas
+    of cell n are V0 . R_j / D - WT[n] c_j: one exact map of D rows, the
+    translates being integral.  What the members share is built once: the
+    transversal, the keep mask of the first member, asserted to repeat in
+    every cell, its spot rows and in-domain rows, and the keys and bucket
+    check of its 81 D m triples, from the residue shifts t of the first
+    member.  Then each member runs alone, one c at a time: its own window
+    alphas and norms, whose keep mask is asserted to equal the first
+    member's, shifts (from _cell_shifts) with their trace relation, exact
+    maps, spot rows and primitivity, and its own residue shifts t,
+    asserted to equal the first member's: so the keys of member j are
+    those of the first plus j D m, and the one bucket check covers every
+    member."""
     order = fd.order
     top, R, M, adjM, detM = _coset_context(fd, C)
     D, g, Pden, WR, m = top.D, top.g, top.Pden, top.WR, top.m
-    # alpha window: cell coordinates in [-1, 2).  Per alpha, from one table
-    # per coordinate: its window cell n, whose translate WT[n] moves it to
-    # the middle cell, and the alpha index of that translate.  Digit i of n
-    # is v // D + 1 = 1 - WT[n, i], entered in base 3 above the index.  The
-    # window is then taken cell by cell.
-    V4 = _box_points(top.H4, -D, 2 * D)
-    digits = _digit_table(top.H4, D, -D, 2 * D)
-    digits += D * 3 ** np.arange(3, -1, -1)[:, None] * (np.arange(-D, 2 * D) // D + 1)
-    cell, alpha_idx = np.divmod(digits.ravel().take(V4 + np.arange(D, 12 * D, 3 * D)).sum(1), D)
-    by_cell = np.argsort(cell, kind="stable")
-    V4, cell, alpha_idx = V4[by_cell], cell[by_cell], alpha_idx[by_cell]
-    # per cell and member: conj(WT) y and n(WT) h c, the shift of alpha
-    _, L, off = _cell_shifts(order, C)
+    V0 = _box_points(top.H4, D)
+    # per cell and member: the translate WT c, conj(WT) y and n(WT) h c,
+    # the shift of alpha
+    WT, L, off = _cell_shifts(order, C)
     # tr(conj(e_i) c) per member, in exact scalar arithmetic
     conj_e = [order.conj(e) for e in np.eye(4, dtype=int).tolist()]
     taus = [[order.trace(order.mul(e, c)) for e in conj_e] for c in C.tolist()]
 
-    # the alphas of member j are V . R_j / D; n(alpha v) = n(alpha) keeps
-    # the same ones, and a translate keeps n(alpha) mod g, so every cell
-    # keeps as many
-    keep = order.norms(_exact_rows(V4, R[0], D)) % g == 0
-    cell, alpha_idx = cell[keep], alpha_idx[keep]
-    # a view of every member's alphas when all are kept
-    kept = slice(None) if keep.all() else keep
-    n = cell.size // 81
-    if (np.bincount(cell, minlength=81) != n).any():
-        raise AssertionError("oracle window cells keep different numbers of alphas")
-    # the spot rows (about 64 window triples) and the in-domain rows
-    mid = np.arange(40 * n, 41 * n)
-    step = max(1, 81 * n * m // 64)
-    spot = np.arange((12345 + top.nc) % step, 81 * n * m, step)
-    sel = np.concatenate([spot // m, np.repeat(mid, m)])
-    res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
-    mid_row = np.repeat(np.arange(n), m)
-
     counts: List[int] = []
     for j, c in enumerate(C):
-        ALPH = _exact_rows(V4, R[j], D)
+        # the window alphas V . R_j / D, cell by cell: the transversal's
+        # moved by -WT c_j
+        ALPH = (_exact_rows(V0, R[j], D) - (WT @ R[j])[:, None]).reshape(-1, 4)
         NAL = order.norms(ALPH)
-        if ((NAL % g == 0) != keep).any():
+        if j == 0:
+            # n(alpha v) = n(alpha) keeps the same alphas in every member,
+            # and a translate keeps n(alpha) mod g, so every cell keeps the
+            # same rows
+            keep = NAL % g == 0
+            if (keep.reshape(81, D) != keep[40 * D:41 * D]).any():
+                raise AssertionError("oracle window cells keep different alphas")
+            # a view of every member's alphas when all are kept
+            kept = slice(None) if keep.all() else keep
+            n = int(keep.sum()) // 81
+            # the spot rows (about 64 window triples) and the in-domain rows
+            mid = np.arange(40 * n, 41 * n)
+            step = max(1, 81 * n * m // 64)
+            spot = np.arange((12345 + top.nc) % step, 81 * n * m, step)
+            sel = np.concatenate([spot // m, np.repeat(mid, m)])
+            res = np.concatenate([spot % m, np.tile(np.arange(m), n)])
+            mid_row = np.repeat(np.arange(n), m)
+        elif ((NAL % g == 0) != keep).any():
             raise AssertionError("oracle coset members keep different alphas")
         ALPH, NAL = ALPH[kept], NAL[kept]
         q = NAL // g
 
         # per alpha: the shift it adds to a, paired with [tau | Pnum], one
         # matrix per cell; the translate alpha + WT c is the alpha of the
-        # middle cell (the in-domain alphas) with the same index
+        # middle cell (the in-domain alphas) in the same row
         shift = (ALPH.reshape(81, n, 4) @ (L @ M[j]) + (off[j] @ M[j])[:, None]).reshape(-1, 4)
-        n_mid = np.full(D, -1, np.int64)
-        n_mid[alpha_idx[mid]] = NAL[mid]
-        if (NAL + shift[:, 0] != n_mid[alpha_idx]).any():
+        if ((NAL + shift[:, 0]).reshape(81, n) != NAL[mid]).any():
             raise AssertionError("oracle shift breaks the trace relation")
         # the canonical a of a triple has numerators (t + WR) mod Pden
         t = (q[:, None] * top.w0vec + shift[:, 1:]) % Pden
@@ -852,8 +855,8 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
 
     # per window triple, alpha row by a-box residue: its key.  An in-domain
     # triple, of the middle cell, is its own representative.
-    key = _residue_index(_digit_table(top.T3, Pden, 0, 2 * Pden), t0, WR)
-    key += (alpha_idx * m)[:, None]
+    key = _residue_index(_digit_table(top.T3, Pden), t0, WR)
+    key += (np.tile(np.arange(n), 81) * m)[:, None]
     size, hits = _bucket_counts(key.ravel(), slice(40 * n * m, 41 * n * m))
     if (hits != (size > 0)).any():
         raise AssertionError("oracle bucket without a unique in-domain triple")
@@ -880,18 +883,19 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
 
     The bucket of a triple is a dense index of its canonical
     representative.  Its alpha has V = alpha . adjR mod D, a point of the
-    lattice of H4 in [0, D)^4, whose pivots divide D (see _CContext): the
-    mixed radix of _cell_index maps the D of them onto [0, D).  Its a has
-    cell3 numerators Wc = (W + shift . Pnum) mod Pden = (t + WR) mod Pden,
+    transversal, the lattice of H4 in [0, D)^4, and the window holds the
+    transversal moved into each cell in the same row order: so the row of
+    alpha in its cell, among the n kept rows, is the row of its canonical
+    alpha in the middle cell, an index in [0, n).  Its a has cell3
+    numerators Wc = (W + shift . Pnum) mod Pden = (t + WR) mod Pden,
     t = (q w0vec + shift . Pnum) mod Pden per alpha, which the trace
     relation, asserted per alpha, puts in the a-box of q = n(alpha) / g;
     the mixed radix maps the m points of the box onto [0, m), as it maps
     any coset of the lattice of T3.  (a . tau, a . Pnum) = (q g, Wc)
     determines a, as [tau | Pnum] is nonsingular (detM != 0), so alpha
-    index * m + a index is one integer per orbit.  Both indices are read
-    from digit tables (_digit_table): per alpha on V in [-D, 2D), together
-    with the window cell, and per triple on t + WR in [0, 2 Pden), with no
-    divide.
+    row * m + a index is one integer per orbit.  The a index is read from
+    a digit table (_digit_table) per triple on t + WR in [0, 2 Pden), with
+    no divide.
     """
     return _oracle_coset(fd, np.array(c, np.int64).reshape(1, 4))[0]
 
@@ -940,11 +944,13 @@ def brute_force_counts(order: Order, s_grid: Sequence, progress=None) -> Dict[Fr
     through tr(conj(e_i) c).
 
     The horizontal step of the canonicalisation depends on alpha alone, so
-    it runs once per alpha: the window cell and alpha index, read from one
-    digit table per coordinate; the shift conj(WT) alpha + n(WT) h c it
-    adds to a, from the matrix of its cell (_cell_shifts) paired with
-    [tau | Pnum]; its trace relation; and t = (q w0vec + shift . Pnum) mod
-    Pden.  Per triple remain adds and table reads (_residue_index) over
+    it runs once per alpha.  The window is the transversal moved into each
+    cell n by -D WT[n] (_cell_shifts), so an alpha's cell and index are its
+    place in the window, and the window alphas are the D mapped alphas of
+    the transversal moved by -WT[n] c.  Per alpha remain the shift
+    conj(WT) alpha + n(WT) h c it adds to a, from the matrix of its cell
+    paired with [tau | Pnum]; its trace relation; and t = (q w0vec + shift
+    . Pnum) mod Pden.  Per triple remain adds and table reads (_residue_index) over
     the residue table WR, which is not shifted into an a-box: W and a are
     formed only on the spot rows and the in-domain rows (_a_rows).
 

@@ -385,9 +385,16 @@ def test_constants_n_checks_its_integrals_or_exits_2(n, capsys):
     assert rc == 0 and json.loads(out)["assembly_identity_holds"] is True
 
 
-def test_constants_bad_da():
+def test_constants_bad_da(capsys):
     proc = run_cli(["constants", "--da", "4", "--units", "24"])
     assert proc.returncode == 2
+    # prime factors drop the sign and 0 has none: a non-positive D_A is
+    # refused as such, not as a non-squarefree one
+    for da, msg in (("4", "D_A must be squarefree"),
+                    ("0", "D_A must be a positive integer, not 0"),
+                    ("-2", "D_A must be a positive integer, not -2")):
+        argv = ["constants", "--da", da, "--units", "24"]
+        assert _exit_code_and_output(argv, capsys) == (2, "", f"error: {msg}\n")
 
 
 def test_geom_selftest(tmp_path):

@@ -25,6 +25,10 @@ D3 = ArithmeticData(3, 12, h_A=1)
 def test_arithmetic_data_validation():
     with pytest.raises(ValueError):
         ArithmeticData(4, 24)     # not squarefree
+    # prime factors drop the sign and 0 has none: the sign is checked first
+    for da in (0, -2):
+        with pytest.raises(ValueError, match="D_A must be a positive integer"):
+            ArithmeticData(da, 24)
     with pytest.raises(ValueError):
         ArithmeticData(6, 24)     # even number of prime factors
     with pytest.raises(ValueError):

@@ -283,39 +283,78 @@ def test_oracle_a_rows_are_rows_of_the_a_box_of_their_q(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3"])
 def test_oracle_bucket_index_is_a_bijection(name):
-    # for n(c) <= 8: the alpha digit table maps the transversal onto
-    # [0, D), and the residue-table read maps the a-box of every q onto
-    # [0, m) from each point of the box; the boxes hold the canonical
-    # alphas and a's of the oracle
+    # for n(c) <= 8: the residue-table read maps the a-box of every q onto
+    # [0, m) from each point of the box; the boxes hold the canonical a's
+    # of the oracle, whose alphas are indexed by their row in the middle
+    # cell (test_oracle_window_is_the_transversal_moved_into_its_cells)
     fd = FundamentalDomain(builtin_order(name))
     for c in _right_coset_representatives(fd.order, _c_list(fd.order, 8)):
         ctx = _CContext(fd, c)
-        V4 = _box_points(ctx.H4, 0, ctx.D)
-        digits = _digit_table(ctx.H4, ctx.D, 0, ctx.D)
-        assert np.sort(digits[np.arange(4), V4].sum(1)).tolist() == list(range(ctx.D))
         _, W = counting._a_box(ctx, np.arange(ctx.Pden))
-        lut = _digit_table(ctx.T3, ctx.Pden, 0, 2 * ctx.Pden)
+        lut = _digit_table(ctx.T3, ctx.Pden)
         assert (np.sort(_residue_index(lut, W, ctx.WR), axis=1) == np.arange(ctx.m)).all()
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
 def test_digit_tables_equal_the_cell_index(name):
-    # for n(c) <= 4: on the window [-D, 2D)^4, whose middle is the full box
-    # [0, D)^4 of the alpha numerators, and on every a-box and its
-    # translate by Pden, the read tables equal _cell_index of the numerators
-    # reduced mod the side
+    # for n(c) <= 4: on every a-box and its translate by Pden, the read
+    # table equals _cell_index of the numerators reduced mod the side
     fd = FundamentalDomain(builtin_order(name))
     for c in _right_coset_representatives(fd.order, _c_list(fd.order, 4)):
         ctx = _CContext(fd, c)
-        D, Pden = ctx.D, ctx.Pden
-        V = _box_points(ctx.H4, -D, 2 * D)
-        digits = _digit_table(ctx.H4, D, -D, 2 * D)
-        assert (digits[np.arange(4), V + D].sum(1) == _cell_index(V % D, ctx.H4, D)).all()
+        Pden = ctx.Pden
         _, W = counting._a_box(ctx, np.arange(Pden))
-        lut = _digit_table(ctx.T3, Pden, 0, 2 * Pden)
+        lut = _digit_table(ctx.T3, Pden)
         want = _cell_index(W, ctx.T3, Pden)
         for shift in (0, Pden):
             assert (lut[np.arange(3), W + shift].sum(1) == want).all()
+
+
+@pytest.mark.parametrize("name, s", [("hurwitz", 8), ("d3", 8), ("d5", 4), ("d7", 4),
+                                     ("d11", 4), ("d13", 4)])
+def test_oracle_window_is_the_transversal_moved_into_its_cells(name, s):
+    # for every right coset representative with n(c) <= s: D Z^4 lies in
+    # the lattice of H4, so the 81 translates V0 - D WT[n] of the
+    # transversal V0 are the lattice points of the window [-D, 2D)^4, each
+    # in the cell n with -(V // D) = WT[n], and their alphas V . R / D are
+    # those of V0 moved by -WT[n] c
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    for c in _right_coset_representatives(order, _c_list(order, s)):
+        ctx = _CContext(fd, c)
+        D = ctx.D
+        WT = _cell_shifts(order, c)[0]
+        V0 = _box_points(ctx.H4, D)
+        V = V0 - D * WT[:, None]
+        assert (-(V // D) == WT[:, None]).all()
+        V = V.reshape(-1, 4)
+        assert np.array_equal(np.unique(V, axis=0), _box_points(ctx.H4, 3 * D) - D)
+        assert len(V) == 81 * D
+        X = _exact_rows(V0, ctx.R, D) - (WT @ ctx.R)[:, None]
+        assert np.array_equal(X.reshape(-1, 4), _exact_rows(V, ctx.R, D))
+
+
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_oracle_maps_only_the_transversal_of_each_member(name, monkeypatch):
+    # for every coset with n(c) <= 5: the one exact map of member c's
+    # window alphas, the one whose matrix is R_c, runs on the D rows of
+    # the transversal; its 81 translates are integral by construction
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    maps = []
+    exact_rows = counting._exact_rows
+
+    def spy(Y, M, d):
+        maps.append((Y.shape[0], M.copy(), d))
+        return exact_rows(Y, M, d)
+
+    monkeypatch.setattr(counting, "_exact_rows", spy)
+    for coset in _oracle_cosets(order, 5):
+        maps.clear()
+        _oracle_coset(fd, coset)
+        D = order.norm(coset[0]) ** 2
+        for Rc in order.right_mul(coset):
+            assert [(rows, d) for rows, M, d in maps if np.array_equal(M, Rc)] == [(D, D)]
 
 
 @pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
@@ -444,20 +483,20 @@ def test_stacked_coset_peak_memory_is_a_few_times_one_members_window(hur, fd):
 
 def test_cell_index_needs_pivots_that_divide_the_side():
     H = np.array([[2, 1], [0, 3]])
-    W = _box_points(H, 0, 6)
+    W = _box_points(H, 6)
     assert sorted(_cell_index(W, H, 6).tolist()) == list(range(6))
     with pytest.raises(AssertionError, match="pivot"):
         _cell_index(W, H, 4)
 
 
 def test_box_points_needs_pivots_that_divide_the_side():
-    W = _box_points(np.array([[2, 1], [0, 3]]), -6, 6)
-    want = sorted((w1, w2) for w1 in range(-6, 6) for w2 in range(-6, 6)
+    W = _box_points(np.array([[2, 1], [0, 3]]), 12)
+    want = sorted((w1, w2) for w1 in range(12) for w2 in range(12)
                   if w1 % 2 == 0 and (w2 - w1 // 2) % 3 == 0)
     # t ascending within each level, with positive pivots, is W ascending
     assert W.tolist() == [list(w) for w in want]
     with pytest.raises(AssertionError, match="pivot"):
-        _box_points(np.array([[3]]), 0, 4)
+        _box_points(np.array([[3]]), 4)
 
 
 def test_emitted_triples_satisfy_predicates(hur, fd):
@@ -691,7 +730,7 @@ def test_exact_map_rejects_a_numerator_moved_by_one(name):
         ctx = _CContext(fd, c)
         q = np.array([1, 5])
         row, W = counting._a_box(ctx, q)
-        sides = [(_box_points(ctx.H4, 0, ctx.D), ctx.R, ctx.D, range(4 if ctx.nc > 1 else 0)),
+        sides = [(_box_points(ctx.H4, ctx.D), ctx.R, ctx.D, range(4 if ctx.nc > 1 else 0)),
                  (np.column_stack([q[row] * ctx.g, W]), ctx.adjM, ctx.detM,
                   1 + np.nonzero(np.diag(ctx.T3) > 1)[0])]
         for side, (Y, M, d, cols) in enumerate(sides):
@@ -716,8 +755,8 @@ def test_kernels_reject_a_numerator_moved_by_one(name, monkeypatch):
     assert pivots[j] > 1
     box_points, a_box = counting._box_points, counting._a_box
 
-    def moved_v(H, lo, hi):
-        V = box_points(H, lo, hi)
+    def moved_v(H, side):
+        V = box_points(H, side)
         if H.shape[0] == 4:  # the alpha side, not the residue table
             V[V.shape[0] // 2, 0] += 1
         return V
