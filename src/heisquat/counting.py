@@ -771,28 +771,24 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
     share their lattice data, as the members of one right coset c O^x do
     (see brute_force_counts); _coset_context asserts it.
 
-    The window of alpha numerators is the transversal V0 = _box_points(H4,
-    D) moved into the 81 cells: D Z^4 lies in the lattice of H4, so cell n
-    holds V0 - D WT[n] (WT from _cell_shifts), row i of every cell being
-    the translate of row i of the middle cell.  For member c_j the alphas
-    of cell n are V0 . R_j / D - WT[n] c_j: one exact map of D rows, the
-    translates being integral.  What the members share is built once: the
-    transversal, the keep mask of the first member, asserted to repeat in
-    every cell, its spot rows and in-domain rows, and the keys and bucket
-    check of its 81 D m triples, from the residue shifts t of the first
-    member.  Then each member runs alone, one c at a time: its own window
-    alphas and norms, whose keep mask is asserted to equal the first
-    member's, shifts (from _cell_shifts) with their trace relation, exact
-    maps, spot rows and primitivity, and its own residue shifts t,
-    asserted to equal the first member's: so the keys of member j are
-    those of the first plus j D m, and the one bucket check covers every
-    member."""
+    The window is the transversal V0 = _box_points(H4, D) moved into its
+    81 cells, cell n by -D WT[n] (_cell_shifts), so member c_j maps only
+    V0: its alphas of cell n are V0 . R_j / D - WT[n] c_j.  What the
+    members share is built once: V0, the first member's keep mask,
+    asserted to be the same in every cell, its spot rows and in-domain
+    rows, and the keys and bucket check of its 81 D m triples, from its
+    residue shifts t.  Then each member runs alone, one c at a time: its
+    own window alphas and norms, whose keep mask is asserted to equal the
+    first member's, shifts with their trace relation, exact maps, spot
+    rows and primitivity, and its own residue shifts t, asserted to equal
+    the first member's: so the keys of member j are those of the first
+    plus j D m, and the one bucket check covers every member."""
     order = fd.order
     top, R, M, adjM, detM = _coset_context(fd, C)
     D, g, Pden, WR, m = top.D, top.g, top.Pden, top.WR, top.m
     V0 = _box_points(top.H4, D)
-    # per cell and member: the translate WT c, conj(WT) y and n(WT) h c,
-    # the shift of alpha
+    # per cell: its translate WT; per cell and member: conj(WT) y and
+    # n(WT) h c, the shift of alpha
     WT, L, off = _cell_shifts(order, C)
     # tr(conj(e_i) c) per member, in exact scalar arithmetic
     conj_e = [order.conj(e) for e in np.eye(4, dtype=int).tolist()]
@@ -950,9 +946,10 @@ def brute_force_counts(order: Order, s_grid: Sequence, progress=None) -> Dict[Fr
     the transversal moved by -WT[n] c.  Per alpha remain the shift
     conj(WT) alpha + n(WT) h c it adds to a, from the matrix of its cell
     paired with [tau | Pnum]; its trace relation; and t = (q w0vec + shift
-    . Pnum) mod Pden.  Per triple remain adds and table reads (_residue_index) over
-    the residue table WR, which is not shifted into an a-box: W and a are
-    formed only on the spot rows and the in-domain rows (_a_rows).
+    . Pnum) mod Pden.  Per triple remain adds and table reads
+    (_residue_index) over the residue table WR, which is not shifted into
+    an a-box: W and a are formed only on the spot rows and the in-domain
+    rows (_a_rows).
 
     Why one pass per right coset.  Row i of n(c) R_conj(c) holds the
     coordinates of n(c) e_i conj(c), so H4 is the basis of the lattice
