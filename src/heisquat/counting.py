@@ -44,10 +44,12 @@ triples stay full per-c enumerations; the tests compare the reductions
 against them.
 
 brute_force_counts (and brute_force_psi, its one-level form) is the
-oracle: it enumerates *all* admissible triples in a padded window of
-cells, buckets them by a dense index of their canonical representative
-with np.bincount, asserting that each bucket holds exactly one in-domain
-triple, and counts the buckets.  It counts every c, in one pass for a
+oracle: it moves every admissible triple of a padded window of cells to
+its canonical representative by a shear per alpha and a residue shift t
+per alpha, asserts the trace relation of every shift, canonicalises about
+64 spot triples per coset exactly (heisenberg.canonical_rows) and
+requires each to land on the representative that t claims, and counts
+the primitive in-domain triples.  It counts every c, in one pass for a
 grid.  Its work list is the scan's right coset representatives times the
 units, asserted to cover the c list exactly once.  Its window of 81
 cells is the alpha transversal moved into each cell: row i of every cell
@@ -55,9 +57,9 @@ is the translate of alpha i of the middle cell, so a member maps only
 the D rows of the transversal and an alpha's row names its canonical
 alpha.  The members of a right coset share their lattice data, their
 window and the residue shifts of its triples, so it makes one pass per
-coset: the transversal and the bucket keys are built once, and each
-member in turn computes and checks its own alphas, shifts and residue
-shifts against them.
+coset: the transversal is built once, the spot triples are canonicalised
+once, for the first member, and each member in turn computes and checks
+its own alphas, shifts and residue shifts against the first member's.
 
 The per-c work of both is independent and exact, so one helper,
 _pool_map, spreads it over a process pool: scan_summary's values of c with
@@ -83,7 +85,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import constants
-from .heisenberg import FundamentalDomain, Triple
+from .heisenberg import FundamentalDomain, Triple, canonical_rows
 from .lattices import det_adjugate, hnf
 # not called here: perfbench/spans.py wraps these names in this module
 from .lattices import adjugate, det_int, kernel_basis, mat_mul, solve_integer  # noqa: F401
@@ -180,8 +182,8 @@ class _CContext:
     triangular basis of a lattice holding N Z^k has pivots that divide N,
     so they divide the sides of [0, D)^4 and [0, Pden)^3.  WR holds the
     points of [0, Pden)^3; _a_box reduces q w0vec + WR mod Pden, and the
-    oracle reads the a index of each reduced point from digit tables
-    (_residue_index).
+    oracle reads the canonical a of a triple as residue j of its a-box,
+    the a with numerators (t + WR[j]) mod Pden.
     """
 
     def __init__(self, fd: FundamentalDomain, c: Tuple[int, ...]):
@@ -287,10 +289,14 @@ def _scan_c(fd: FundamentalDomain, c, scale: int = 1) -> CRecord:
 def _c_list(order: Order, s, scale: int = 1) -> np.ndarray:
     """The c in scale * O with 0 < n(c) <= s, as the rows of an (N, 4)
     int64 array ordered by (n(c), c): the norm enumeration is
-    lexicographic, so a stable sort of its scaled rows by norm orders them."""
+    lexicographic, so a stable sort of its scaled rows by norm orders them.
+    A c != 0 in scale * O has n(c) >= scale^2, so below that there is none,
+    and a scale past int64 is never multiplied in."""
     s = Fraction(s)
     if s > _S_LIMIT:
         raise ValueError(f"s > {_S_LIMIT} is beyond the supported desk scale")
+    if s < scale * scale:
+        return np.zeros((0, 4), np.int64)
     C = scale * enumerate_by_norm(order, s / (scale * scale))
     return C[np.argsort(order.norms(C), kind="stable")]
 
@@ -643,34 +649,6 @@ def scan_summary(order: Order, s_grid: Sequence, hist_levels: Sequence = (),
 # independent oracle
 
 
-def _radix(H: np.ndarray, side: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(p, weight): the pivots p = diag(H), each of which must divide side,
-    and the place values of the mixed radix with radices side / p."""
-    p = np.diag(H)
-    if (side % p).any():
-        raise AssertionError("box side is not a multiple of a pivot")
-    return p, np.cumprod(np.append(1, (side // p)[:0:-1]))[::-1]
-
-
-def _cell_index(W: np.ndarray, H: np.ndarray, side: int) -> np.ndarray:
-    """Mixed radix of W // diag(H), radices side / diag(H), for rows W in
-    [0, side)^k of one coset of the lattice of the upper-triangular H.
-    Each pivot p must divide side.  Then W_0 .. W_{i-1} fix W_i mod p_i,
-    so W_i // p_i determines W_i and runs over [0, side / p_i): the index
-    maps the coset's points in the box onto [0, side^k / det H)."""
-    p, weight = _radix(H, side)
-    return (W // p) @ weight
-
-
-def _digit_table(H: np.ndarray, side: int) -> np.ndarray:
-    """One row per coordinate i: entry v is ((v mod side) // p_i) times the
-    place value of digit i, for v in [0, 2 side).  The entries of row i
-    read at W_i add up to _cell_index(W mod side, H, side), with no
-    divide."""
-    p, weight = _radix(H, side)
-    return np.arange(2 * side, dtype=np.int64) % side // p[:, None] * weight[:, None]
-
-
 def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(WT, L, off) over the 81 cells of the window [-1, 2)^4, for c of
     shape (..., 4).  WT is the oracle's one source of the cell order: cell
@@ -685,32 +663,10 @@ def _cell_shifts(order: Order, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return WT, order.left_mul(order.conjugates(WT)), order.norms(WT)[:, None] * hc[..., None, :]
 
 
-def _residue_index(lut: np.ndarray, t: np.ndarray, WR: np.ndarray) -> np.ndarray:
-    """The residue-table read of the oracle: entry [r, j] is the a index of
-    the cell3 numerators (t[r] + WR[j]) mod Pden, the sum over i of
-    lut[i, t[r, i] + WR[j, i]], with lut = _digit_table(T3, Pden) and t,
-    WR in [0, Pden)^3.  Per coordinate, the broadcast over
-    WR is tabled once for every value of t_i, so each row r is three row
-    reads and two adds."""
-    x = np.arange(lut.shape[1] // 2)[:, None]
-    idx = lut[0, x + WR[:, 0]].take(t[:, 0], axis=0)
-    idx += lut[1, x + WR[:, 1]].take(t[:, 1], axis=0)
-    idx += lut[2, x + WR[:, 2]].take(t[:, 2], axis=0)
-    return idx
-
-
 def _a_rows(ctx: _CContext, q: np.ndarray, res: np.ndarray) -> np.ndarray:
     """The cell3 numerators of residue res[j] in the a-box of q[j]: row
     res[j] of _a_box(ctx, q[j:j + 1])[1]."""
     return (q[:, None] * ctx.w0vec % ctx.Pden + ctx.WR[res]) % ctx.Pden
-
-
-def _bucket_counts(key: np.ndarray, indom):
-    """(size, hits): for each bucket index in [0, max(key)], how many rows
-    have that key and how many of the rows key[indom] (a mask or a slice)
-    have it."""
-    size = np.bincount(key)
-    return size, np.bincount(key[indom], minlength=size.size)
 
 
 def _dets4(A: np.ndarray) -> np.ndarray:
@@ -774,15 +730,19 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
     The window is the transversal V0 = _box_points(H4, D) moved into its
     81 cells, cell n by -D WT[n] (_cell_shifts), so member c_j maps only
     V0: its alphas of cell n are V0 . R_j / D - WT[n] c_j.  What the
-    members share is built once: V0, the first member's keep mask,
+    members share is built once: V0 and the first member's keep mask,
     asserted to be the same in every cell, its spot rows and in-domain
-    rows, and the keys and bucket check of its 81 D m triples, from its
-    residue shifts t.  Then each member runs alone, one c at a time: its
-    own window alphas and norms, whose keep mask is asserted to equal the
-    first member's, shifts with their trace relation, exact maps, spot
-    rows and primitivity, and its own residue shifts t, asserted to equal
-    the first member's: so the keys of member j are those of the first
-    plus j D m, and the one bucket check covers every member."""
+    rows.  Then each member runs alone, one c at a time: its own window
+    alphas and norms, whose keep mask is asserted to equal the first
+    member's, shifts with their trace relation, exact maps, the trace
+    relation of its spot triples, primitivity, and its own residue shifts
+    t, asserted to equal the first member's.  The first member's spot
+    triples, the raw a-box a of their residue with their window alpha,
+    are canonicalised exactly (heisenberg.canonical_rows), once per
+    coset, and each must equal the representative that t claims for it:
+    the middle-cell alpha of its row and the a with (a . tau, a . Pnum)
+    = (q g, (t + WR) mod Pden), q that of the middle-cell alpha.  As
+    every member's t is the first's, that one check covers the coset."""
     order = fd.order
     top, R, M, adjM, detM = _coset_context(fd, C)
     D, g, Pden, WR, m = top.D, top.g, top.Pden, top.WR, top.m
@@ -828,16 +788,24 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
         shift = (ALPH.reshape(81, n, 4) @ (L @ M[j]) + (off[j] @ M[j])[:, None]).reshape(-1, 4)
         if ((NAL + shift[:, 0]).reshape(81, n) != NAL[mid]).any():
             raise AssertionError("oracle shift breaks the trace relation")
-        # the canonical a of a triple has numerators (t + WR) mod Pden
-        t = (q[:, None] * top.w0vec + shift[:, 1:]) % Pden
-        if j == 0:
-            t0 = t
-        elif (t != t0).any():
-            raise AssertionError("oracle coset members disagree on residue shifts")
 
         # a on the spot rows and the in-domain rows
         qs = q[sel]
         A = _exact_rows(np.column_stack([qs * g, _a_rows(top, qs, res)]), adjM[j], detM[j])
+        # the canonical a of a triple has numerators (t + WR) mod Pden
+        t = (q[:, None] * top.w0vec + shift[:, 1:]) % Pden
+        if j == 0:
+            t0 = t
+            # canonicalised exactly, a spot triple must land on the
+            # representative that t claims: the middle-cell alpha of its
+            # row, and the a of pairing q g and numerators (t + WR) mod Pden
+            Ac, Xc = canonical_rows(fd, c, A[:spot.size], ALPH[spot // m])
+            rep = mid[spot // m % n]
+            claim = np.column_stack([q[rep] * g, (t[spot // m] + WR[spot % m]) % Pden])
+            if (Xc != ALPH[rep]).any() or (Ac @ M[0] != claim).any():
+                raise AssertionError("oracle spot triple canonicalises off its representative")
+        elif (t != t0).any():
+            raise AssertionError("oracle coset members disagree on residue shifts")
         # spot re-verification of the trace relation, as tr(conj(a) c) =
         # sum a_i tr(conj(e_i) c)
         tau0, tau1, tau2, tau3 = taus[j]
@@ -848,16 +816,6 @@ def _oracle_coset(fd: FundamentalDomain, C: np.ndarray) -> List[int]:
         # primitivity is orbit-invariant: test only the canonical reps
         prim = _primitive_mask(order, A[spot.size:], ALPH[mid], mid_row, c)
         counts.append(int(prim.sum()))
-
-    # per window triple, alpha row by a-box residue: its key.  An in-domain
-    # triple, of the middle cell, is its own representative.
-    key = _residue_index(_digit_table(top.T3, Pden), t0, WR)
-    key += (np.tile(np.arange(n), 81) * m)[:, None]
-    size, hits = _bucket_counts(key.ravel(), slice(40 * n * m, 41 * n * m))
-    if (hits != (size > 0)).any():
-        raise AssertionError("oracle bucket without a unique in-domain triple")
-    if ((size > 0) & (size != 81)).any():
-        raise AssertionError("oracle bucket without one triple per window cell (81)")
     return counts
 
 
@@ -865,8 +823,8 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     """Oracle orbit count of one c: a coset pass of one member; see
     brute_force_counts.
 
-    Every bucket holds exactly 81 = 3^4 triples, one per cell of the
-    window.  With c fixed, the shear (n(w) h + r, w), w in O and r in
+    The window holds exactly 81 = 3^4 triples of each orbit, one per
+    cell.  With c fixed, the shear (n(w) h + r, w), w in O and r in
     Im O, sends alpha to alpha + w c and moves the cell coordinates of
     alpha c^-1 by the coordinates of w, so an orbit meets each of the 3^4
     horizontal cells of [-1, 2)^4 in exactly one horizontal translate.
@@ -877,21 +835,21 @@ def _brute_force_c(fd: FundamentalDomain, c) -> int:
     whole orbit, so the enumeration holds these 81 triples of it and no
     other, and only the one of the middle cell is in the domain.
 
-    The bucket of a triple is a dense index of its canonical
-    representative.  Its alpha has V = alpha . adjR mod D, a point of the
-    transversal, the lattice of H4 in [0, D)^4, and the window holds the
-    transversal moved into each cell in the same row order: so the row of
-    alpha in its cell, among the n kept rows, is the row of its canonical
-    alpha in the middle cell, an index in [0, n).  Its a has cell3
-    numerators Wc = (W + shift . Pnum) mod Pden = (t + WR) mod Pden,
-    t = (q w0vec + shift . Pnum) mod Pden per alpha, which the trace
-    relation, asserted per alpha, puts in the a-box of q = n(alpha) / g;
-    the mixed radix maps the m points of the box onto [0, m), as it maps
-    any coset of the lattice of T3.  (a . tau, a . Pnum) = (q g, Wc)
-    determines a, as [tau | Pnum] is nonsingular (detM != 0), so alpha
-    row * m + a index is one integer per orbit.  The a index is read from
-    a digit table (_digit_table) per triple on t + WR in [0, 2 Pden), with
-    no divide.
+    The canonical representative of a window triple is read off its
+    place, with no search.  Its alpha has V = alpha . adjR mod D, a point
+    of the transversal, the lattice of H4 in [0, D)^4, and the window
+    holds the transversal moved into each cell in the same row order: so
+    the canonical alpha is the middle-cell alpha in the same row.  Its a
+    has cell3 numerators Wc = (W + shift . Pnum) mod Pden = (t + WR) mod
+    Pden, t = (q w0vec + shift . Pnum) mod Pden per alpha, and trace
+    pairing q g + shift . tau, which the trace relation, asserted per
+    alpha, makes that of the middle-cell alpha; (a . tau, a . Pnum)
+    determines a, as [tau | Pnum] is nonsingular (detM != 0).  The count
+    reads only the in-domain triples, whose shift is 0, so it does not
+    read t: the spot check does.  heisenberg.canonical_rows, which shares
+    no residue table or shift with this map, canonicalises the spot
+    triples by the two floors of canonicalize, and each must land on the
+    alpha and the a that this map names.
     """
     return _oracle_coset(fd, np.array(c, np.int64).reshape(1, 4))[0]
 
@@ -931,13 +889,14 @@ def brute_force_counts(order: Order, s_grid: Sequence, progress=None) -> Dict[Fr
     cell coordinates lie in the padded window [-1, 2)^4 (the canonical
     cell and one cell on every side) and whose vertical cell coordinates
     lie in [0, 1)^3; the alpha translates sweep the vertical floors through
-    the whole lattice during canonicalisation.  Each triple gets the dense
-    index of its canonical orbit representative (see _brute_force_c), two
-    bincounts size the buckets, every bucket is asserted to hold exactly
-    one in-domain triple and 81 triples in all (one per window cell), and
-    the primitive in-domain triples are counted.  About 64 triples per c
-    are re-verified against the trace relation in scalar Order arithmetic,
-    through tr(conj(e_i) c).
+    the whole lattice during canonicalisation.  Each orbit has exactly 81
+    triples there, one per window cell, and one in the domain (see
+    _brute_force_c); the primitive in-domain triples are counted.  About
+    64 spot triples per c are re-verified against the trace relation in
+    scalar Order arithmetic, through tr(conj(e_i) c), and, once per
+    coset, those of its first member are canonicalised exactly by
+    heisenberg.canonical_rows and compared with the representative that
+    their place in the window and the residue shifts t name.
 
     The horizontal step of the canonicalisation depends on alpha alone, so
     it runs once per alpha.  The window is the transversal moved into each
@@ -946,10 +905,9 @@ def brute_force_counts(order: Order, s_grid: Sequence, progress=None) -> Dict[Fr
     the transversal moved by -WT[n] c.  Per alpha remain the shift
     conj(WT) alpha + n(WT) h c it adds to a, from the matrix of its cell
     paired with [tau | Pnum]; its trace relation; and t = (q w0vec + shift
-    . Pnum) mod Pden.  Per triple remain adds and table reads
-    (_residue_index) over the residue table WR, which is not shifted into
-    an a-box: W and a are formed only on the spot rows and the in-domain
-    rows (_a_rows).
+    . Pnum) mod Pden.  Nothing is formed per window triple: W and a are
+    formed only on the spot rows and the in-domain rows (_a_rows), from
+    the residue table WR, and t is read only by the spot check.
 
     Why one pass per right coset.  Row i of n(c) R_conj(c) holds the
     coordinates of n(c) e_i conj(c), so H4 is the basis of the lattice

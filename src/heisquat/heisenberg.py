@@ -234,6 +234,46 @@ def canonicalize(order: Order, t: Triple,
     return t2, heis_point_of_triple(order, t2)
 
 
+def _int64_product(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Y @ M of int64 arrays, asserting, as the oracle's lattice check
+    does, that the inner dimension times max|Y| max|M| stays below 2^61:
+    it bounds every entry and partial sum of the product, and max|Y| when
+    M is not 0.  The maxima are Python ints, so |-2^63| is positive."""
+    top = [max(-int(Z.min(initial=0)), int(Z.max(initial=0))) for Z in (Y, M)]
+    if Y.shape[-1] * top[0] * top[1] >= 2 ** 61:
+        raise AssertionError("canonical rows leave int64")
+    return Y @ M
+
+
+def canonical_rows(fd: FundamentalDomain, c: np.ndarray, A: np.ndarray, X: np.ndarray) -> tuple:
+    """(A', X'): the canonical representatives of the triples (A[r], X[r],
+    c), rows of order coordinates, c an int64 array of shape (4,); the
+    two steps of canonicalize on whole int64 arrays.
+
+    Step 1 shears by (n(w) h, w), w = -floor(alpha c^-1): alpha c^-1 =
+    alpha conj(c) / n(c) gives w = -(X . Rbar // n(c)), Rbar = R_conj(c),
+    and X' = X + w . R_c.  It adds conj(w) alpha + n(w) h c = conj(w)
+    (alpha + w h c) to a: x -> conj(w) x has the matrix conj(w) . S, S
+    the order's structure table (left_mul of the basis), one per row.
+    Step 2 subtracts y r c, y the floor of the cell3 coordinates (a .
+    Rbar . cell3_num) / (cell3_den n(c)) of 2 Im(a c^-1) and r the rows
+    of im_basis.  It shares FundamentalDomain.cell3_num with
+    counting._member_rows, which reduces the same map to Pnum / Pden.
+    Every product, and every factor that meets a nonzero matrix, is
+    asserted below 2^61 in absolute value (_int64_product), so no sum
+    here, of at most three such values, leaves int64; a sum that did
+    would be a factor of 2^62 or more, which the next product rejects.
+    """
+    order, E = fd.order, np.eye(4, dtype=np.int64)
+    nc, Rc, Rbar = order.norms(c), order.right_mul(c), order.right_mul(order.conjugates(c))
+    W = -(_int64_product(X, Rbar) // nc)
+    Y = X + _int64_product(W, order.right_mul(np.array(order.trace_one.coords) @ Rc))
+    Lw = _int64_product(_int64_product(W, order.conjugates(E)), order.left_mul(E).reshape(4, 16))
+    A1 = A + _int64_product(Y[:, None], Lw.reshape(-1, 4, 4))[:, 0]
+    y = _int64_product(A1, Rbar @ fd.cell3_num) // (fd.cell3_den * nc)
+    return A1 - _int64_product(y, np.array(order.im_basis) @ Rc), X + _int64_product(W, Rc)
+
+
 def in_fundamental_domain(order: Order, t: Triple,
                           fd: Optional[FundamentalDomain] = None) -> bool:
     """True iff t is its own canonical representative."""

@@ -328,6 +328,19 @@ def test_scan_count_off_the_orbit_law_exits_1():
     assert "c = (-2, 0, 1, 1) is off the orbit law" in proc.stderr
 
 
+@pytest.mark.parametrize("scale", [2 ** 63, 2 ** 70], ids=["2^63", "2^70"])
+def test_a_scale_past_int64_counts_zero(scale, tmp_path, capsys):
+    # no c in scale * O has n(c) <= 4 < scale^2: the zero table of a small
+    # scale, with and without a checkpoint
+    small = ["count", "--order", "hurwitz", "--s-grid", "2,4", "--scale", "3"]
+    assert main(small) == 0
+    zeros = capsys.readouterr().out
+    assert [r["count"] for r in json.loads(zeros)["rows"]] == [0, 0]
+    for extra in ([], ["--cache", str(tmp_path / "cache")]):
+        assert main(small[:-1] + [str(scale)] + extra) == 0
+        assert capsys.readouterr().out == zeros
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HEIS_MERTENS_CACHE", str(cache))

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from heisquat import counting
 from heisquat.counting import (_box_points, _brute_force_c,
-                               _brute_force_chunk, _bucket_counts, _c_list,
-                               _CContext, _cell_index, _cell_shifts, _dets4, _digit_table,
+                               _brute_force_chunk, _c_list,
+                               _CContext, _cell_shifts, _dets4,
                                _exact_rows, _loglog_fit, _oracle_coset, _primitive_mask,
-                               _residue_index,
                                _right_coset_representatives, _scan_c, _scan_chunk,
                                _scan_classes, checkpoint_key,
                                ScanSummary, brute_force_counts,
@@ -137,60 +136,10 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert counting._usable_cpus() == 1
 
 
-def test_bucket_counts_sizes_each_bucket_and_its_in_domain_rows():
-    key = np.array([3, 1, 3, 0, 1, 3], np.int64)
-    indom = np.array([False, True, True, True, False, False])
-    size, hits = _bucket_counts(key, indom)
-    # bucket 0: row 3; bucket 1: rows 1, 4; bucket 2: none; bucket 3: rows 0, 2, 5
-    assert size.tolist() == [1, 2, 0, 3]
-    assert hits.tolist() == [1, 1, 0, 1]
-    size, hits = _bucket_counts(key[:0], indom[:0])
-    assert size.size == hits.size == 0
-
-
-@pytest.mark.parametrize("bad_key", [
-    # one bucket per row: the rows outside the domain have no in-domain triple
-    lambda key: np.arange(key.size),
-    # all rows in one bucket: it holds every in-domain triple
-    np.zeros_like,
-], ids=["zero_in_domain", "several_in_domain"])
-def test_oracle_rejects_a_bucket_without_one_in_domain_triple(hur, monkeypatch, pool_runs,
-                                                             bad_key):
-    # raised in a pool worker, the assertion reaches the caller
-    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
-    bucket_counts = counting._bucket_counts
-    monkeypatch.setattr(counting, "_bucket_counts",
-                        lambda key, indom: bucket_counts(bad_key(key), indom))
-    with pytest.raises(AssertionError, match="unique in-domain"):
-        brute_force_psi(hur, 5)
-    assert pool_runs
-
-
-def test_oracle_rejects_a_missing_triple(hur, monkeypatch, pool_runs):
-    # the first row of a coset's residue table read belongs to an alpha in
-    # cell 0 of the window, which is not the middle cell: its first triple
-    # is read into another bucket, so its own bucket keeps its in-domain
-    # triple and is left with 80 rows
-    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
-    residue_index = counting._residue_index
-
-    def missing(lut, t, WR):
-        idx = residue_index(lut, t, WR)
-        idx[0, 0] = idx.ravel()[np.argmax(idx.ravel() != idx[0, 0])]
-        return idx
-
-    monkeypatch.setattr(counting, "_residue_index", missing)
-    with pytest.raises(AssertionError, match="one triple per window cell"):
-        brute_force_psi(hur, 5)
-    assert pool_runs
-
-
 def test_oracle_rejects_a_shift_that_breaks_the_trace_relation(hur, fd, monkeypatch):
-    # a shift without its conj(w) alpha term: the bucket sizes would not
-    # show it, as the a index maps every coset of the lattice of T3 onto
-    # [0, m), but the shifted a of a translated alpha breaks the relation
+    # a shift without its conj(w) alpha term: the shifted a of a
+    # translated alpha breaks the relation, checked per alpha before any
+    # spot triple is canonicalised
     cell_shifts = counting._cell_shifts
 
     def no_conj_w_alpha(order, c):
@@ -200,6 +149,23 @@ def test_oracle_rejects_a_shift_that_breaks_the_trace_relation(hur, fd, monkeypa
     monkeypatch.setattr(counting, "_cell_shifts", no_conj_w_alpha)
     with pytest.raises(AssertionError, match="trace relation"):
         _brute_force_c(fd, _c_list(hur, 2)[-1])
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["a", "alpha"])
+def test_oracle_spot_check_compares_a_and_alpha(hur, fd, monkeypatch, half):
+    # the exact canonicaliser sends the spot triples to -a or to -alpha,
+    # the second of the same norm, so of the same claimed a: each alone
+    # is off the claimed representative
+    canonical_rows = counting.canonical_rows
+
+    def negated(fd, c, A, X):
+        out = list(canonical_rows(fd, c, A, X))
+        out[half] = -out[half]
+        return tuple(out)
+
+    monkeypatch.setattr(counting, "canonical_rows", negated)
+    with pytest.raises(AssertionError, match="canonicalises off its representative"):
+        _brute_force_c(fd, _c_list(hur, 5)[-1])
 
 
 class _Stop(Exception):
@@ -279,35 +245,6 @@ def test_oracle_a_rows_are_rows_of_the_a_box_of_their_q(name, monkeypatch):
     for ctx, q, res, W in formed:
         _, box = counting._a_box(ctx, q)
         assert (W == box.reshape(-1, ctx.m, 3)[np.arange(res.size), res]).all()
-
-
-@pytest.mark.parametrize("name", ["hurwitz", "d3"])
-def test_oracle_bucket_index_is_a_bijection(name):
-    # for n(c) <= 8: the residue-table read maps the a-box of every q onto
-    # [0, m) from each point of the box; the boxes hold the canonical a's
-    # of the oracle, whose alphas are indexed by their row in the middle
-    # cell (test_oracle_window_is_the_transversal_moved_into_its_cells)
-    fd = FundamentalDomain(builtin_order(name))
-    for c in _right_coset_representatives(fd.order, _c_list(fd.order, 8)):
-        ctx = _CContext(fd, c)
-        _, W = counting._a_box(ctx, np.arange(ctx.Pden))
-        lut = _digit_table(ctx.T3, ctx.Pden)
-        assert (np.sort(_residue_index(lut, W, ctx.WR), axis=1) == np.arange(ctx.m)).all()
-
-
-@pytest.mark.parametrize("name", ["hurwitz", "d3", "d5", "d7", "d11", "d13"])
-def test_digit_tables_equal_the_cell_index(name):
-    # for n(c) <= 4: on every a-box and its translate by Pden, the read
-    # table equals _cell_index of the numerators reduced mod the side
-    fd = FundamentalDomain(builtin_order(name))
-    for c in _right_coset_representatives(fd.order, _c_list(fd.order, 4)):
-        ctx = _CContext(fd, c)
-        Pden = ctx.Pden
-        _, W = counting._a_box(ctx, np.arange(Pden))
-        lut = _digit_table(ctx.T3, Pden)
-        want = _cell_index(W, ctx.T3, Pden)
-        for shift in (0, Pden):
-            assert (lut[np.arange(3), W + shift].sum(1) == want).all()
 
 
 @pytest.mark.parametrize("name, s", [("hurwitz", 8), ("d3", 8), ("d5", 4), ("d7", 4),
@@ -479,14 +416,6 @@ def test_stacked_coset_peak_memory_is_a_few_times_one_members_window(hur, fd):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 4 * 8 * 81 * 5 ** 2
-
-
-def test_cell_index_needs_pivots_that_divide_the_side():
-    H = np.array([[2, 1], [0, 3]])
-    W = _box_points(H, 6)
-    assert sorted(_cell_index(W, H, 6).tolist()) == list(range(6))
-    with pytest.raises(AssertionError, match="pivot"):
-        _cell_index(W, H, 4)
 
 
 def test_box_points_needs_pivots_that_divide_the_side():
@@ -775,23 +704,16 @@ def test_kernels_reject_a_numerator_moved_by_one(name, monkeypatch):
                     kernel(fd, c)
 
 
-@pytest.mark.parametrize("name, per_row", [("hurwitz", 90), ("d3", 40)], ids=["hurwitz", "d3"])
-def test_oracle_peak_memory_per_a_box_row(name, per_row, monkeypatch):
-    # the oracle forms W and a only on its spot and in-domain rows: a traced
-    # peak of 77 B (Hurwitz, whose window holds 16 alphas per kept one) and
-    # 29 B (d3) per row of the residue-table read, which W and a formed on
-    # every row would raise by 56 B
+@pytest.mark.parametrize("name", ["hurwitz", "d3"])
+def test_oracle_peak_memory_per_a_box_row(name):
+    # the oracle forms W and a only on its spot and in-domain rows and
+    # nothing per window triple: on the last right coset representative
+    # with n(c) <= 16, its traced peak is 2.3 (Hurwitz) and 4.5 (d3) times
+    # the window's alpha rows, 81 D rows of 4 int64; an int64 per window
+    # triple (81 D m of them) reads 12.0 on d3
     fd = FundamentalDomain(builtin_order(name))
-    c = _right_coset_representatives(fd.order, _c_list(fd.order, 8))[-1]
-    rows = []
-    residue_index = counting._residue_index
-
-    def counted(lut, t, WR):
-        idx = residue_index(lut, t, WR)
-        rows.append(idx.size)
-        return idx
-
-    monkeypatch.setattr(counting, "_residue_index", counted)
+    c = _right_coset_representatives(fd.order, _c_list(fd.order, 16))[-1]
+    D = fd.order.norm(c.tolist()) ** 2
     _brute_force_c(fd, c)
     tracemalloc.start()
     try:
@@ -799,7 +721,7 @@ def test_oracle_peak_memory_per_a_box_row(name, per_row, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= per_row * rows[-1]
+    assert peak <= 6 * 81 * D * 32
 
 
 def test_scan_summary_progress(tmp_path, monkeypatch, pool_runs):

@@ -3,7 +3,13 @@
 Each row of FAULTS applies one fault with monkeypatch, with no edit to the
 source, runs a command (or, in row (c), a check of the tests) at s <= 4
 and names the check that must catch the fault: the AssertionError it
-raises, matched by its message.
+raises, matched by its message.  The rows, by the check that catches
+them: (a) the oracle's exact canonicalisation of its spot triples, (b)
+the scan's orbit law, (c) the tests' Fraction recomputation of each
+representative's cell, (d) the oracle's per-alpha trace relation, (e) its
+coverage of the c list by cosets and (g) its residue shifts shared by the
+members of a coset.  Row (f), a checkpoint histogram permuted within its
+count, has no check yet.
 """
 
 import numpy as np
@@ -78,30 +84,63 @@ def _perturb_cell_shift(array, column):
     return fault
 
 
+def _residue_mover(order, c):
+    """(x, ctx): an x of O with tr(conj(x) c) = 0 whose cell3 numerators
+    x . Pnum are not all 0 mod Pden, or None, with the _CContext of c.  A
+    unit c has no such x (its trace kernel is Im(O) c, of numerators in
+    Pden Z^3), so the faults that add x move the cosets of n(c) >= 2."""
+    ctx = counting._CContext(FundamentalDomain(order), c)
+    moved = [x for x in kernel_basis([[t] for t in order.trace_pairing(c).tolist()])
+             if (np.array(x) @ ctx.Pnum % ctx.Pden).any()]
+    return (np.array(moved[0]) if moved else None), ctx
+
+
 def _move_a_members_residues(monkeypatch):
     """_cell_shifts adds to off, for the second member of a coset and
-    window cell 5 only, an x of O with tr(conj(x) c) = 0 whose cell3
-    numerators x . Pnum are not all 0 mod Pden: that member's shifts keep
-    the trace relation, and its a residues in cell 5 move.  A unit c has
-    no such x (its trace kernel is Im(O) c, of numerators in Pden Z^3), so
-    the fault moves the cosets of n(c) >= 2."""
+    window cell 5 only, an x of _residue_mover: that member's shifts keep
+    the trace relation, and its a residues in cell 5 move."""
     shifts_of = counting._cell_shifts
 
     def faulty(order, c):
         WT, L, off = shifts_of(order, c)
         if len(off) > 1:
-            ctx = counting._CContext(FundamentalDomain(order), c[1])
-            moved = [x for x in kernel_basis([[t] for t in order.trace_pairing(c[1]).tolist()])
-                     if (np.array(x) @ ctx.Pnum % ctx.Pden).any()]
-            if moved:
+            x, _ = _residue_mover(order, c[1])
+            if x is not None:
                 off = off.copy()
-                off[1, 5] += moved[0]
+                off[1, 5] += x
+        return WT, L, off
+
+    monkeypatch.setattr(counting, "_cell_shifts", faulty)
+
+
+def _move_every_members_residues(monkeypatch):
+    """_cell_shifts adds x v_j to off of every member c v_j of a coset, in
+    every window cell, for the x of _residue_mover of c.  x v_j is in the
+    trace kernel of c v_j, with the numerators of x, so every member keeps
+    the trace relation and the residue shifts t of the first, and every
+    t, the middle cell's too, moves by x . Pnum.  The in-domain a's are
+    not read from t, so the counts do not move."""
+    shifts_of = counting._cell_shifts
+
+    def faulty(order, c):
+        WT, L, off = shifts_of(order, c)
+        x, ctx = _residue_mover(order, c[0])
+        if x is not None:
+            # x v_j = x conj(c) c v_j / n(c), for each member c v_j
+            xv = counting._exact_rows(x @ order.right_mul(order.conjugates(c[0])),
+                                      order.right_mul(c), ctx.nc)
+            off = off + xv[:, None, :]
         return WT, L, off
 
     monkeypatch.setattr(counting, "_cell_shifts", faulty)
 
 
 FAULTS = [
+    # (a) the oracle's exact canonicalisation of its spot triples, against
+    # the representative that their residue shifts t claim
+    pytest.param(_move_every_members_residues, lambda order: brute_force_counts(order, [4]),
+                 "canonicalises off its representative",
+                 id="a-cell-shifts-move-every-members-residues"),
     # (b) the scan's _lawful check of every fresh count against the law
     pytest.param(_keep_one_imprimitive_triple, lambda order: scan_summary(order, [4]),
                  "off the orbit law", id="b-primitive-mask-keeps-one-imprimitive-triple"),
@@ -116,7 +155,8 @@ FAULTS = [
                    id=f"d-cell-shifts-{array}-column-{column}")
       for array in ("L", "off") for column in range(4)],
     # (g) the oracle's check that every member of a coset has the residue
-    # shifts t of its first member, from which it keys the window once
+    # shifts t of its first member, whose spot triples alone are
+    # canonicalised
     pytest.param(_move_a_members_residues, lambda order: brute_force_counts(order, [4]),
                  "disagree on residue shifts", id="g-cell-shifts-move-one-members-residues"),
     # (e) the oracle's coverage check of its cosets against its c list
@@ -132,3 +172,13 @@ def test_fault_is_caught(monkeypatch, fault, run, check):
     fault(monkeypatch)
     with pytest.raises(AssertionError, match=check):
         run(order)
+
+
+def test_a_fault_raised_in_a_pool_worker_reaches_the_caller(monkeypatch, pool_runs):
+    # row (a) through a pool of two workers, started at any predicted work
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(counting, "_POOL_MIN_ROWS", 0)
+    _move_every_members_residues(monkeypatch)
+    with pytest.raises(AssertionError, match="canonicalises off its representative"):
+        brute_force_counts(builtin_order("hurwitz"), [4])
+    assert pool_runs == [2]

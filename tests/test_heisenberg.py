@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from heisquat.counting import _c_list, _right_coset_representatives, _scan_c
 from heisquat.heisenberg import (FundamentalDomain, HeisError, HeisPoint, Triple,
-                                 canonicalize, cygan_dist4, haar_mass_check,
+                                 canonical_rows, canonicalize, cygan_dist4, haar_mass_check,
                                  heis_inv, heis_mul, heis_point_of_triple,
                                  in_fundamental_domain, in_lattice, is_admissible,
                                  is_primitive, random_lattice_point, shear)
@@ -202,6 +204,62 @@ def test_exactly_one_in_domain_per_orbit_slice(hur, fd):
             seen.add(t.coords())
             hits += in_fundamental_domain(hur, t, fd)
     assert hits == 1
+
+
+BUILTIN = ["hurwitz", "d3", "d5", "d7", "d11", "d13"]
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_canonical_rows_equal_canonicalize_on_sheared_triples(name):
+    # 60 kept triples of the scan, each moved by a random element of N(O)
+    order = builtin_order(name)
+    fd = FundamentalDomain(order)
+    rng = random.Random(name)
+    recs = [rec for rec in map(lambda c: _scan_c(fd, c), _c_list(order, 8)) if rec.count]
+    for _ in range(60):
+        rec = rng.choice(recs)
+        r = rng.randrange(rec.count)
+        t = shear(order, random_lattice_point(order, rng, 6),
+                  Triple(*(order.element(x) for x in (rec.a[r], rec.alpha[r], rec.c))))
+        want = canonicalize(order, t, fd)[0]
+        A, X = canonical_rows(fd, np.array(rec.c, np.int64), np.array([t.a.coords], np.int64),
+                              np.array([t.alpha.coords], np.int64))
+        assert (A[0].tolist(), X[0].tolist()) == (list(want.a.coords), list(want.alpha.coords))
+
+
+@pytest.mark.parametrize("name, kept", [("hurwitz", 4024), ("d3", 10792), ("d5", 12184),
+                                        ("d7", 10216), ("d11", 7694), ("d13", 12904)])
+def test_canonical_rows_fix_every_kept_triple_of_the_scan(name, kept):
+    # every right coset representative with n(c) <= 8: the scan keeps
+    # only canonical triples, one per orbit
+    fd = FundamentalDomain(builtin_order(name))
+    fixed = 0
+    for c in _right_coset_representatives(fd.order, _c_list(fd.order, 8)):
+        rec = _scan_c(fd, c)
+        A, X = canonical_rows(fd, c, rec.a, rec.alpha)
+        assert np.array_equal(A, rec.a) and np.array_equal(X, rec.alpha)
+        fixed += rec.count
+    assert fixed == kept
+
+
+def test_canonical_rows_stay_in_int64(hur, fd):
+    # a kept triple sheared by a w of coordinates near 2^20 has an a near
+    # 2^42, in range: it comes back to itself.  An alpha at 2^61, or an a
+    # at 2^62, leaves the guarded range
+    c = _c_list(hur, 2)[-1]
+    rec = _scan_c(fd, c)
+    wc = (2 ** 20, -(2 ** 19), 3, 2 ** 18)
+    w0c = [hur.norm(wc) * h for h in hur.trace_one.coords]
+    t = shear(hur, HeisPoint(hur.to_quaternion(w0c), hur.to_quaternion(wc)),
+              Triple(*(hur.element(x) for x in (rec.a[-1], rec.alpha[-1], c))))
+    assert max(map(abs, t.a.coords)) > 2 ** 40
+    A, X = canonical_rows(fd, c, np.array([t.a.coords]), np.array([t.alpha.coords]))
+    assert (A.tolist(), X.tolist()) == ([rec.a[-1].tolist()], [rec.alpha[-1].tolist()])
+    zero = np.zeros((1, 4), np.int64)
+    big = np.array([[2 ** 61, 0, 0, 0]], np.int64)
+    for A, X in ((zero, big), (2 * big, zero)):
+        with pytest.raises(AssertionError, match="leave int64"):
+            canonical_rows(fd, c, A, X)
 
 
 def test_inadmissible_rejected(hur):
